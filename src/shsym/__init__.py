@@ -46,6 +46,7 @@ from .quasimodular import (
     QMForm,
     RecognitionError,
     InsufficientOrderError,
+    bracket_form,
     d_hat,
     depth,
     expand,

@@ -15,11 +15,12 @@ from fractions import Fraction
 
 from .harmonic import basis_element, decompose, is_harmonic
 from .partitions import enumerate_min_part, format_partition, parse_partition
-from .qseries import QSeries, q_bracket
+from .qseries import QSeries
 from .quasimodular import (
     InsufficientOrderError,
     QMForm,
     RecognitionError,
+    bracket_form,
     format_qmform,
     format_qmform_latex,
     recognize,
@@ -67,22 +68,6 @@ def _series_json(s: QSeries) -> dict:
     return {"order": s.order, "coefficients": [str(c) for c in s.coeffs]}
 
 
-def _recognize_components(f: SSPoly, order: int) -> QMForm:
-    """Recognize the bracket of each weight component and sum the forms.
-
-    Odd-weight components must produce the zero series.
-    """
-    total = QMForm.zero()
-    for w, fw in f.weight_components().items():
-        series = q_bracket(fw, order)
-        if w % 2:
-            if not series.is_zero:
-                raise RecognitionError(f"odd-weight component {w} has nonzero average")
-            continue
-        total = total + recognize(series, w)
-    return total
-
-
 def cmd_basis(args) -> int:
     rows = [(lam, basis_element(lam)) for lam in enumerate_min_part(args.n, args.min_part)]
     if args.format == "json":
@@ -124,13 +109,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_qbracket(args) -> int:
     f = parse_poly(_read_expr(args.expr))
-    series = q_bracket(f, args.order)
-    if args.weight is not None:
-        form = recognize(series, args.weight) if args.weight % 2 == 0 else QMForm.zero()
-        if args.weight % 2 and not series.is_zero:
-            raise RecognitionError("odd weight requires a vanishing series")
-    else:
-        form = _recognize_components(f, args.order)
+    series, form = bracket_form(f, args.order, args.weight)
     if args.format == "json":
         payload = {"series": _series_json(series), "q_bracket": _form_json(form)}
         print(json.dumps(payload, indent=2))
@@ -145,7 +124,7 @@ def cmd_recognize(args) -> int:
     text = _read_expr(args.coefficients)
     try:
         coeffs = [Fraction(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient: {exc}", 0) from None
     if not coeffs:
         raise ParseError("no coefficients given", 0)
@@ -180,13 +159,7 @@ def cmd_tables(args) -> int:
     for n in range(args.max_weight + 1):
         for lam in enumerate_min_part(n, args.min_part):
             h = basis_element(lam)
-            if n % 2 == 0:
-                form = recognize(q_bracket(h, args.order), n)
-            else:
-                if not q_bracket(h, args.order).is_zero:
-                    raise RecognitionError(f"odd-weight average nonzero at {lam}")
-                form = QMForm.zero()
-            rows.append((lam, h, form))
+            rows.append((lam, h, bracket_form(h, args.order, n)[1]))
     if args.format == "json":
         payload = [
             {"lambda": list(lam), "h": _poly_json(h), "q_bracket": _form_json(form)}

@@ -74,13 +74,9 @@ def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     with all parts >= 2, in the deterministic enumeration order."""
     if n < 0:
         return ()
-    out = []
-    for lam in enumerate_min_part(n, 2):
-        exps: dict[int, int] = {}
-        for part in lam:
-            exps[part] = exps.get(part, 0) + 1
-        out.append(SSPoly.from_monomial(exps))
-    return tuple(out)
+    return tuple(
+        SSPoly({Monomial.from_partition(lam): 1}) for lam in enumerate_min_part(n, 2)
+    )
 
 
 def _basis_index(n: int) -> dict[Monomial, int]:
@@ -189,11 +185,7 @@ def depth_ss(f: SSPoly) -> int:
 
 def q_lambda(lam: Iterable[int]) -> SSPoly:
     """The monomial with one generator factor per part."""
-    lam = check_partition(lam)
-    exps: dict[int, int] = {}
-    for part in lam:
-        exps[part] = exps.get(part, 0) + 1
-    return SSPoly.from_monomial(exps)
+    return SSPoly({Monomial.from_partition(check_partition(lam)): 1})
 
 
 def leading_term_scale(n: int) -> Fraction:
@@ -211,13 +203,6 @@ def leading_term_check(lam: Iterable[int]) -> bool:
     return all(mono.exponent2(2) >= 2 for mono, _ in diff.terms())
 
 
-def _monomial_partition(mono: Monomial) -> Partition:
-    parts: list[int] = []
-    for k, e2 in mono.items2():
-        parts.extend([k] * (e2 // 2))
-    return tuple(sorted(parts, reverse=True))
-
-
 def dualize_apply_multinomial(f: SSPoly, g: SSPoly) -> SSPoly:
     """Dualization sending each monomial to the partition-indexed operator.
 
@@ -229,7 +214,7 @@ def dualize_apply_multinomial(f: SSPoly, g: SSPoly) -> SSPoly:
         raise ValueError("dualization requires non-negative integer exponents")
     acc = SSPoly.zero()
     for mono, c in f.terms():
-        acc = acc + delta_lambda(_monomial_partition(mono), g) * c
+        acc = acc + delta_lambda(mono.partition(), g) * c
     return acc
 
 

@@ -200,15 +200,6 @@ def multiply_by(p: SSPoly) -> Operator:
     return lambda f: p * f
 
 
-def compose(*ops: Operator) -> Operator:
-    def run(f: SSPoly) -> SSPoly:
-        for op in reversed(ops):
-            f = op(f)
-        return f
-
-    return run
-
-
 def commutator(a: Operator, b: Operator, f: SSPoly) -> SSPoly:
     """[a, b] applied to f: a(b(f)) - b(a(f))."""
     return a(b(f)) - b(a(f))

@@ -7,6 +7,7 @@ the diagonal hooks are kept exact by storing their doubled values.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -63,30 +64,33 @@ def enumerate_min_part(n: int, m: int) -> tuple[Partition, ...]:
     return tuple(_descending(n, n, m))
 
 
-# Counting uses the pentagonal-number recurrence; the table is append-only,
-# so concurrent readers of already-computed entries are safe.
+# Counting uses the pentagonal-number recurrence.  The table is append-only
+# and extended under a lock, so concurrent callers each see a correct prefix.
 _P_TABLE = [1]
+_P_LOCK = threading.Lock()
 
 
 def count_partitions(n: int) -> int:
     """The number p(n) of partitions of n; zero for negative n."""
     if n < 0:
         return 0
-    while len(_P_TABLE) <= n:
-        m = len(_P_TABLE)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * _P_TABLE[m - g1]
-            if g2 <= m:
-                total += sign * _P_TABLE[m - g2]
-            k += 1
-        _P_TABLE.append(total)
+    if len(_P_TABLE) <= n:
+        with _P_LOCK:
+            while len(_P_TABLE) <= n:
+                m = len(_P_TABLE)
+                total = 0
+                k = 1
+                while True:
+                    g1 = k * (3 * k - 1) // 2
+                    g2 = k * (3 * k + 1) // 2
+                    if g1 > m:
+                        break
+                    sign = 1 if k % 2 else -1
+                    total += sign * _P_TABLE[m - g1]
+                    if g2 <= m:
+                        total += sign * _P_TABLE[m - g2]
+                    k += 1
+                _P_TABLE.append(total)
     return _P_TABLE[n]
 
 

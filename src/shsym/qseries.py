@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .partitions import count_partitions, enumerate_partitions
-from .ssym import Monomial, SSPoly, eval_qk
+from .ssym import Monomial, SSPoly, eval_qk, format_signed_sum
 
 Scalar = Union[int, Fraction]
 
@@ -120,25 +120,12 @@ class QSeries:
         return f"QSeries({self})"
 
     def __str__(self) -> str:
-        chunks = []
-        for n, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if n == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "q" if n == 1 else f"q^{n}"
-            else:
-                body = f"{mag}*q" if n == 1 else f"{mag}*q^{n}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f" + {body}" if c > 0 else f" - {body}")
-        if not chunks:
-            chunks.append("0")
-        chunks.append(f" + O(q^{self.order + 1})")
-        return "".join(chunks)
+        body = format_signed_sum(
+            (c, "" if n == 0 else "q" if n == 1 else f"q^{n}")
+            for n, c in enumerate(self.coeffs)
+            if c
+        )
+        return f"{body} + O(q^{self.order + 1})"
 
 
 def partition_gf(order: int) -> QSeries:
@@ -207,6 +194,8 @@ def q_bracket(f: SSPoly, order: int) -> QSeries:
 
     The projection killing Q1 is applied first.
     """
+    if order < 0:
+        raise ValueError("order must be non-negative")
     if not f.in_r():
         raise ValueError("q-bracket requires non-negative integer exponents")
     num = [_ZERO] * (order + 1)

@@ -16,12 +16,10 @@ from typing import Mapping, Union
 from . import linalg
 from .harmonic import Decomposition, decompose
 from .qseries import QSeries, eisenstein, q_bracket
-from .ssym import SSPoly, format_fraction_latex
+from .ssym import SSPoly, SparseTerms, _latex_power, format_signed_sum
 
 Scalar = Union[int, Fraction]
 Triple = tuple[int, int, int]
-
-_ZERO = Fraction(0)
 
 RECOGNITION_MARGIN = 10
 
@@ -39,34 +37,31 @@ class CrossCheckError(RuntimeError):
     slot brackets; indicates an implementation bug."""
 
 
-class QMForm:
+class QMForm(SparseTerms):
     """Map from exponent triples (a, b, c) to nonzero rational coefficients,
-    representing the sum of c_abc * P^a Q^b R^c."""
+    representing the sum of c_abc * P^a Q^b R^c, ordered by descending
+    (a, b, c)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _UNIT = (0, 0, 0)
+
+    @staticmethod
+    def _key_mul(s: Triple, t: Triple) -> Triple:
+        return (s[0] + t[0], s[1] + t[1], s[2] + t[2])
+
+    @staticmethod
+    def _key_weight(t: Triple) -> int:
+        return 2 * t[0] + 4 * t[1] + 6 * t[2]
+
+    @staticmethod
+    def _key_order(t: Triple) -> Triple:
+        return (-t[0], -t[1], -t[2])
 
     def __init__(self, terms: Mapping[Triple, Scalar] | None = None):
-        clean: dict[Triple, Fraction] = {}
-        if terms:
-            for (a, b, c), coeff in terms.items():
-                if a < 0 or b < 0 or c < 0:
-                    raise ValueError("exponents must be non-negative")
-                v = Fraction(coeff)
-                if v:
-                    clean[(a, b, c)] = v
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "QMForm":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QMForm":
-        return cls({(0, 0, 0): 1})
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "QMForm":
-        return cls({(0, 0, 0): Fraction(c)})
+        if terms and any(e < 0 for t in terms for e in t):
+            raise ValueError("exponents must be non-negative")
+        super().__init__(terms)
 
     @classmethod
     def gen(cls, name: str) -> "QMForm":
@@ -75,90 +70,6 @@ class QMForm:
         except KeyError:
             raise ValueError(f"unknown generator {name!r}") from None
         return cls({triple: 1})
-
-    def terms(self) -> list[tuple[Triple, Fraction]]:
-        """Terms ordered by descending (a, b, c)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def coeff(self, triple: Triple) -> Fraction:
-        return self._terms.get(triple, _ZERO)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "QMForm") -> "QMForm":
-        if not isinstance(other, QMForm):
-            return NotImplemented
-        out = dict(self._terms)
-        for t, c in other._terms.items():
-            s = out.get(t, _ZERO) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        res = QMForm.__new__(QMForm)
-        res._terms = out
-        return res
-
-    def __neg__(self) -> "QMForm":
-        res = QMForm.__new__(QMForm)
-        res._terms = {t: -c for t, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: "QMForm") -> "QMForm":
-        return self + (-other)
-
-    def __mul__(self, other) -> "QMForm":
-        if isinstance(other, QMForm):
-            out: dict[Triple, Fraction] = {}
-            for (a1, b1, c1), x in self._terms.items():
-                for (a2, b2, c2), y in other._terms.items():
-                    t = (a1 + a2, b1 + b2, c1 + c2)
-                    s = out.get(t, _ZERO) + x * y
-                    if s:
-                        out[t] = s
-                    else:
-                        out.pop(t, None)
-            res = QMForm.__new__(QMForm)
-            res._terms = out
-            return res
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return QMForm.zero()
-            res = QMForm.__new__(QMForm)
-            res._terms = {t: v * c for t, v in self._terms.items()}
-            return res
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMForm) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def weight_components(self) -> dict[int, "QMForm"]:
-        buckets: dict[int, dict[Triple, Fraction]] = {}
-        for (a, b, c), v in self._terms.items():
-            buckets.setdefault(2 * a + 4 * b + 6 * c, {})[(a, b, c)] = v
-        return {w: QMForm(buckets[w]) for w in sorted(buckets)}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.weight_components()) <= 1
-
-    def weight(self) -> int:
-        comps = self.weight_components()
-        if not comps:
-            return 0
-        if len(comps) > 1:
-            raise ValueError("form is not weight-homogeneous")
-        return next(iter(comps))
-
-    def __repr__(self) -> str:
-        return f"QMForm({format_qmform(self)})"
 
     def __str__(self) -> str:
         return format_qmform(self)
@@ -208,6 +119,8 @@ def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
     Requires order + 1 >= number of weight-k monomials + margin; the extra
     rows turn the solve into an overdetermined consistency check.
     """
+    if k < 0:
+        raise ValueError("recognition weight must be non-negative")
     if k % 2:
         raise ValueError("recognition weight must be even; odd-weight series must vanish")
     if order is None:
@@ -282,6 +195,30 @@ def w_hat(m: QMForm) -> QMForm:
 # -- the modularity decision ---------------------------------------------------
 
 
+def bracket_form(
+    f: SSPoly, order: int, weight: int | None = None
+) -> tuple[QSeries, QMForm]:
+    """Partition average of f and the form it is recognized as.
+
+    Without `weight`, each weight component is bracketed once and
+    recognized at its own weight; the series is the sum of the component
+    series.  With `weight`, the whole bracket is recognized at that weight.
+    An odd weight must give the zero series.
+    """
+    parts = f.weight_components() if weight is None else {weight: f}
+    # Bracket every part before recognizing any, so that input q_bracket
+    # rejects is reported as such rather than as a recognition failure.
+    brackets = {w: q_bracket(fw, order) for w, fw in parts.items()}
+    series, form = QSeries.zero(order), QMForm.zero()
+    for w, s in brackets.items():
+        if w % 2 == 0:
+            form = form + recognize(s, w)
+        elif not s.is_zero:
+            raise RecognitionError(f"odd weight {w} requires a vanishing series")
+        series = series + s
+    return series, form
+
+
 def is_modular_bracket(
     f: SSPoly, order: int
 ) -> tuple[bool, QMForm, Decomposition]:
@@ -296,15 +233,8 @@ def is_modular_bracket(
         raise ValueError("input must be Q1-free with integer exponents")
     if not f.is_homogeneous():
         raise ValueError("input must be weight-homogeneous")
-    k = f.weight()
-    series = q_bracket(f, order)
-    if k % 2:
-        if not series.is_zero:
-            raise CrossCheckError("odd-weight bracket did not vanish")
-        modular, form = True, QMForm.zero()
-    else:
-        form = recognize(series, k)
-        modular = depth(form) == 0
+    _, form = bracket_form(f, order, f.weight())
+    modular = depth(form) == 0
     dec = decompose(f)
     tail_vanishes = all(q_bracket(h, order).is_zero for h in dec.components[1:])
     if tail_vanishes != modular:
@@ -319,54 +249,22 @@ def is_modular_bracket(
 _GEN_NAMES = ("P", "Q", "R")
 
 
+def _form_factors(triple: Triple, latex: bool) -> str:
+    factors = []
+    for name, e in zip(_GEN_NAMES, triple):
+        if e == 1:
+            factors.append(name)
+        elif e:
+            factors.append(_latex_power(name, str(e)) if latex else f"{name}^{e}")
+    return (" " if latex else "*").join(factors)
+
+
 def format_qmform(m: QMForm) -> str:
     """Signed sum of c*P^a*Q^b*R^c, omitting unit exponents and coefficients."""
-    if m.is_zero:
-        return "0"
-    chunks = []
-    for i, (triple, coeff) in enumerate(m.terms()):
-        factors = []
-        for name, e in zip(_GEN_NAMES, triple):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
-        mono_s = "*".join(factors)
-        mag = abs(coeff)
-        if not mono_s:
-            body = str(mag)
-        elif mag == 1:
-            body = mono_s
-        else:
-            body = f"{mag}*{mono_s}"
-        if i == 0:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(chunks)
+    return format_signed_sum((c, _form_factors(t, False)) for t, c in m.terms())
 
 
 def format_qmform_latex(m: QMForm) -> str:
-    if m.is_zero:
-        return "0"
-    chunks = []
-    for i, (triple, coeff) in enumerate(m.terms()):
-        factors = []
-        for name, e in zip(_GEN_NAMES, triple):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}" if e <= 9 else f"{name}^{{{e}}}")
-        mono_s = " ".join(factors)
-        mag = abs(coeff)
-        if not mono_s:
-            body = format_fraction_latex(mag)
-        elif mag == 1:
-            body = mono_s
-        else:
-            body = f"{format_fraction_latex(mag)} {mono_s}"
-        if i == 0:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(chunks)
+    return format_signed_sum(
+        ((c, _form_factors(t, True)) for t, c in m.terms()), latex=True
+    )

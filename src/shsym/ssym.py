@@ -61,6 +61,16 @@ class Monomial:
     def from_exponents(cls, exponents: Mapping[int, ExponentLike]) -> "Monomial":
         return cls((k, _as_exponent2(k, e)) for k, e in exponents.items())
 
+    @classmethod
+    def from_partition(cls, lam: Iterable[int]) -> "Monomial":
+        """The product of Q_p over the parts p of lam."""
+        return cls((part, 2) for part in lam)
+
+    def partition(self) -> Partition:
+        """Inverse of from_partition: each generator repeated by its integer
+        exponent, largest first."""
+        return tuple(k for k, e2 in reversed(self._e2) for _ in range(e2 // 2))
+
     def items2(self) -> tuple[tuple[int, int], ...]:
         """The (generator, doubled exponent) pairs, sorted by generator."""
         return self._e2
@@ -116,33 +126,155 @@ class Monomial:
 MONO_ONE = Monomial(())
 
 
-class SSPoly:
-    """Sparse polynomial: a map from Monomial to nonzero exact rationals."""
+class SparseTerms:
+    """Sparse map from hashable keys to nonzero exact rationals, with the
+    ring operations of its sum of terms.
+
+    A subclass names the key of the constant term (`_UNIT`) and supplies
+    three key hooks: how two keys multiply (`_key_mul`), a key's weight
+    (`_key_weight`) and the canonical term order (`_key_order`).
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    _UNIT: object
+
+    def __init__(self, terms: Mapping | None = None):
+        clean: dict = {}
         if terms:
-            for mono, coeff in terms.items():
+            for key, coeff in terms.items():
                 c = Fraction(coeff)
                 if c:
-                    clean[mono] = c
+                    clean[key] = c
         self._terms = clean
 
-    # -- constructors -------------------------------------------------
+    @classmethod
+    def _wrap(cls, terms: dict):
+        # terms already holds nonzero Fractions under valid keys
+        res = cls.__new__(cls)
+        res._terms = terms
+        return res
 
     @classmethod
-    def zero(cls) -> "SSPoly":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "SSPoly":
-        return cls({MONO_ONE: _ONE})
+    def one(cls):
+        return cls.constant(1)
 
     @classmethod
-    def constant(cls, c: Scalar) -> "SSPoly":
-        return cls({MONO_ONE: Fraction(c)})
+    def constant(cls, c: Scalar):
+        return cls({cls._UNIT: c})
+
+    def terms(self) -> list:
+        """Terms in the canonical order of the subclass."""
+        order = self._key_order
+        return sorted(self._terms.items(), key=lambda kv: order(kv[0]))
+
+    def coeff(self, key) -> Fraction:
+        return self._terms.get(key, _ZERO)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            s = out.get(key, _ZERO) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            key_mul = self._key_mul
+            out: dict = {}
+            for k1, c1 in self._terms.items():
+                for k2, c2 in other._terms.items():
+                    key = key_mul(k1, k2)
+                    s = out.get(key, _ZERO) + c1 * c2
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+            return self._wrap(out)
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            if not c:
+                return self.zero()
+            return self._wrap({key: v * c for key, v in self._terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return self * (_ONE / Fraction(scalar))
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("polynomial powers must be non-negative integers")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def weight_components(self) -> dict:
+        """Split into weight-homogeneous parts, keyed by weight, ascending."""
+        key_weight = self._key_weight
+        buckets: dict[int, dict] = {}
+        for key, c in self._terms.items():
+            buckets.setdefault(key_weight(key), {})[key] = c
+        return {w: self._wrap(buckets[w]) for w in sorted(buckets)}
+
+    def weight(self) -> int:
+        """Weight of a homogeneous element; 0 for zero."""
+        weights = {self._key_weight(key) for key in self._terms}
+        if len(weights) > 1:
+            raise ValueError(f"polynomial is not weight-homogeneous: {self}")
+        return weights.pop() if weights else 0
+
+    def is_homogeneous(self) -> bool:
+        return len({self._key_weight(key) for key in self._terms}) <= 1
+
+
+class SSPoly(SparseTerms):
+    """Sparse polynomial: a map from Monomial to nonzero exact rationals,
+    ordered weight-major, then exponent-lexicographically."""
+
+    __slots__ = ()
+
+    _UNIT = MONO_ONE
+    _key_mul = staticmethod(Monomial.mul)
+    _key_weight = staticmethod(Monomial.weight)
+    _key_order = staticmethod(Monomial.sort_key)
 
     @classmethod
     def gen(cls, k: int) -> "SSPoly":
@@ -157,116 +289,8 @@ class SSPoly:
     ) -> "SSPoly":
         return cls({Monomial.from_exponents(exponents): Fraction(coeff)})
 
-    # -- ring structure ------------------------------------------------
-
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical order: weight-major, then exponent-lexicographic."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, _ZERO)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "SSPoly") -> "SSPoly":
-        if not isinstance(other, SSPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono, _ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = SSPoly.__new__(SSPoly)
-        res._terms = out
-        return res
-
-    def __neg__(self) -> "SSPoly":
-        res = SSPoly.__new__(SSPoly)
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: "SSPoly") -> "SSPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "SSPoly":
-        if isinstance(other, SSPoly):
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    m = m1.mul(m2)
-                    s = out.get(m, _ZERO) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-            res = SSPoly.__new__(SSPoly)
-            res._terms = out
-            return res
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return SSPoly.zero()
-            res = SSPoly.__new__(SSPoly)
-            res._terms = {m: v * c for m, v in self._terms.items()}
-            return res
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "SSPoly":
-        return self * (_ONE / Fraction(scalar))
-
-    def __pow__(self, n: int) -> "SSPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
-        result = SSPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SSPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"SSPoly({format_poly(self)})"
-
     def __str__(self) -> str:
         return format_poly(self)
-
-    # -- grading and projection -----------------------------------------
-
-    def weight_components(self) -> dict[int, "SSPoly"]:
-        """Split into weight-homogeneous parts, keyed by weight, ascending."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, c in self._terms.items():
-            buckets.setdefault(mono.weight(), {})[mono] = c
-        return {w: SSPoly(buckets[w]) for w in sorted(buckets)}
-
-    def weight(self) -> int:
-        """Weight of a homogeneous polynomial; 0 for the zero polynomial."""
-        weights = {mono.weight() for mono in self._terms}
-        if not weights:
-            return 0
-        if len(weights) > 1:
-            raise ValueError(f"polynomial is not weight-homogeneous: {self}")
-        return weights.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({mono.weight() for mono in self._terms}) <= 1
 
     def pr(self) -> "SSPoly":
         """Projection killing every monomial divisible by Q1."""
@@ -280,14 +304,6 @@ class SSPoly:
 
     def has_q1(self) -> bool:
         return any(m.has_q1() for m in self._terms)
-
-
-def pr(f: SSPoly) -> SSPoly:
-    return f.pr()
-
-
-def weight_components(f: SSPoly) -> dict[int, SSPoly]:
-    return f.weight_components()
 
 
 # -- evaluation on partitions ------------------------------------------------
@@ -359,48 +375,24 @@ def _format_exponent(e2: int) -> str:
     return f"({e2}/2)"
 
 
+def _latex_power(base: str, e: str) -> str:
+    """base^e in LaTeX; an exponent longer than one character is braced."""
+    return f"{base}^{e}" if len(e) == 1 else f"{base}^{{{e}}}"
+
+
 def format_monomial(mono: Monomial) -> str:
-    factors = []
-    for k, e2 in mono.items2():
-        if e2 == 2:
-            factors.append(f"Q{k}")
-        else:
-            factors.append(f"Q{k}^{_format_exponent(e2)}")
-    return "*".join(factors)
-
-
-def format_poly(f: SSPoly) -> str:
-    """Deterministic text form; inverse of parse_poly on normalized input."""
-    if f.is_zero:
-        return "0"
-    chunks = []
-    for i, (mono, coeff) in enumerate(f.terms()):
-        mono_s = format_monomial(mono)
-        mag = abs(coeff)
-        if not mono_s:
-            body = str(mag)
-        elif mag == 1:
-            body = mono_s
-        else:
-            body = f"{mag}*{mono_s}"
-        if i == 0:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(chunks)
+    return "*".join(
+        f"Q{k}" if e2 == 2 else f"Q{k}^{_format_exponent(e2)}"
+        for k, e2 in mono.items2()
+    )
 
 
 def format_monomial_latex(mono: Monomial) -> str:
     factors = []
     for k, e2 in mono.items2():
         base = f"Q_{k}" if k < 10 else f"Q_{{{k}}}"
-        if e2 == 2:
-            factors.append(base)
-        elif e2 % 2 == 0:
-            e = e2 // 2
-            factors.append(f"{base}^{e}" if 0 <= e <= 9 else f"{base}^{{{e}}}")
-        else:
-            factors.append(f"{base}^{{{e2}/2}}")
+        e = str(e2 // 2) if e2 % 2 == 0 else f"{e2}/2"
+        factors.append(base if e2 == 2 else _latex_power(base, e))
     return " ".join(factors)
 
 
@@ -411,24 +403,39 @@ def format_fraction_latex(c: Fraction) -> str:
     return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
-def format_poly_latex(f: SSPoly) -> str:
-    if f.is_zero:
-        return "0"
+def format_signed_sum(terms: Iterable[tuple[Fraction, str]], latex: bool = False) -> str:
+    """Join (coefficient, factor string) pairs into a signed sum.
+
+    The first sign is attached, later ones join as " + " / " - "; a unit
+    coefficient is dropped before a non-empty factor string, and the empty
+    sum is "0".  Text writes "c*x", LaTeX writes "c x" with fractions as
+    \\frac.
+    """
     chunks = []
-    for i, (mono, coeff) in enumerate(f.terms()):
-        mono_s = format_monomial_latex(mono)
+    for coeff, factors in terms:
         mag = abs(coeff)
-        if not mono_s:
-            body = format_fraction_latex(mag)
-        elif mag == 1:
-            body = mono_s
+        if mag == 1 and factors:
+            body = factors
         else:
-            body = f"{format_fraction_latex(mag)} {mono_s}"
-        if i == 0:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
+            body = format_fraction_latex(mag) if latex else str(mag)
+            if factors:
+                body += f" {factors}" if latex else f"*{factors}"
+        if chunks:
             chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(chunks)
+        else:
+            chunks.append(body if coeff > 0 else f"-{body}")
+    return "".join(chunks) or "0"
+
+
+def format_poly(f: SSPoly) -> str:
+    """Deterministic text form; inverse of parse_poly on normalized input."""
+    return format_signed_sum((c, format_monomial(m)) for m, c in f.terms())
+
+
+def format_poly_latex(f: SSPoly) -> str:
+    return format_signed_sum(
+        ((c, format_monomial_latex(m)) for m, c in f.terms()), latex=True
+    )
 
 
 # -- parser ------------------------------------------------------------------

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable
 
 from . import linalg
 from .harmonic import (
+    Decomposition,
     basis_element,
     decompose,
     dim_h,
@@ -48,6 +49,7 @@ from .partitions import (
 from .qseries import QSeries, d_series, eisenstein, partition_gf, q_bracket
 from .quasimodular import (
     QMForm,
+    bracket_form,
     d_hat,
     depth,
     expand,
@@ -58,7 +60,7 @@ from .quasimodular import (
     w_hat,
 )
 from .reference import rows_up_to
-from .ssym import SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
+from .ssym import Monomial, SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
 
 DEFAULT_SEED = 1729
 
@@ -69,20 +71,10 @@ def random_homogeneous(
     rng: random.Random, weight: int, min_part: int = 1
 ) -> SSPoly:
     """Random weight-homogeneous element with small integer coefficients."""
-    acc = SSPoly.zero()
-    for lam in enumerate_min_part(weight, min_part):
-        c = rng.randint(-6, 6)
-        if c:
-            exps: dict[int, int] = {}
-            for part in lam:
-                exps[part] = exps.get(part, 0) + 1
-            acc = acc + SSPoly.from_monomial(exps, c)
-    if acc.is_zero and enumerate_min_part(weight, min_part):
-        lam = enumerate_min_part(weight, min_part)[0]
-        exps = {}
-        for part in lam:
-            exps[part] = exps.get(part, 0) + 1
-        acc = SSPoly.from_monomial(exps, 1)
+    lams = enumerate_min_part(weight, min_part)
+    acc = SSPoly({Monomial.from_partition(lam): rng.randint(-6, 6) for lam in lams})
+    if acc.is_zero and lams:
+        acc = SSPoly({Monomial.from_partition(lams[0]): 1})
     return acc
 
 
@@ -156,12 +148,13 @@ def suite_ring_laws(rng, max_weight, order):
     return True, "20 random triples"
 
 
-def _oracle_qk(k: int, lam) -> Fraction:
-    # coefficient of z^(k-1) in the shifted exponential generating series,
-    # independent of the diagonal-hook evaluation route
+def oracle_qk(k: int, lam) -> Fraction:
+    """Q_k at a partition as the coefficient of z^(k-1) in the shifted
+    exponential generating series, independent of the diagonal-hook
+    evaluation route."""
     if k == 0:
         return Fraction(1)
-    total = _oracle_beta(k)
+    total = oracle_beta(k)
     for i, part in enumerate(lam, start=1):
         up = Fraction(2 * (part - i) + 1, 2)
         down = Fraction(-2 * i + 1, 2)
@@ -169,25 +162,21 @@ def _oracle_qk(k: int, lam) -> Fraction:
     return total
 
 
-def _oracle_beta(k: int) -> Fraction:
-    # separate series inversion of the doubled hyperbolic sine over z
-    g = [Fraction(0)] * (k + 1)
-    j = 0
-    while 2 * j <= k:
-        g[2 * j] = Fraction(1, 4**j * factorial(2 * j + 1))
-        j += 1
-    b = [Fraction(0)] * (k + 1)
-    b[0] = Fraction(1)
-    for n in range(1, k + 1):
-        b[n] = -sum(g[i] * b[n - i] for i in range(1, n + 1))
-    return b[k]
+def oracle_beta(k: int) -> Fraction:
+    """beta_k = (2^(1-k) - 1) B_k / k!, with the Bernoulli numbers B_j from
+    the recurrence sum_{j <= m} C(m+1, j) B_j = 0, independent of the series
+    inversion behind ssym.beta."""
+    bern = [Fraction(1)]
+    for m in range(1, k + 1):
+        bern.append(-sum(comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    return (Fraction(2) ** (1 - k) - 1) * bern[k] / factorial(k)
 
 
 def suite_generator_evaluation(rng, max_weight, order):
     for n in range(13):
         for lam in enumerate_partitions(n):
             for k in range(11):
-                if eval_qk(k, lam) != _oracle_qk(k, lam):
+                if eval_qk(k, lam) != oracle_qk(k, lam):
                     return False, f"Q{k} at {lam}: {eval_qk(k, lam)} vs oracle"
     if beta(2) != Fraction(-1, 24) or beta(4) != Fraction(7, 5760):
         return False, "beta constants drifted"
@@ -379,20 +368,10 @@ def suite_direct_sum(rng, max_weight, order):
         g = random_homogeneous(rng, n - 2, min_part=2)
         dec = decompose(h + SSPoly.gen(2) * g)
         recovered_h = dec.components[0]
-        tail = _tail_of(dec)
+        tail = Decomposition(dec.components[1:]).reconstruct()
         if recovered_h != h or tail != g:
             return False, f"uniqueness fails at weight {n}"
     return True, "monomials to weight 14, 8 random sums"
-
-
-def _tail_of(dec):
-    q2 = SSPoly.gen(2)
-    acc = SSPoly.zero()
-    power = SSPoly.one()
-    for h in dec.components[1:]:
-        acc = acc + power * h
-        power = power * q2
-    return acc
 
 
 def suite_q2_multiples_not_harmonic(rng, max_weight, order):
@@ -578,14 +557,9 @@ def suite_golden_tables(rng, max_weight, order):
         h = basis_element(lam)
         if h != parse_poly(expr):
             return False, f"table polynomial mismatch at {lam}"
-        series = q_bracket(h, order)
-        if bracket is None:
-            if not series.is_zero:
-                return False, f"odd-weight bracket nonzero at {lam}"
-        else:
-            coeff, triple = bracket
-            if recognize(series, n) != QMForm({triple: coeff}):
-                return False, f"bracket mismatch at {lam}"
+        coeff, triple = bracket or (0, (0, 0, 0))
+        if bracket_form(h, order, n)[1] != QMForm({triple: coeff}):
+            return False, f"bracket mismatch at {lam}"
     return True, f"{len(rows)} table rows"
 
 

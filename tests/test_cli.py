@@ -264,3 +264,40 @@ def test_qbracket_latex_form(capsys):
     code, out, _ = run(capsys, "qbracket", "27/4*Q2^2 + 27/2*Q4", "--format", "latex")
     assert code == 0
     assert out.strip().splitlines()[-1] == r"\frac{9}{320} Q"
+
+
+def test_tables_text_weight6_byte_golden(capsys):
+    code, out, _ = run(capsys, "tables", "--max-weight", "6")
+    assert code == 0
+    assert out == (
+        "()\t1\t1\n"
+        "(3)\t-9/4*Q3\t0\n"
+        "(4)\t27/4*Q2^2 + 27/2*Q4\t9/320*Q\n"
+        "(5)\t-135/4*Q2*Q3 - 675/4*Q5\t0\n"
+        "(6)\t2025/4*Q2*Q4 + 225/4*Q2^3 + 14175/4*Q6\t-55/384*R\n"
+        "(3,3)\t-6075*Q2*Q4 + 225/2*Q2^3 + 14175/4*Q3^2\t115/384*R\n"
+    )
+
+
+def test_qbracket_negative_order_is_usage_error(capsys):
+    code, out, err = run(capsys, "qbracket", "Q2", "-N", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: order must be non-negative\n"
+
+
+def test_tables_negative_order_is_usage_error(capsys):
+    code, out, err = run(capsys, "tables", "-N", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: order must be non-negative\n"
+
+
+def test_recognize_zero_denominator_is_parse_error(capsys):
+    code, _, err = run(capsys, "recognize", "1/0 2", "--weight", "2")
+    assert code == 2
+    assert err.startswith("parse error: bad coefficient") and err.count("\n") == 1
+
+
+def test_recognize_negative_weight_is_usage_error(capsys):
+    code, _, err = run(capsys, "recognize", "1 2 3", "--weight", "-2")
+    assert code == 2
+    assert err == "error: recognition weight must be non-negative\n"

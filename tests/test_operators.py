@@ -396,12 +396,3 @@ def test_falling_factorial():
     assert falling_factorial(5, 3) == 60
     with pytest.raises(ValueError):
         falling_factorial(2, -1)
-
-
-def test_compose_combinator():
-    from shsym.operators import compose
-
-    rng = random.Random(71)
-    f = random_poly(rng)
-    assert compose(d_op, euler_op)(f) == d_op(euler_op(f))
-    assert compose()(f) == f

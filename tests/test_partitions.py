@@ -67,6 +67,36 @@ def test_count_small_values():
         assert count_partitions(n) == len(brute_partitions(n))
 
 
+def test_count_partitions_is_thread_safe():
+    import sys
+    import threading
+
+    from shsym import partitions
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            del partitions._P_TABLE[1:]
+            start = threading.Barrier(4, timeout=30)
+            results = []
+
+            def work():
+                start.wait()
+                results.append(count_partitions(200))
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert results == [3972999029388] * 4
+    finally:
+        sys.setswitchinterval(interval)
+        del partitions._P_TABLE[1:]
+
+
 def test_count_matches_enumeration():
     for n in range(26):
         assert len(enumerate_partitions(n)) == count_partitions(n)

@@ -61,6 +61,19 @@ def test_series_str():
     assert str(QSeries([Fraction(-1, 24), 1], 1)) == "-1/24 + q + O(q^2)"
 
 
+@pytest.mark.parametrize(
+    "coeffs,order,text",
+    [
+        ([], 3, "0 + O(q^4)"),
+        ([-2, 1, 0, Fraction(-1, 3), -1], 5, "-2 + q - 1/3*q^3 - q^4 + O(q^6)"),
+        ([0, 1, -1, 2], None, "q - q^2 + 2*q^3 + O(q^4)"),
+        ([0, -1], None, "-q + O(q^2)"),
+    ],
+)
+def test_series_str_golden(coeffs, order, text):
+    assert str(QSeries(coeffs, order)) == text
+
+
 def test_inverse():
     gf = partition_gf(15)
     assert gf * gf.inverse() == QSeries.one(15)

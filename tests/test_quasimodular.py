@@ -14,6 +14,7 @@ from shsym.quasimodular import (
     depth,
     expand,
     format_qmform,
+    format_qmform_latex,
     frak_d,
     is_modular_bracket,
     monomials_of_weight,
@@ -21,7 +22,7 @@ from shsym.quasimodular import (
     recognize,
     w_hat,
 )
-from shsym.ssym import SSPoly
+from shsym.ssym import Monomial, SSPoly
 
 P = QMForm.gen("P")
 Q = QMForm.gen("Q")
@@ -157,6 +158,26 @@ def test_format_examples():
     assert format_qmform(Q * R * Fraction(7759395, 1024)) == "7759395/1024*Q*R"
 
 
+@pytest.mark.parametrize(
+    "terms,text,latex",
+    [
+        (
+            {(12, 0, 0): Fraction(-1, 3), (0, 10, 1): 2, (0, 0, 0): 5},
+            "-1/3*P^12 + 2*Q^10*R + 5",
+            r"-\frac{1}{3} P^{12} + 2 Q^{10} R + 5",
+        ),
+        ({(0, 0, 0): -1}, "-1", "-1"),
+        ({(1, 0, 0): Fraction(-1, 24)}, "-1/24*P", r"-\frac{1}{24} P"),
+        ({(0, 9, 0): 3, (0, 0, 1): -1}, "3*Q^9 - R", "3 Q^9 - R"),
+        ({}, "0", "0"),
+    ],
+)
+def test_format_qmform_golden(terms, text, latex):
+    m = QMForm(terms)
+    assert format_qmform(m) == text
+    assert format_qmform_latex(m) == latex
+
+
 def test_is_modular_bracket_examples():
     h4 = basis_element((4,))
     ok, form, dec = is_modular_bracket(h4, 30)
@@ -183,12 +204,12 @@ def test_modularity_matches_slot_brackets():
     rng = random.Random(13)
     for w in (4, 6, 8):
         for _ in range(4):
-            f = SSPoly.zero()
-            for lam in enumerate_min_part(w, 2):
-                exps = {}
-                for part in lam:
-                    exps[part] = exps.get(part, 0) + 1
-                f = f + SSPoly.from_monomial(exps, rng.randint(-4, 4))
+            f = SSPoly(
+                {
+                    Monomial.from_partition(lam): rng.randint(-4, 4)
+                    for lam in enumerate_min_part(w, 2)
+                }
+            )
             if f.is_zero:
                 continue
             ok, form, dec = is_modular_bracket(f, 30)  # CrossCheckError on bug

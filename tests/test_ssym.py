@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,42 +13,12 @@ from shsym.ssym import (
     eval_at,
     eval_qk,
     format_poly,
+    format_poly_latex,
     parse_poly,
 )
+from shsym.verify import oracle_beta, oracle_qk
 
 Q1, Q2, Q3, Q4 = (SSPoly.gen(k) for k in (1, 2, 3, 4))
-
-
-# -- independent oracle -------------------------------------------------------
-#
-# The generators are the z-coefficients of the shifted exponential sums
-# sum_i exp(z (lam_i - i + 1/2)) regularized by the empty-partition series;
-# this expands each exponential directly instead of going through the
-# diagonal hooks.
-
-
-def oracle_beta_series(upto):
-    g = [Fraction(0)] * (upto + 1)
-    j = 0
-    while 2 * j <= upto:
-        g[2 * j] = Fraction(1, 4**j * factorial(2 * j + 1))
-        j += 1
-    b = [Fraction(0)] * (upto + 1)
-    b[0] = Fraction(1)
-    for n in range(1, upto + 1):
-        b[n] = -sum(g[i] * b[n - i] for i in range(1, n + 1))
-    return b
-
-
-def oracle_qk(k, lam):
-    if k == 0:
-        return Fraction(1)
-    total = oracle_beta_series(k)[k]
-    for i, part in enumerate(lam, start=1):
-        up = Fraction(2 * (part - i) + 1, 2)
-        down = Fraction(1 - 2 * i, 2)
-        total += (up ** (k - 1) - down ** (k - 1)) / factorial(k - 1)
-    return total
 
 
 def test_beta_values():
@@ -61,9 +30,8 @@ def test_beta_values():
 
 
 def test_beta_matches_independent_inversion():
-    series = oracle_beta_series(12)
     for k in range(13):
-        assert beta(k) == series[k]
+        assert beta(k) == oracle_beta(k)
 
 
 def test_eval_qk_examples():
@@ -257,6 +225,30 @@ def test_format_examples():
     assert format_poly(Q2**2 * Fraction(27, 4) + Q4 * Fraction(27, 2)) == (
         "27/4*Q2^2 + 27/2*Q4"
     )
+
+
+@pytest.mark.parametrize(
+    "expr,text,latex",
+    [
+        ("-3/2*Q3 + 5 + Q2", "5 + Q2 - 3/2*Q3", r"5 + Q_2 - \frac{3}{2} Q_3"),
+        ("-2*Q3 + 1", "1 - 2*Q3", r"1 - 2 Q_3"),
+        ("-Q4 - 7/2", "-7/2 - Q4", r"-\frac{7}{2} - Q_4"),
+        ("Q2^(-1/2)", "Q2^(-1/2)", r"Q_2^{-1/2}"),
+        ("Q2^(3/2)", "Q2^(3/2)", r"Q_2^{3/2}"),
+        ("-Q12 + 7/3*Q3^10", "-Q12 + 7/3*Q3^10", r"-Q_{12} + \frac{7}{3} Q_3^{10}"),
+        (
+            "Q2^10*Q12^2 - 1/4*Q2^(-3/2)",
+            "-1/4*Q2^(-3/2) + Q2^10*Q12^2",
+            r"-\frac{1}{4} Q_2^{-3/2} + Q_2^{10} Q_{12}^2",
+        ),
+        ("-2 + Q2^-1", "Q2^-1 - 2", r"Q_2^{-1} - 2"),
+        ("0", "0", "0"),
+    ],
+)
+def test_format_poly_golden(expr, text, latex):
+    f = parse_poly(expr)
+    assert format_poly(f) == text
+    assert format_poly_latex(f) == latex
 
 
 def test_format_order_is_weight_major():
