@@ -121,6 +121,8 @@ def cmd_qbracket(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    if args.order < 0:
+        raise ValueError("order must be non-negative")
     text = _read_expr(args.coefficients)
     try:
         coeffs = [Fraction(tok) for tok in text.replace(",", " ").split()]

@@ -96,7 +96,10 @@ def count_partitions(n: int) -> int:
 
 def conjugate(lam: Iterable[int]) -> Partition:
     """Transpose of the Young diagram."""
-    lam = check_partition(lam)
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()
     cols = [0] * lam[0]
@@ -114,7 +117,7 @@ def frobenius(lam: Iterable[int]) -> FrobeniusCoords:
     below.
     """
     lam = check_partition(lam)
-    conj = conjugate(lam)
+    conj = _conjugate(lam)
     arms = []
     legs = []
     for i, part in enumerate(lam):

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm, prod
+from operator import mul
 from typing import Iterable, Union
 
 from .partitions import count_partitions, enumerate_partitions
-from .ssym import Monomial, SSPoly, eval_qk, format_signed_sum
+from .ssym import Monomial, SSPoly, beta, format_signed_sum
 
 Scalar = Union[int, Fraction]
 
@@ -173,18 +175,57 @@ def d_series(a: QSeries) -> QSeries:
     return QSeries([n * c for n, c in enumerate(a.coeffs)])
 
 
-@lru_cache(maxsize=None)
+# The bracket numerator is summed in integers.  For a generator Q_k with
+# k != 2, Q_k(lambda) = beta_k + S_k(lambda) / (2^(k-1) (k-1)!) with the row sum
+# S_k(lambda) = sum_i (2 lambda_i - 2i + 1)^(k-1) - (1 - 2i)^(k-1), i from 1,
+# so D_k Q_k(lambda) is an integer for D_k = lcm(den beta_k, 2^(k-1) (k-1)!).
+# Q2 never touches partitions: Q2(lambda) = |lambda| - 1/24.
+
+
+@lru_cache(maxsize=32)
+def _generator_values(k: int, order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D_k, values) with values[n] = D_k Q_k(lambda) over the partitions of
+    n in enumeration order, for every n <= order."""
+    b = beta(k)
+    scale = 2 ** (k - 1) * factorial(k - 1)
+    denom = lcm(b.denominator, scale)
+    base = b.numerator * (denom // b.denominator)
+    unit = denom // scale
+    # rows[i][p]: the row-sum term of part p in row i + 1
+    rows = [
+        [(2 * (p - i) - 1) ** (k - 1) - (-2 * i - 1) ** (k - 1) for p in range(order + 1)]
+        for i in range(order)
+    ]
+    row_term = list.__getitem__
+    values = tuple(
+        tuple(base + unit * sum(map(row_term, rows, lam)) for lam in enumerate_partitions(n))
+        for n in range(order + 1)
+    )
+    return denom, values
+
+
+@lru_cache(maxsize=1024)
 def _monomial_series(mono: Monomial, order: int) -> tuple[Fraction, ...]:
-    # sum over all partitions of n <= order of the monomial value, per n
+    """Sum of the monomial over the partitions of each size n <= order."""
+    q2_power = 0
+    factors = []
+    for k, e2 in mono.items2():
+        if k == 2:
+            q2_power = e2 // 2
+        else:
+            factors.append((_generator_values(k, order), e2 // 2))
+    denom = 24**q2_power * prod(d**e for (d, _), e in factors)
     out = []
     for n in range(order + 1):
-        total = _ZERO
-        for lam in enumerate_partitions(n):
-            val = Fraction(1)
-            for k, e2 in mono.items2():
-                val *= eval_qk(k, lam) ** (e2 // 2)
-            total += val
-        out.append(total)
+        if factors:
+            column = None
+            for (_, values), e in factors:
+                powered = values[n] if e == 1 else [v**e for v in values[n]]
+                column = powered if column is None else list(map(mul, column, powered))
+            total = sum(column)
+        else:
+            total = count_partitions(n)
+        out.append(Fraction(total * (24 * n - 1) ** q2_power, denom))
     return tuple(out)
 
 

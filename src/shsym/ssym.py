@@ -332,15 +332,15 @@ def beta(k: int) -> Fraction:
     return _beta_list(max(k, 8))[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 18)
 def eval_qk(k: int, lam: Partition) -> Fraction:
     """Exact value of the generator Q_k on a partition."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
         return _ONE
-    lam = check_partition(lam)
-    # sgn(c) * c^(k-1) with c stored doubled: sgn(c2) * c2^(k-1) / 2^(k-1)
+    # sgn(c) * c^(k-1) with c stored doubled: sgn(c2) * c2^(k-1) / 2^(k-1);
+    # c_set validates lam
     s = 0
     for c2 in c_set(lam):
         term = c2 ** (k - 1)
@@ -357,13 +357,22 @@ def eval_at(f: SSPoly, lam: Iterable[int]) -> Fraction:
     lam = check_partition(lam)
     if not f.in_r():
         raise ValueError("evaluation requires non-negative integer exponents")
-    total = _ZERO
-    for mono, coeff in f.pr()._terms.items():
-        val = coeff
+    # the sum is kept as one integer fraction, reduced once at the end
+    values: dict[int, Fraction] = {}
+    total_num, total_den = 0, 1
+    for mono, coeff in f._terms.items():
+        if mono.has_q1():
+            continue
+        num, den = coeff.numerator, coeff.denominator
         for k, e2 in mono.items2():
-            val *= eval_qk(k, lam) ** (e2 // 2)
-        total += val
-    return total
+            q = values.get(k)
+            if q is None:
+                q = values[k] = eval_qk(k, lam)
+            num *= q.numerator ** (e2 // 2)
+            den *= q.denominator ** (e2 // 2)
+        total_num = total_num * den + num * total_den
+        total_den *= den
+    return Fraction(total_num, total_den)
 
 
 # -- text form ---------------------------------------------------------------
@@ -451,6 +460,11 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(r"Q(?P<gen>\d+)|(?P<num>\d+)|(?P<op>[-+*/^()])")
 
+# Deepest nesting of parentheses and unary minus signs parse_poly accepts.
+# The parser recurses once per level, so the limit keeps it well inside the
+# interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -473,6 +487,7 @@ class _Parser:
             pos = m.end()
         self.tokens.append(("end", None, len(text)))
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -490,6 +505,11 @@ class _Parser:
     def at_op(self, *ops: str) -> bool:
         kind, value, _ = self.peek()
         return kind == "op" and value in ops
+
+    def enter(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     # expr := ['-'] term (('+'|'-') term)*
     def expr(self) -> SSPoly:
@@ -562,13 +582,18 @@ class _Parser:
             return SSPoly.constant(self.rational())
         if kind == "op" and value == "(":
             self.next()
+            self.enter(pos)
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         if kind == "op" and value == "-":
             # unary minus inside a term, e.g. "2*-3"
             self.next()
-            return -self.factor()
+            self.enter(pos)
+            inner = -self.factor()
+            self.depth -= 1
+            return inner
         raise ParseError("expected a number, generator or '('", pos)
 
     def rational(self) -> Fraction:

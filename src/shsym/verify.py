@@ -425,6 +425,18 @@ def suite_depth(rng, max_weight, order):
 # -- series and brackets ----------------------------------------------------------
 
 
+def oracle_bracket(f: SSPoly, order: int) -> QSeries:
+    """<f>_q by direct summation: the sum of f(lambda) q^|lambda| over every
+    partition of size <= order, times the inverse of the partition generating
+    function.  Each value comes from eval_at, which evaluates through the
+    diagonal hooks (c_set), independent of the row sums behind q_bracket."""
+    num = [
+        sum((eval_at(f, lam) for lam in enumerate_partitions(n)), Fraction(0))
+        for n in range(order + 1)
+    ]
+    return QSeries(num) * partition_gf(order).inverse()
+
+
 def suite_euler_product(rng, max_weight, order):
     n = min(order, 40)
     gf = partition_gf(n)
@@ -469,6 +481,15 @@ def suite_q2_shifts_bracket(rng, max_weight, order):
         if lhs != rhs:
             return False, f"shifted derivation fails for {format_poly(f)}"
     return True, "6 samples"
+
+
+def suite_bracket_oracle(rng, max_weight, order):
+    rows = rows_up_to(max_weight)
+    for lam, _, _ in rows:
+        h = basis_element(lam)
+        if q_bracket(h, order) != oracle_bracket(h, order):
+            return False, f"bracket differs from direct summation at {lam}"
+    return True, f"{len(rows)} table rows, order {order}"
 
 
 # -- quasimodular forms ------------------------------------------------------------
@@ -586,6 +607,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("series.bracket_linearity", suite_bracket_linearity),
     ("series.q1_kills_bracket", suite_q1_kills_bracket),
     ("series.q2_shifts_bracket", suite_q2_shifts_bracket),
+    ("series.bracket_oracle", suite_bracket_oracle),
     ("forms.sl2_triple", suite_qm_sl2),
     ("forms.equivariance", suite_equivariance),
     ("forms.depth_bound", suite_depth_bound),

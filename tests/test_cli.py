@@ -301,3 +301,25 @@ def test_recognize_negative_weight_is_usage_error(capsys):
     code, _, err = run(capsys, "recognize", "1 2 3", "--weight", "-2")
     assert code == 2
     assert err == "error: recognition weight must be non-negative\n"
+
+
+def test_recognize_negative_order_is_usage_error(capsys):
+    code, out, err = run(capsys, "recognize", "1 2 3", "--weight", "2", "-N", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: order must be non-negative\n"
+
+
+def test_eval_nesting_at_limit(capsys):
+    from shsym.ssym import MAX_NESTING
+
+    nested = "(" * MAX_NESTING + "Q2" + ")" * MAX_NESTING
+    code, out, _ = run(capsys, "eval", nested, "()")
+    assert code == 0 and out == "-1/24\n"
+
+
+def test_eval_deep_nesting_is_parse_error(capsys):
+    for expr in ("(" * 3000 + "Q2" + ")" * 3000, "2*" + "-" * 3000 + "3"):
+        code, out, err = run(capsys, "eval", expr, "()")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: nesting deeper than 100 levels")
+        assert err.count("\n") == 1

@@ -14,7 +14,8 @@ from shsym.qseries import (
     q_bracket,
     sigma,
 )
-from shsym.ssym import SSPoly, eval_at, parse_poly
+from shsym.ssym import Monomial, SSPoly, eval_at, parse_poly
+from shsym.verify import oracle_bracket
 
 Q1, Q2, Q3 = (SSPoly.gen(k) for k in (1, 2, 3))
 
@@ -140,6 +141,34 @@ def test_q_bracket_against_direct_definition():
             for lam in enumerate_min_part(w, 1):
                 f = f + q_lambda(lam) * rng.randint(-4, 4)
         assert q_bracket(f, 12) == brute_bracket(f, 12)
+
+
+def random_kernel_input(rng):
+    """Random monomials of weight <= 12 plus a Q2-power term, a Q1 term and
+    a constant, with small nonzero coefficients."""
+    terms = {Monomial(()): rng.randint(1, 9)}
+    with_q1 = rng.choice(enumerate_partitions(rng.randint(0, 6))) + (1,)
+    terms[Monomial.from_partition(with_q1)] = 5
+    q2_free = rng.choice(enumerate_min_part(rng.choice([0, 3, 4, 6]), 3))
+    terms[Monomial.from_partition(q2_free + (2,) * rng.randint(1, 3))] = -3
+    for _ in range(4):
+        lam = rng.choice(enumerate_min_part(rng.randint(2, 12), 2))
+        terms[Monomial.from_partition(lam)] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+    return SSPoly(terms)
+
+
+@pytest.mark.parametrize("order", [0, 1, 12, 24])
+def test_q_bracket_kernel_equals_direct_summation(order):
+    rng = random.Random(1000 + order)
+    for _ in range(4):
+        f = random_kernel_input(rng)
+        assert q_bracket(f, order) == oracle_bracket(f, order), format(f)
+
+
+def test_q2_bracket_is_minus_p_over_24_at_order_30():
+    want = eisenstein(2, 30) * Fraction(-1, 24)
+    assert q_bracket(Q2, 30).coeffs == want.coeffs
+    assert oracle_bracket(Q2, 30).coeffs == want.coeffs
 
 
 def test_q_bracket_rejects_bad_exponents():
