@@ -39,6 +39,19 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+# Request-size limits; a request over one is a usage error.  The slowest
+# request each admits (every --min-part and format included) finishes in
+# under a minute on a 2-vCPU host.
+MAX_ORDER = 40  # -N of qbracket, recognize and tables
+MAX_VERIFY_ORDER = 30  # -N of verify, whose direct-summation oracle dominates
+MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
+MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
+
+
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{what} {value} is above the limit of {limit}")
+
 
 def _read_expr(arg: str | None) -> str:
     if arg is None or arg == "-":
@@ -69,6 +82,7 @@ def _series_json(s: QSeries) -> dict:
 
 
 def cmd_basis(args) -> int:
+    _check_limit("weight", args.n, MAX_WEIGHT)
     rows = [(lam, basis_element(lam)) for lam in enumerate_min_part(args.n, args.min_part)]
     if args.format == "json":
         payload = [
@@ -89,6 +103,8 @@ def cmd_basis(args) -> int:
 
 def cmd_decompose(args) -> int:
     f = parse_poly(_read_expr(args.expr))
+    if f.in_lambda_star():  # anything else is rejected by decompose
+        _check_limit("weight", max(f.weight_components(), default=0), MAX_WEIGHT)
     dec = decompose(f)
     flags = [is_harmonic(h) for h in dec.components]
     if args.format == "json":
@@ -108,6 +124,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_qbracket(args) -> int:
+    _check_limit("order", args.order, MAX_ORDER)
     f = parse_poly(_read_expr(args.expr))
     series, form = bracket_form(f, args.order, args.weight)
     if args.format == "json":
@@ -123,6 +140,7 @@ def cmd_qbracket(args) -> int:
 def cmd_recognize(args) -> int:
     if args.order < 0:
         raise ValueError("order must be non-negative")
+    _check_limit("order", args.order, MAX_ORDER)
     text = _read_expr(args.coefficients)
     try:
         coeffs = [Fraction(tok) for tok in text.replace(",", " ").split()]
@@ -152,11 +170,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_limit("order", args.order, MAX_VERIFY_ORDER)
+    _check_limit("max weight", args.max_weight, MAX_TABLE_WEIGHT)
     ok = run_all(max_weight=args.max_weight, order=args.order)
     return EXIT_OK if ok else EXIT_FAILURE
 
 
 def cmd_tables(args) -> int:
+    _check_limit("order", args.order, MAX_ORDER)
+    _check_limit("max weight", args.max_weight, MAX_TABLE_WEIGHT)
     rows = []
     for n in range(args.max_weight + 1):
         for lam in enumerate_min_part(n, args.min_part):
@@ -197,7 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, order=True, fmt=True):
         if order:
             p.add_argument(
-                "-N", "--order", type=int, default=30, help="series truncation order"
+                "-N",
+                "--order",
+                type=int,
+                default=30,
+                help=f"series truncation order (at most {MAX_ORDER})",
             )
         if fmt:
             p.add_argument(
@@ -208,13 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("basis", help="harmonic basis of a given weight")
-    p.add_argument("n", type=int, help="weight")
+    p.add_argument("n", type=int, help=f"weight (at most {MAX_WEIGHT})")
     p.add_argument("--min-part", type=int, default=3, help="smallest allowed part")
     add_common(p, order=False)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("decompose", help="harmonic decomposition of an expression")
-    p.add_argument("expr", nargs="?", help="expression (stdin if omitted)")
+    p.add_argument(
+        "expr", nargs="?", help=f"expression of weight at most {MAX_WEIGHT} (stdin if omitted)"
+    )
     add_common(p, order=False)
     p.set_defaults(func=cmd_decompose)
 
@@ -239,12 +267,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
-    p.add_argument("--max-weight", type=int, default=10, help="largest random weight")
-    p.add_argument("-N", "--order", type=int, default=30, help="series truncation order")
+    p.add_argument(
+        "--max-weight",
+        type=int,
+        default=10,
+        help=f"largest random weight (at most {MAX_TABLE_WEIGHT})",
+    )
+    p.add_argument(
+        "-N",
+        "--order",
+        type=int,
+        default=30,
+        help=f"series truncation order (at most {MAX_VERIFY_ORDER})",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tables", help="full basis/average tables up to a weight")
-    p.add_argument("--max-weight", type=int, default=10, help="largest weight")
+    p.add_argument(
+        "--max-weight", type=int, default=10, help=f"largest weight (at most {MAX_TABLE_WEIGHT})"
+    )
     p.add_argument("--min-part", type=int, default=3, help="smallest allowed part")
     add_common(p)
     p.set_defaults(func=cmd_tables)

@@ -2,15 +2,21 @@
 
 All operators act linearly, term by term, with the formal power rule on
 the (possibly half-integer) exponents of Q2.  The n-th order operator
-`d_op_n` is evaluated per monomial by enumerating multisets of derivative
-slots drawn from the monomial's support; the defining sum over ordered
-index vectors has only finitely many nonzero terms on any polynomial.
+`d_op_n` is linear over per-monomial images: the image of one monomial
+comes from enumerating multisets of derivative slots drawn from its
+support (the defining sum over ordered index vectors has only finitely
+many nonzero terms on any polynomial), with integer numerators over the
+fixed denominator 2^n.  Images are cached per (order, monomial) in a
+bounded LRU cache, since the harmonic basis expands the same monomials
+many times; a call combines them in integers and divides once per output
+monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
 from typing import Callable, Iterable
 
 from .partitions import check_partition
@@ -65,60 +71,96 @@ def euler_op(f: SSPoly) -> SSPoly:
     return SSPoly({m: c * m.weight() for m, c in f.terms()})
 
 
+# Entries kept by each of the two caches below; `shsym basis 18` needs
+# 2,298 images, which hold 1,022 distinct monomials.
+_IMAGE_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _shared(mono: Monomial) -> Monomial:
+    """The first-seen monomial equal to mono.  Images repeat the same output
+    monomials (10,220 entries over 1,022 monomials in `shsym basis 18`), so
+    they keep one object per distinct monomial, which also lets dict lookups
+    match by identity."""
+    return mono
+
+
+@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """d_op_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n.
+
+    Each multiset of derivative slots {Q_k^t_k} with sum t_k = n contributes
+    n!/prod t_k! arrangements, the hook multinomial
+    (sum (k-1) t_k)!/prod (k-1)!^t_k and the falling factorials of the
+    halved exponents, (e2/2)_t = prod_{i<t} (e2 - 2i) / 2^t.
+    """
+    acc: dict[Monomial, int] = {}
+    support = mono.items2()
+    n_fact = factorial(n)
+
+    def add_term(chosen: tuple[tuple[int, int, int], ...]):
+        arrangements = n_fact
+        hook_weight = 0
+        deriv = 1
+        changes: dict[int, int] = {}
+        for k, e2, t in chosen:
+            arrangements //= factorial(t)
+            hook_weight += (k - 1) * t
+            for i in range(t):
+                deriv *= e2 - 2 * i
+            changes[k] = -2 * t
+        if not deriv:
+            return
+        inner = factorial(hook_weight)
+        for k, _, t in chosen:
+            inner //= factorial(k - 1) ** t
+        if hook_weight >= 1:
+            changes[hook_weight] = changes.get(hook_weight, 0) + 2
+        m = _shared(mono.shift(changes))
+        s = acc.get(m, 0) + arrangements * inner * deriv
+        if s:
+            acc[m] = s
+        else:
+            acc.pop(m, None)
+
+    def walk(idx: int, remaining: int, chosen: tuple[tuple[int, int, int], ...]):
+        if remaining == 0:
+            add_term(chosen)
+            return
+        if idx == len(support):
+            return
+        k, e2 = support[idx]
+        if k == 2 and (e2 < 0 or e2 % 2):
+            cap = remaining  # formal powers of Q2 never exhaust
+        else:
+            cap = min(remaining, e2 // 2)
+        for t in range(cap + 1):
+            walk(idx + 1, remaining - t, chosen + ((k, e2, t),) if t else chosen)
+
+    walk(0, n, ())
+    return tuple(acc.items())
+
+
 def d_op_n(n: int, f: SSPoly) -> SSPoly:
     """The order-n operator generalizing d_op; order 0 is the identity.
 
-    On weight-homogeneous input the weight drops by n.
+    On weight-homogeneous input the weight drops by n.  The coefficients of
+    f are brought to one common denominator, so the images combine in
+    integers and each output coefficient is divided once.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
     if n == 0:
         return f
-    acc: dict[Monomial, Fraction] = {}
-    n_fact = factorial(n)
-    for mono, coeff in f.terms():
-        support = mono.items2()
-
-        def add_term(chosen: tuple[tuple[int, int], ...]):
-            arrangements = n_fact
-            hook_weight = 0
-            deriv = Fraction(1)
-            changes: dict[int, int] = {}
-            for k, t in chosen:
-                arrangements //= factorial(t)
-                hook_weight += (k - 1) * t
-                deriv *= falling_factorial(Fraction(mono.exponent2(k), 2), t)
-                changes[k] = changes.get(k, 0) - 2 * t
-            if not deriv:
-                return
-            inner = factorial(hook_weight)
-            for k, t in chosen:
-                inner //= factorial(k - 1) ** t
-            if hook_weight >= 1:
-                changes[hook_weight] = changes.get(hook_weight, 0) + 2
-            m = mono.shift(changes)
-            s = acc.get(m, _ZERO) + coeff * arrangements * inner * deriv
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-
-        def walk(idx: int, remaining: int, chosen: tuple[tuple[int, int], ...]):
-            if remaining == 0:
-                add_term(chosen)
-                return
-            if idx == len(support):
-                return
-            k, e2 = support[idx]
-            if k == 2 and (e2 < 0 or e2 % 2):
-                cap = remaining  # formal powers of Q2 never exhaust
-            else:
-                cap = min(remaining, e2 // 2)
-            for t in range(cap + 1):
-                walk(idx + 1, remaining - t, chosen + ((k, t),) if t else chosen)
-
-        walk(0, n, ())
-    return SSPoly(acc)
+    terms = f.terms()
+    den = lcm(*(c.denominator for _, c in terms))
+    acc: dict[Monomial, int] = {}
+    for mono, coeff in terms:
+        scale = coeff.numerator * (den // coeff.denominator)
+        for m, num in _d_op_n_image(n, mono):
+            acc[m] = acc.get(m, 0) + scale * num
+    den <<= n
+    return SSPoly({m: Fraction(s, den) for m, s in acc.items() if s})
 
 
 def laplacian(f: SSPoly) -> SSPoly:

@@ -34,16 +34,39 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return lam
 
 
-def _descending(n: int, max_part: int, min_part: int) -> Iterator[Partition]:
+def _reverse_lex(n: int) -> Iterator[Partition]:
+    # Iterative successor rule (Zoghbi and Stojmenovic's ZS1): parts live in
+    # `x`, whose cells past the last part > 1 always hold 1; the last part
+    # h > 1 drops by one and the freed cells are refilled with copies of it.
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), min_part - 1, -1):
-        rest = n - first
-        if rest and rest < min_part:
-            continue
-        for tail in _descending(rest, first, min_part):
-            yield (first,) + tail
+    x = [1] * n
+    x[0] = n
+    m = 1  # number of parts
+    h = 0  # index of the last part > 1
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the freed total: one from x[h] plus the trailing ones
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +74,7 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in lexicographically decreasing order."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(_descending(n, n, 1))
+    return tuple(_reverse_lex(n))
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +84,8 @@ def enumerate_min_part(n: int, m: int) -> tuple[Partition, ...]:
         raise ValueError("n must be non-negative")
     if m < 1:
         raise ValueError("m must be positive")
-    return tuple(_descending(n, n, m))
+    # the smallest part is the last one
+    return tuple(lam for lam in enumerate_partitions(n) if not lam or lam[-1] >= m)
 
 
 # Counting uses the pentagonal-number recurrence.  The table is append-only

@@ -129,12 +129,15 @@ def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
         raise InsufficientOrderError(
             f"series order {s.order} is below the requested order {order}"
         )
-    triples = monomials_of_weight(k)
-    needed = len(triples) + RECOGNITION_MARGIN
+    # The triples are the partitions of k/2 into parts <= 3, counted in
+    # closed form so that a weight too large for the order is refused before
+    # its O(k^2) triples are listed.
+    needed = ((k // 2 + 3) ** 2 + 6) // 12 + RECOGNITION_MARGIN
     if order + 1 < needed:
         raise InsufficientOrderError(
             f"insufficient order: weight {k} needs at least {needed} coefficients, got {order + 1}"
         )
+    triples = monomials_of_weight(k)
     columns = [expand(QMForm({t: 1}), order).coeffs for t in triples]
     matrix = [[col[n] for col in columns] for n in range(order + 1)]
     rhs = list(s.coeffs[: order + 1])

@@ -465,6 +465,11 @@ _TOKEN_RE = re.compile(r"Q(?P<gen>\d+)|(?P<num>\d+)|(?P<op>[-+*/^()])")
 # interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Largest magnitude of an exponent parse_poly accepts (half-integer exponents
+# of Q2 included).  Evaluation raises exact rationals to these powers, so an
+# unbounded exponent is an unbounded request.
+MAX_EXPONENT = 100
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -614,8 +619,15 @@ class _Parser:
         return Fraction(num)
 
     # exponent := '-'? digits | '(' '-'? digits ('/' digits)? ')'
-    # The parenthesized denominator must be 1 or 2.
+    # The parenthesized denominator must be 1 or 2; the value is returned
+    # doubled, with the position of its first token.
     def exponent(self) -> tuple[int, int]:
+        e2, pos = self._exponent()
+        if abs(e2) > 2 * MAX_EXPONENT:
+            raise ParseError(f"exponent larger than {MAX_EXPONENT} in magnitude", pos)
+        return e2, pos
+
+    def _exponent(self) -> tuple[int, int]:
         kind, value, pos = self.peek()
         if kind == "num":
             self.next()

@@ -8,6 +8,7 @@ fixed seed so two runs produce identical output.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -350,6 +351,63 @@ def suite_weight_drop(rng, max_weight, order):
     return True, "orders <= 5"
 
 
+def oracle_d_op_n(n: int, f: SSPoly) -> SSPoly:
+    """d_op_n(n, f) as the literal sum over ordered n-tuples (k_1, ..., k_n)
+    of derivative slots drawn from each monomial's generators.  A tuple
+    applies d/dQ_k one slot at a time and adds the hook generator
+    Q_h, h = sum (k_i - 1), with weight h! / prod (k_i - 1)!; independent of
+    the multiset formula behind operators.d_op_n."""
+    if n == 0:
+        return f
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in f.terms():
+        base = {k: Fraction(e2, 2) for k, e2 in mono.items2()}
+        for slots in itertools.product(base, repeat=n):
+            exps, c = dict(base), coeff
+            for k in slots:
+                c *= exps[k]
+                if not c:
+                    break
+                exps[k] -= 1
+            if not c:
+                continue
+            hooks = sum(k - 1 for k in slots)
+            c *= factorial(hooks)
+            for k in slots:
+                c /= factorial(k - 1)
+            if hooks:
+                exps[hooks] = exps.get(hooks, 0) + 1
+            m = Monomial.from_exponents(exps)
+            acc[m] = acc.get(m, Fraction(0)) + c
+    return SSPoly(acc)
+
+
+def random_laurent(rng: random.Random, max_weight: int) -> SSPoly:
+    """Random element with rational coefficients whose terms carry an extra
+    Q2 power with exponent in {-3, -5/2, ..., 3}."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        lam = rng.choice(enumerate_partitions(rng.randint(0, max_weight)))
+        m = Monomial.from_partition(lam).mul(Monomial(((2, rng.randint(-6, 6)),)))
+        terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return SSPoly(terms)
+
+
+def suite_d_op_n_oracle(rng, max_weight, order):
+    samples = [SSPoly.zero(), SSPoly.one(), SSPoly.constant(Fraction(-7, 3))]
+    samples += [random_laurent(rng, min(max_weight, 6)) for _ in range(12)]
+    for f in samples:
+        for n in range(5):
+            if d_op_n(n, f) != oracle_d_op_n(n, f):
+                return False, f"order {n} differs from the tuple sum on {format_poly(f)}"
+    rows = rows_up_to(max_weight)
+    for lam, _, _ in rows:
+        h = basis_element(lam)
+        if d_op_n(2, h) != oracle_d_op_n(2, h):
+            return False, f"order 2 differs from the tuple sum at table row {lam}"
+    return True, f"orders <= 4 on {len(samples)} samples, order 2 on {len(rows)} table rows"
+
+
 # -- harmonic decomposition -----------------------------------------------------
 
 
@@ -599,6 +657,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("operators.delta_lambda", suite_delta_lambda_properties),
     ("operators.kelvin", suite_kelvin),
     ("operators.weight_drop", suite_weight_drop),
+    ("operators.d_op_n_oracle", suite_d_op_n_oracle),
     ("harmonic.direct_sum", suite_direct_sum),
     ("harmonic.q2_multiples", suite_q2_multiples_not_harmonic),
     ("harmonic.basis", suite_harmonic_basis),

@@ -323,3 +323,66 @@ def test_eval_deep_nesting_is_parse_error(capsys):
         assert code == 2 and out == ""
         assert err.startswith("parse error: nesting deeper than 100 levels")
         assert err.count("\n") == 1
+
+
+def test_limits_admit_the_benchmark_sizes():
+    from shsym import cli
+    from shsym.ssym import MAX_EXPONENT
+
+    assert cli.MAX_ORDER >= 36 and cli.MAX_VERIFY_ORDER >= 30
+    assert cli.MAX_WEIGHT >= 18 and cli.MAX_TABLE_WEIGHT >= 10
+    assert MAX_EXPONENT >= 9  # a weight-18 decompose input may hold Q2^9
+
+
+def _assert_one_line_usage_error(capsys, *argv, prefix="error: "):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_exponent_over_limit_is_parse_error(capsys):
+    from shsym.ssym import MAX_EXPONENT
+
+    code, out, _ = run(capsys, "eval", f"Q2^{MAX_EXPONENT}", "()")
+    assert code == 0 and out
+    for expr in ("Q2^99999999", f"Q2^(-{2 * MAX_EXPONENT + 1}/2)", f"(1+Q3)^{MAX_EXPONENT + 1}"):
+        _assert_one_line_usage_error(capsys, "eval", expr, "(1)", prefix="parse error: exponent")
+
+
+def test_order_over_limit_is_usage_error(capsys):
+    from shsym.cli import MAX_ORDER
+
+    too_high = str(MAX_ORDER + 1)
+    _assert_one_line_usage_error(capsys, "qbracket", "Q2", "-N", too_high)
+    _assert_one_line_usage_error(capsys, "recognize", "1 2 3", "--weight", "2", "-N", too_high)
+    _assert_one_line_usage_error(capsys, "tables", "-N", too_high)
+
+
+def test_verify_order_over_limit_is_usage_error(capsys):
+    from shsym.cli import MAX_VERIFY_ORDER
+
+    _assert_one_line_usage_error(capsys, "verify", "-N", str(MAX_VERIFY_ORDER + 1))
+
+
+def test_weight_over_limit_is_usage_error(capsys):
+    from shsym.cli import MAX_WEIGHT
+
+    too_high = MAX_WEIGHT + 1
+    _assert_one_line_usage_error(capsys, "basis", str(too_high))
+    _assert_one_line_usage_error(capsys, "decompose", f"Q3 + Q{too_high}")
+
+
+def test_max_weight_over_limit_is_usage_error(capsys):
+    from shsym.cli import MAX_TABLE_WEIGHT
+
+    too_high = str(MAX_TABLE_WEIGHT + 1)
+    _assert_one_line_usage_error(capsys, "tables", "--max-weight", too_high)
+    _assert_one_line_usage_error(capsys, "verify", "--max-weight", too_high)
+
+
+def test_huge_recognition_weight_is_refused_at_once(capsys):
+    # listing the weight-k triples would take O(k^2) time and memory
+    for argv in (("recognize", "1 2 3", "--weight", "2000000"), ("qbracket", "Q2", "--weight", "2000000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("recognition error: insufficient order") and err.count("\n") == 1

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -17,11 +16,11 @@ from shsym.operators import (
     falling_factorial,
     kelvin,
     laplacian,
-    multinomial,
     multiply_by,
     q2_hat,
 )
 from shsym.ssym import Monomial, SSPoly, format_poly, parse_poly
+from shsym.verify import oracle_d_op_n
 
 Q1, Q2, Q3, Q4 = (SSPoly.gen(k) for k in (1, 2, 3, 4))
 HALF = Fraction(1, 2)
@@ -38,55 +37,6 @@ def random_poly(rng, max_gen=5, max_terms=4, half=False):
             exps[2] = exps.get(2, 0) + Fraction(rng.choice([-3, -1, 1, 3]), 2)
         terms[Monomial.from_exponents(exps)] = Fraction(rng.randint(-6, 6))
     return SSPoly(terms)
-
-
-# -- independent oracle: the order-n operator as a literal sum over ordered
-#    tuples of derivative slots, derivative by derivative ----------------------
-
-
-def one_derivative(state, k):
-    """d/dQ_k on a dict {generator: Fraction exponent} with a coefficient."""
-    exps, coeff = state
-    e = exps.get(k, Fraction(0))
-    if not e:
-        return None
-    new = dict(exps)
-    new[k] = e - 1
-    if not new[k]:
-        del new[k]
-    return new, coeff * e
-
-
-def naive_d_op_n(n, f):
-    acc = SSPoly.zero()
-    for mono, coeff in f.terms():
-        exps = {k: Fraction(e2, 2) for k, e2 in mono.items2()}
-        support = list(exps)
-        if n == 0:
-            acc = acc + SSPoly(f_terms_single(exps, coeff))
-            continue
-        for tup in itertools.product(support, repeat=n):
-            state = (exps, coeff)
-            dead = False
-            for k in tup:
-                state = one_derivative(state, k)
-                if state is None or not state[1]:
-                    dead = True
-                    break
-            if dead:
-                continue
-            hooks = sum(k - 1 for k in tup)
-            weight_coeff = multinomial([k - 1 for k in tup])
-            new_exps, c = state
-            out = dict(new_exps)
-            if hooks >= 1:
-                out[hooks] = out.get(hooks, Fraction(0)) + 1
-            acc = acc + SSPoly(f_terms_single(out, c * weight_coeff))
-    return acc
-
-
-def f_terms_single(exps, coeff):
-    return {Monomial.from_exponents({k: e for k, e in exps.items() if e}): coeff}
 
 
 def test_d_op_examples():
@@ -123,8 +73,62 @@ def test_d_op_n_matches_ordered_tuple_oracle():
     rng = random.Random(11)
     for _ in range(12):
         f = random_poly(rng, max_gen=4, max_terms=2, half=True)
-        for n in range(4):
-            assert d_op_n(n, f) == naive_d_op_n(n, f), (n, format_poly(f))
+        # rational coefficients with unequal denominators
+        f = SSPoly({m: c / rng.randint(1, 6) for m, c in f.terms()})
+        for n in range(6):
+            assert d_op_n(n, f) == oracle_d_op_n(n, f), (n, format_poly(f))
+
+
+def test_d_op_n_image_cache_is_bounded():
+    from shsym.operators import _d_op_n_image, _shared
+
+    # `shsym basis 18` looks up 2,298 distinct (order, monomial) pairs, or
+    # 2,947 counting the order-0 calls, which bypass the cache
+    for cache in (_d_op_n_image, _shared):
+        assert cache.cache_info().maxsize is not None
+        assert cache.cache_info().maxsize >= 2947
+
+
+def test_d_op_n_image_cache_is_thread_safe():
+    import sys
+    import threading
+
+    from shsym.harmonic import basis_element
+    from shsym.operators import _d_op_n_image, _shared
+    from shsym.partitions import enumerate_min_part
+
+    build = basis_element.__wrapped__  # bypass the per-partition cache
+    lams = enumerate_min_part(12, 3)
+    _d_op_n_image.cache_clear()
+    serial = [build(lam) for lam in lams]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _d_op_n_image.cache_clear()
+            _shared.cache_clear()
+            start = threading.Barrier(4, timeout=30)
+            results = [None] * 4
+
+            def work(slot):
+                start.wait()
+                # each thread starts at a different partition
+                order = list(range(len(lams)))
+                order = order[slot:] + order[:slot]
+                got = [None] * len(lams)
+                for i in order:
+                    got[i] = build(lams[i])
+                results[slot] = got
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_weight_drop():

@@ -59,6 +59,16 @@ def test_enumeration_order_is_lex_decreasing():
         assert list(parts) == sorted(parts, reverse=True)
 
 
+def test_enumeration_order_matches_recursive_reference():
+    # brute_partitions lists lexicographically increasing, so its reverse is
+    # the order the iterative enumerator must produce
+    for n in range(31):
+        want = tuple(reversed(brute_partitions(n)))
+        assert enumerate_partitions(n) == want, n
+        for m in (1, 2, 3):
+            assert enumerate_min_part(n, m) == tuple(reversed(brute_partitions(n, m))), (n, m)
+
+
 def test_count_small_values():
     assert count_partitions(-1) == 0
     assert count_partitions(0) == 1

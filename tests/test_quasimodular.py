@@ -45,6 +45,17 @@ def test_monomials_of_weight():
             assert 2 * a + 4 * b + 6 * c == k
 
 
+def test_recognize_order_check_counts_the_weight_monomials():
+    from shsym.quasimodular import RECOGNITION_MARGIN
+
+    for k in range(0, 201, 2):
+        needed = len(monomials_of_weight(k)) + RECOGNITION_MARGIN
+        with pytest.raises(InsufficientOrderError, match=f"needs at least {needed} coeff"):
+            recognize(QSeries.zero(needed - 2), k)
+        if k <= 12:
+            assert recognize(QSeries.zero(needed - 1), k).is_zero
+
+
 def test_expand_examples():
     assert expand(QMForm.one(), 8) == QSeries.one(8)
     assert expand(P, 8) == eisenstein(2, 8)
