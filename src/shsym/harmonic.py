@@ -2,10 +2,12 @@
 
 A polynomial f in the Q1-free ring is harmonic when the projection of its
 laplacian vanishes.  Every weight-n element splits uniquely as
-f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots; the explicit
-basis of the weight-n harmonic space is indexed by partitions of n with
-all parts >= 3 and built from the Kelvin transform and the delta_lambda
-operators.
+f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `decompose`
+peels one slot at a time: the g with pr laplacian(Q2 g) = pr laplacian(f)
+solves a sparse lower-triangular system by forward substitution, and
+f - Q2 g is the harmonic slot.  The explicit basis of the weight-n
+harmonic space is indexed by partitions of n with all parts >= 3 and built
+from the Kelvin transform and the delta_lambda operators.
 """
 
 from __future__ import annotations
@@ -68,7 +70,14 @@ def is_harmonic(f: SSPoly) -> bool:
     return laplacian(f).pr().is_zero
 
 
-@lru_cache(maxsize=None)
+# Cache bounds: every weight up to the CLI's cap of 20 for the per-weight
+# caches, and every partition of weight <= 20 (2,714 of them) for the basis
+# elements.
+_WEIGHT_CACHE_SIZE = 32
+_ELEMENT_CACHE_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     """Monomial basis of the weight-n slice: products over partitions of n
     with all parts >= 2, in the deterministic enumeration order."""
@@ -79,31 +88,51 @@ def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     )
 
 
-def _basis_index(n: int) -> dict[Monomial, int]:
-    return {
-        poly.terms()[0][0]: i for i, poly in enumerate(lambda_star_basis(n))
-    }
+_TRow = tuple[Monomial, Fraction, tuple[tuple[int, Fraction], ...]]
 
 
-def _coords(f: SSPoly, n: int) -> list[Fraction]:
-    index = _basis_index(n)
-    vec = [Fraction(0)] * len(index)
-    for mono, c in f.terms():
-        try:
-            vec[index[mono]] = c
-        except KeyError:
-            raise ValueError(f"polynomial has a term outside the weight-{n} slice")
-    return vec
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _t_inverse(n: int) -> tuple[_TRow, ...]:
+    """The map T(g) = pr laplacian(Q2 g) on the weight-n slice, as sparse
+    lower-triangular rows in solve order, one per unknown.
 
-
-@lru_cache(maxsize=None)
-def _t_inverse(n: int) -> list[list[Fraction]]:
-    # T(g) = projected laplacian of Q2*g on the weight-n slice; bijective.
-    basis = lambda_star_basis(n)
+    Unknowns Q_mu are ordered by (len(mu), mu).  Every term of T(Q_mu) other
+    than Q_mu itself has more parts, or as many parts and a lexicographically
+    larger partition, so row i holds the unknown's monomial, its nonzero
+    diagonal entry and the (j, entry) pairs of earlier unknowns j < i.
+    Raises LinearSolveError if that structure fails.
+    """
+    mus = sorted(enumerate_min_part(n, 2), key=lambda mu: (len(mu), mu))
+    monos = [Monomial.from_partition(mu) for mu in mus]
+    index = {m: i for i, m in enumerate(monos)}
+    entries: list[dict[int, Fraction]] = [{} for _ in monos]
     q2 = SSPoly.gen(2)
-    columns = [_coords(laplacian(q2 * b).pr(), n) for b in basis]
-    matrix = [[columns[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    return linalg.invert(matrix)
+    for j, m in enumerate(monos):
+        for mono, c in laplacian(q2 * SSPoly({m: 1})).pr().terms():
+            i = index[mono]
+            if i < j:
+                raise linalg.LinearSolveError("not lower-triangular")
+            entries[i][j] = c
+    rows = []
+    for i, m in enumerate(monos):
+        diagonal = entries[i].pop(i, None)
+        if diagonal is None:
+            raise linalg.LinearSolveError("singular")
+        rows.append((m, diagonal, tuple(entries[i].items())))  # j ascending
+    return tuple(rows)
+
+
+def _solve_t(n: int, rhs: SSPoly) -> SSPoly:
+    """The weight-n g with T(g) = rhs, by forward substitution; terms of rhs
+    outside the weight-n slice are ignored."""
+    rows = _t_inverse(n)
+    values: list[Fraction] = []
+    for mono, diagonal, lower in rows:
+        s = rhs.coeff(mono)
+        for j, c in lower:
+            s -= c * values[j]
+        values.append(s / diagonal)
+    return SSPoly({row[0]: v for row, v in zip(rows, values)})
 
 
 def _decompose_homogeneous(f: SSPoly, n: int) -> list[SSPoly]:
@@ -112,13 +141,7 @@ def _decompose_homogeneous(f: SSPoly, n: int) -> list[SSPoly]:
         return [SSPoly.zero()] * slots
     if n < 2:
         return [f]
-    rhs = laplacian(f).pr()
-    g_coords = linalg.mat_vec(_t_inverse(n - 2), _coords(rhs, n - 2))
-    basis = lambda_star_basis(n - 2)
-    g = SSPoly.zero()
-    for c, b in zip(g_coords, basis):
-        if c:
-            g = g + b * c
+    g = _solve_t(n - 2, laplacian(f).pr())
     h0 = f - SSPoly.gen(2) * g
     if not laplacian(h0).pr().is_zero:
         raise linalg.LinearSolveError("inconsistent")  # impossible unless buggy
@@ -142,7 +165,7 @@ def decompose(f: SSPoly) -> Decomposition:
     return dec
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ELEMENT_CACHE_SIZE)
 def basis_element(lam: Partition) -> SSPoly:
     """The harmonic element attached to a partition: the projected,
     Kelvin-conjugated image of delta_lambda applied to the Kelvin unit."""

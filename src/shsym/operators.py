@@ -6,10 +6,12 @@ the (possibly half-integer) exponents of Q2.  The n-th order operator
 comes from enumerating multisets of derivative slots drawn from its
 support (the defining sum over ordered index vectors has only finitely
 many nonzero terms on any polynomial), with integer numerators over the
-fixed denominator 2^n.  Images are cached per (order, monomial) in a
-bounded LRU cache, since the harmonic basis expands the same monomials
-many times; a call combines them in integers and divides once per output
-monomial.
+fixed denominator 2^n.  The lowering operator `d_op` is its order-1 case.
+`delta_n` is linear over images of the same kind, each built in integers
+from the `d_op_n` images, and the laplacian is half of `delta_n(2)`.
+Images are cached per (order, monomial) in bounded LRU caches, since the
+harmonic basis expands the same monomials many times; a call combines them
+in integers and divides once per output monomial.
 """
 
 from __future__ import annotations
@@ -48,31 +50,13 @@ def multinomial(parts: Iterable[int]) -> int:
     return out
 
 
-def d_op(f: SSPoly) -> SSPoly:
-    """First-order lowering operator: each Q_k derivative slot emits Q_{k-1}."""
-    acc: dict[Monomial, Fraction] = {}
-    for mono, coeff in f.terms():
-        for k, e2 in mono.items2():
-            c = coeff * Fraction(e2, 2)
-            changes = {k: -2}
-            if k > 1:
-                changes[k - 1] = 2
-            m = mono.shift(changes)
-            s = acc.get(m, _ZERO) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-    return SSPoly(acc)
-
-
 def euler_op(f: SSPoly) -> SSPoly:
     """Multiply each weight-homogeneous component by its weight."""
     return SSPoly({m: c * m.weight() for m, c in f.terms()})
 
 
-# Entries kept by each of the two caches below; `shsym basis 18` needs
-# 2,298 images, which hold 1,022 distinct monomials.
+# Entries kept by each of the three caches below; `shsym basis 18` needs
+# 2,860 d_op_n and 995 delta_n images, which hold 1,506 distinct monomials.
 _IMAGE_CACHE_SIZE = 1 << 14
 
 
@@ -141,12 +125,40 @@ def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     return tuple(acc.items())
 
 
-def d_op_n(n: int, f: SSPoly) -> SSPoly:
-    """The order-n operator generalizing d_op; order 0 is the identity.
+@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """delta_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n.
 
-    On weight-homogeneous input the weight drops by n.  The coefficients of
-    f are brought to one common denominator, so the images combine in
-    integers and each output coefficient is divided once.
+    The i-th summand (-1)^i C(n, i) d_op_n(n - i, d_op^i mono) is built from
+    the order-1 and order-(n - i) images: d_op^i mono has numerators over
+    2^i and each order-(n - i) image over 2^(n - i), so every product is
+    over 2^n.
+    """
+    acc: dict[Monomial, int] = {}
+    power = {mono: 1}  # d_op^i mono, over 2^i
+    for i in range(n + 1):
+        if i:
+            lowered: dict[Monomial, int] = {}
+            for m, c in power.items():
+                for m2, num in _d_op_n_image(1, m):
+                    lowered[m2] = lowered.get(m2, 0) + c * num
+            power = {m: c for m, c in lowered.items() if c}
+            if not power:
+                break
+        scale = -comb(n, i) if i % 2 else comb(n, i)
+        for m, c in power.items():
+            image = _d_op_n_image(n - i, m) if i < n else ((m, 1),)
+            for m2, num in image:
+                acc[m2] = acc.get(m2, 0) + scale * c * num
+    return tuple((m, s) for m, s in acc.items() if s)
+
+
+def _apply_images(image, n: int, f: SSPoly) -> SSPoly:
+    """Extend a per-monomial image with numerators over 2^n linearly to f.
+
+    The coefficients of f are brought to one common denominator, so the
+    images combine in integers and each output coefficient is divided once.
+    Order 0 is the identity.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -157,35 +169,37 @@ def d_op_n(n: int, f: SSPoly) -> SSPoly:
     acc: dict[Monomial, int] = {}
     for mono, coeff in terms:
         scale = coeff.numerator * (den // coeff.denominator)
-        for m, num in _d_op_n_image(n, mono):
+        for m, num in image(n, mono):
             acc[m] = acc.get(m, 0) + scale * num
     den <<= n
     return SSPoly({m: Fraction(s, den) for m, s in acc.items() if s})
 
 
-def laplacian(f: SSPoly) -> SSPoly:
-    """Half the difference of the order-2 operator and the squared lowering."""
-    return (d_op_n(2, f) - d_op(d_op(f))) * _HALF
+def d_op_n(n: int, f: SSPoly) -> SSPoly:
+    """The order-n operator; order 1 is the lowering operator d_op and
+    order 0 the identity.  On weight-homogeneous input the weight drops
+    by n."""
+    return _apply_images(_d_op_n_image, n, f)
+
+
+def d_op(f: SSPoly) -> SSPoly:
+    """First-order lowering operator: each Q_k derivative slot emits Q_{k-1}."""
+    return d_op_n(1, f)
 
 
 def delta_n(n: int, f: SSPoly) -> SSPoly:
-    """Alternating binomial combination of d_op_n and powers of d_op.
+    """Alternating binomial combination sum_i (-1)^i C(n, i) d_op_n(n - i) d_op^i.
 
     delta_n(0) is the identity, delta_n(1) vanishes identically and
     delta_n(2) is twice the laplacian.
     """
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if n == 0:
-        return f
-    acc = SSPoly.zero()
-    d_power = f
-    for i in range(n + 1):
-        if i > 0:
-            d_power = d_op(d_power)
-        sign = -1 if i % 2 else 1
-        acc = acc + d_op_n(n - i, d_power) * (sign * comb(n, i))
-    return acc
+    return _apply_images(_delta_n_image, n, f)
+
+
+def laplacian(f: SSPoly) -> SSPoly:
+    """Half of delta_n(2): half the difference of the order-2 operator and
+    the squared lowering."""
+    return delta_n(2, f) * _HALF
 
 
 def delta_lambda(lam: Iterable[int], f: SSPoly) -> SSPoly:

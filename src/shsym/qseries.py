@@ -229,16 +229,21 @@ def _monomial_series(mono: Monomial, order: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def check_bracket_input(f: SSPoly, order: int) -> None:
+    """Raise ValueError unless q_bracket(f, order) is defined."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if not f.in_r():
+        raise ValueError("q-bracket requires non-negative integer exponents")
+
+
 def q_bracket(f: SSPoly, order: int) -> QSeries:
     """Partition average of f as a truncated series: the sum of
     f(lambda) q^|lambda| divided by the partition generating function.
 
     The projection killing Q1 is applied first.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if not f.in_r():
-        raise ValueError("q-bracket requires non-negative integer exponents")
+    check_bracket_input(f, order)
     num = [_ZERO] * (order + 1)
     for mono, c in f.pr().terms():
         series = _monomial_series(mono, order)

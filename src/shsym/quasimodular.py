@@ -15,7 +15,7 @@ from typing import Mapping, Union
 
 from . import linalg
 from .harmonic import Decomposition, decompose
-from .qseries import QSeries, eisenstein, q_bracket
+from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket
 from .ssym import SSPoly, SparseTerms, _latex_power, format_signed_sum
 
 Scalar = Union[int, Fraction]
@@ -113,30 +113,39 @@ def expand(m: QMForm, order: int) -> QSeries:
     return acc
 
 
+def check_recognizable(k: int, order: int) -> None:
+    """Raise unless a series to `order` can be recognized at weight k:
+    ValueError for a negative or odd weight, InsufficientOrderError when
+    order + 1 is below the number of weight-k triples plus the margin.
+
+    The triples are the partitions of k/2 into parts <= 3, counted in closed
+    form, so that a weight too large for the order is refused before its
+    O(k^2) triples are listed or its series is summed.
+    """
+    if k < 0:
+        raise ValueError("recognition weight must be non-negative")
+    if k % 2:
+        raise ValueError("recognition weight must be even; odd-weight series must vanish")
+    needed = ((k // 2 + 3) ** 2 + 6) // 12 + RECOGNITION_MARGIN
+    if order + 1 < needed:
+        raise InsufficientOrderError(
+            f"insufficient order: weight {k} needs at least {needed} coefficients, got {order + 1}"
+        )
+
+
 def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
     """Identify a truncated series as the unique weight-k form.
 
     Requires order + 1 >= number of weight-k monomials + margin; the extra
     rows turn the solve into an overdetermined consistency check.
     """
-    if k < 0:
-        raise ValueError("recognition weight must be non-negative")
-    if k % 2:
-        raise ValueError("recognition weight must be even; odd-weight series must vanish")
     if order is None:
         order = s.order
     if order > s.order:
         raise InsufficientOrderError(
             f"series order {s.order} is below the requested order {order}"
         )
-    # The triples are the partitions of k/2 into parts <= 3, counted in
-    # closed form so that a weight too large for the order is refused before
-    # its O(k^2) triples are listed.
-    needed = ((k // 2 + 3) ** 2 + 6) // 12 + RECOGNITION_MARGIN
-    if order + 1 < needed:
-        raise InsufficientOrderError(
-            f"insufficient order: weight {k} needs at least {needed} coefficients, got {order + 1}"
-        )
+    check_recognizable(k, order)
     triples = monomials_of_weight(k)
     columns = [expand(QMForm({t: 1}), order).coeffs for t in triples]
     matrix = [[col[n] for col in columns] for n in range(order + 1)]
@@ -209,8 +218,14 @@ def bracket_form(
     An odd weight must give the zero series.
     """
     parts = f.weight_components() if weight is None else {weight: f}
-    # Bracket every part before recognizing any, so that input q_bracket
-    # rejects is reported as such rather than as a recognition failure.
+    # Check every part before bracketing any: input q_bracket rejects is
+    # reported as such rather than as a recognition failure, and a weight
+    # too large for the order is refused before its series is summed.
+    for fw in parts.values():
+        check_bracket_input(fw, order)
+    for w in parts:
+        if w % 2 == 0:
+            check_recognizable(w, order)
     brackets = {w: q_bracket(fw, order) for w, fw in parts.items()}
     series, form = QSeries.zero(order), QMForm.zero()
     for w, s in brackets.items():

@@ -470,6 +470,12 @@ MAX_NESTING = 100
 # unbounded exponent is an unbounded request.
 MAX_EXPONENT = 100
 
+# Largest number of terms a product or power in an expression may expand
+# to, bounded before multiplying by the product of the factors' term counts.
+# Expansion is the one step whose cost the other limits leave unbounded:
+# (Q1+...+Q9)^100 has C(108, 8) terms.
+MAX_TERMS = 10_000
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -535,9 +541,14 @@ class _Parser:
     def term(self) -> SSPoly:
         acc = self.factor()
         while self.at_op("*"):
-            self.next()
-            acc = acc * self.factor()
+            _, _, pos = self.next()
+            acc = self.product(acc, self.factor(), pos)
         return acc
+
+    def product(self, a: SSPoly, b: SSPoly, pos: int) -> SSPoly:
+        if len(a) * len(b) > MAX_TERMS:
+            raise ParseError(f"expansion larger than {MAX_TERMS} terms", pos)
+        return a * b
 
     # factor := atom ('^' exponent)?
     def factor(self) -> SSPoly:
@@ -577,7 +588,10 @@ class _Parser:
                     c = base.terms()[0][1]
                     return SSPoly.constant(c ** e)
                 raise ParseError("negative exponent is only allowed on Q2", epos)
-            return base ** e
+            power = SSPoly.one()
+            for _ in range(e):
+                power = self.product(power, base, epos)
+            return power
         return base
 
     # atom := rational | '(' expr ')'   (generators handled in factor)

@@ -293,8 +293,8 @@ def suite_higher_operators_commute(rng, max_weight, order):
                     return False, f"orders {n},{m} do not commute on {format_poly(f)}"
     for trial in range(10):
         f = random_element(rng, 8)
-        if d_op_n(1, f) != d_op(f):
-            return False, f"order-1 operator differs from d_op on {format_poly(f)}"
+        if d_op(f) != oracle_d_op(f):
+            return False, f"order-1 operator differs from the term walk on {format_poly(f)}"
     return True, "n, m <= 5, 6 samples"
 
 
@@ -382,6 +382,34 @@ def oracle_d_op_n(n: int, f: SSPoly) -> SSPoly:
     return SSPoly(acc)
 
 
+def oracle_d_op(f: SSPoly) -> SSPoly:
+    """The lowering operator term by term in Fractions: each Q_k factor is
+    differentiated once and replaced by Q_{k-1}; independent of the integer
+    images behind operators.d_op."""
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in f.terms():
+        for k, e2 in mono.items2():
+            changes = {k: -2}
+            if k > 1:
+                changes[k - 1] = 2
+            m = mono.shift(changes)
+            acc[m] = acc.get(m, Fraction(0)) + coeff * Fraction(e2, 2)
+    return SSPoly(acc)
+
+
+def oracle_delta_n(n: int, f: SSPoly) -> SSPoly:
+    """delta_n(n, f) as the defining binomial sum
+    sum_i (-1)^i C(n, i) d_op_n(n - i, d_op^i f), over oracle_d_op_n and
+    oracle_d_op, independent of the images behind operators.delta_n."""
+    acc = SSPoly.zero()
+    power = f
+    for i in range(n + 1):
+        if i:
+            power = oracle_d_op(power)
+        acc = acc + oracle_d_op_n(n - i, power) * ((-1) ** i * comb(n, i))
+    return acc
+
+
 def random_laurent(rng: random.Random, max_weight: int) -> SSPoly:
     """Random element with rational coefficients whose terms carry an extra
     Q2 power with exponent in {-3, -5/2, ..., 3}."""
@@ -408,6 +436,29 @@ def suite_d_op_n_oracle(rng, max_weight, order):
     return True, f"orders <= 4 on {len(samples)} samples, order 2 on {len(rows)} table rows"
 
 
+def suite_delta_n_oracle(rng, max_weight, order):
+    seed = kelvin(SSPoly.one())
+    samples = [SSPoly.zero(), seed] + [random_laurent(rng, min(max_weight, 6)) for _ in range(6)]
+    for f in samples:
+        for n in range(6):
+            if delta_n(n, f) != oracle_delta_n(n, f):
+                return False, f"order {n} differs from the binomial sum on {format_poly(f)}"
+    rows = rows_up_to(max_weight)
+    for lam, expr, _ in rows:
+        # h_lambda = kelvin(pr(multinomial(lam) * prod delta_part (kelvin unit)))
+        g = seed
+        for part in lam:
+            g = oracle_delta_n(part, g)
+        prefactor = factorial(sum(lam))
+        for part in lam:
+            prefactor //= factorial(part)
+        if kelvin((g * prefactor).pr()) != parse_poly(expr):
+            return False, f"table row {lam} differs when rebuilt from the binomial sum"
+        if delta_lambda(lam, seed) != g * prefactor:
+            return False, f"delta_lambda differs from the binomial sum at {lam}"
+    return True, f"orders <= 5 on {len(samples)} samples, {len(rows)} table rows rebuilt"
+
+
 # -- harmonic decomposition -----------------------------------------------------
 
 
@@ -430,6 +481,37 @@ def suite_direct_sum(rng, max_weight, order):
         if recovered_h != h or tail != g:
             return False, f"uniqueness fails at weight {n}"
     return True, "monomials to weight 14, 8 random sums"
+
+
+def oracle_t_solve(n: int, rhs: SSPoly) -> SSPoly:
+    """The weight-n g with pr laplacian(Q2 g) = rhs, from the dense inverse
+    of that map's matrix in the lambda_star_basis(n) coordinates.  The
+    columns come from oracle_delta_n(2)/2, independent of the triangular
+    rows and the forward substitution behind decompose."""
+    monos = [b.terms()[0][0] for b in lambda_star_basis(n)]
+    q2 = SSPoly.gen(2)
+    columns = [
+        (oracle_delta_n(2, q2 * SSPoly({m: 1})) * Fraction(1, 2)).pr() for m in monos
+    ]
+    matrix = [[col.coeff(m) for col in columns] for m in monos]
+    coords = linalg.mat_vec(linalg.invert(matrix), [rhs.coeff(m) for m in monos])
+    return SSPoly(dict(zip(monos, coords)))
+
+
+def suite_t_solve_oracle(rng, max_weight, order):
+    rows = rows_up_to(max_weight)
+    for lam, _, _ in rows:
+        h = basis_element(lam)
+        for r in (1, 2, 3):
+            f = SSPoly.gen(2) ** r * h
+            n = sum(lam) + 2 * r
+            g = oracle_t_solve(n - 2, laplacian(f).pr())
+            if g != SSPoly.gen(2) ** (r - 1) * h:
+                return False, f"dense solve misses Q2^{r - 1} * h at table row {lam}"
+            want = (SSPoly.zero(),) * r + (h,) + (SSPoly.zero(),) * (n // 2 - r)
+            if decompose(f).components != want:
+                return False, f"decompose of Q2^{r} * h differs at table row {lam}"
+    return True, f"{len(rows)} table rows times Q2^r, r <= 3"
 
 
 def suite_q2_multiples_not_harmonic(rng, max_weight, order):
@@ -658,7 +740,9 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("operators.kelvin", suite_kelvin),
     ("operators.weight_drop", suite_weight_drop),
     ("operators.d_op_n_oracle", suite_d_op_n_oracle),
+    ("operators.delta_n_oracle", suite_delta_n_oracle),
     ("harmonic.direct_sum", suite_direct_sum),
+    ("harmonic.t_solve_oracle", suite_t_solve_oracle),
     ("harmonic.q2_multiples", suite_q2_multiples_not_harmonic),
     ("harmonic.basis", suite_harmonic_basis),
     ("harmonic.depth", suite_depth),

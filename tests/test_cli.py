@@ -386,3 +386,39 @@ def test_huge_recognition_weight_is_refused_at_once(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("recognition error: insufficient order") and err.count("\n") == 1
+
+
+def _run_cli_within(seconds, *argv):
+    """Run the CLI in a fresh interpreter; TimeoutExpired fails the test."""
+    import os
+    import subprocess
+    import sys
+
+    import shsym
+
+    src = os.path.dirname(os.path.dirname(shsym.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "shsym.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=seconds,
+    )
+
+
+def test_runaway_expansion_is_parse_error():
+    # C(108, 8) terms if expanded
+    expr = "(" + "+".join(f"Q{k}" for k in range(1, 10)) + ")^100"
+    proc = _run_cli_within(20, "eval", expr, "()")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("parse error: expansion larger than")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_unrecognizable_weight_is_refused_before_summing():
+    # weight 2700 needs 152,561 coefficients; summing its series first took 21 s
+    proc = _run_cli_within(10, "qbracket", "Q10^100*Q9^100*Q8^100", "-N", "40")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("recognition error: insufficient order: weight 2700")
+    assert proc.stderr.count("\n") == 1

@@ -217,3 +217,52 @@ def test_basis_elements_are_q1_free_with_plain_exponents():
         for lam, h in harmonic_basis(n).elements.items():
             assert h.in_lambda_star(), lam
             assert laplacian(h).pr().is_zero, lam
+
+
+def _solve_key(mono):
+    mu = mono.partition()
+    return (len(mu), mu)
+
+
+def test_t_is_lower_triangular_with_nonzero_diagonal():
+    from shsym.harmonic import _t_inverse
+
+    # every weight a decompose input of weight <= 20 (the CLI cap) needs
+    for n in range(19):
+        monos = [b.terms()[0][0] for b in lambda_star_basis(n)]
+        for m in monos:
+            image = laplacian(Q2 * SSPoly({m: 1})).pr()
+            assert image.coeff(m) != 0, (n, m)
+            assert all(_solve_key(t) > _solve_key(m) for t, _ in image.terms() if t != m), (n, m)
+        rows = _t_inverse(n)
+        assert len(rows) == len(monos) and {row[0] for row in rows} == set(monos)
+        keys = [_solve_key(row[0]) for row in rows]
+        assert keys == sorted(keys)
+        for i, (_, diagonal, lower) in enumerate(rows):
+            assert diagonal != 0
+            assert all(j < i and c != 0 for j, c in lower)
+
+
+def test_triangular_solve_matches_dense_inverse():
+    from shsym.harmonic import _solve_t
+    from shsym.verify import oracle_t_solve
+
+    rng = random.Random(101)
+    for n in range(17):
+        monos = [b.terms()[0][0] for b in lambda_star_basis(n)]
+        rhs = SSPoly({m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in monos})
+        g = _solve_t(n, rhs)
+        assert g == oracle_t_solve(n, rhs), n
+        assert laplacian(Q2 * g).pr() == rhs, n
+
+
+def test_harmonic_caches_are_bounded_and_cover_the_cli_caps():
+    from shsym.cli import MAX_WEIGHT
+    from shsym.harmonic import _t_inverse
+
+    # decompose at weight w solves on the slices of weight <= w - 2
+    assert lambda_star_basis.cache_info().maxsize > MAX_WEIGHT
+    assert _t_inverse.cache_info().maxsize > MAX_WEIGHT - 2
+    # `basis n --min-part 1` for every n <= MAX_WEIGHT in one process
+    every_partition = sum(count_partitions(n) for n in range(MAX_WEIGHT + 1))
+    assert basis_element.cache_info().maxsize >= every_partition

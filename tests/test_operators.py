@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -20,7 +19,7 @@ from shsym.operators import (
     q2_hat,
 )
 from shsym.ssym import Monomial, SSPoly, format_poly, parse_poly
-from shsym.verify import oracle_d_op_n
+from shsym.verify import oracle_d_op, oracle_d_op_n, oracle_delta_n, random_laurent
 
 Q1, Q2, Q3, Q4 = (SSPoly.gen(k) for k in (1, 2, 3, 4))
 HALF = Fraction(1, 2)
@@ -65,7 +64,7 @@ def test_d_op_n_examples():
     rng = random.Random(5)
     for _ in range(10):
         f = random_poly(rng, half=True)
-        assert d_op_n(1, f) == d_op(f)
+        assert d_op_n(1, f) == oracle_d_op(f)
         assert d_op_n(0, f) == f
 
 
@@ -80,13 +79,21 @@ def test_d_op_n_matches_ordered_tuple_oracle():
 
 
 def test_d_op_n_image_cache_is_bounded():
-    from shsym.operators import _d_op_n_image, _shared
+    from shsym.harmonic import basis_element
+    from shsym.operators import _d_op_n_image, _delta_n_image, _shared
+    from shsym.partitions import enumerate_min_part
 
-    # `shsym basis 18` looks up 2,298 distinct (order, monomial) pairs, or
-    # 2,947 counting the order-0 calls, which bypass the cache
-    for cache in (_d_op_n_image, _shared):
-        assert cache.cache_info().maxsize is not None
-        assert cache.cache_info().maxsize >= 2947
+    caches = (_d_op_n_image, _delta_n_image, _shared)
+    for cache in caches:
+        cache.cache_clear()
+    build = basis_element.__wrapped__  # bypass the per-partition cache
+    for lam in enumerate_min_part(18, 3):
+        build(lam)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        # `shsym basis 18` fits without an eviction
+        assert info.currsize == info.misses < info.maxsize
 
 
 def test_d_op_n_image_cache_is_thread_safe():
@@ -94,19 +101,21 @@ def test_d_op_n_image_cache_is_thread_safe():
     import threading
 
     from shsym.harmonic import basis_element
-    from shsym.operators import _d_op_n_image, _shared
+    from shsym.operators import _d_op_n_image, _delta_n_image, _shared
     from shsym.partitions import enumerate_min_part
 
     build = basis_element.__wrapped__  # bypass the per-partition cache
     lams = enumerate_min_part(12, 3)
-    _d_op_n_image.cache_clear()
+    caches = (_d_op_n_image, _delta_n_image, _shared)
+    for cache in caches:
+        cache.cache_clear()
     serial = [build(lam) for lam in lams]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            _d_op_n_image.cache_clear()
-            _shared.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
             start = threading.Barrier(4, timeout=30)
             results = [None] * 4
 
@@ -238,18 +247,18 @@ def test_delta_n_normalizations():
 
 
 def test_delta_n_defining_sum():
-    # spelled-out alternating sum, recomputed from the two primitives
+    # the binomial sum over the two oracle primitives
     rng = random.Random(23)
     for _ in range(6):
         f = random_poly(rng, max_terms=2, half=True)
         for n in range(5):
-            acc = SSPoly.zero()
-            for i in range(n + 1):
-                g = f
-                for _ in range(i):
-                    g = d_op(g)
-                acc = acc + d_op_n(n - i, g) * ((-1) ** i * comb(n, i))
-            assert delta_n(n, f) == acc
+            assert delta_n(n, f) == oracle_delta_n(n, f)
+    samples = [SSPoly.zero(), kelvin(SSPoly.one())]
+    # rational coefficients, extra Q2 powers in {-3, -5/2, ..., 3}
+    samples += [random_laurent(rng, 5) for _ in range(8)]
+    for f in samples:
+        for n in range(7):
+            assert delta_n(n, f) == oracle_delta_n(n, f), (n, format_poly(f))
 
 
 def test_delta_lambda_examples():

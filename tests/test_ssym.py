@@ -218,6 +218,19 @@ def test_parse_accepts_grammar_variants():
     assert parse_poly(" 27/4 * Q2 ^ 2 ") == Q2**2 * Fraction(27, 4)
 
 
+def test_parse_bounds_the_expansion_of_products_and_powers():
+    from shsym.ssym import MAX_TERMS
+
+    a = "+".join(f"Q{k}" for k in range(1, 101))
+    b = "+".join(f"Q{k}" for k in range(101, 201))
+    assert MAX_TERMS == 100 * 100
+    assert len(parse_poly(f"({a})*({b})")) == MAX_TERMS
+    assert parse_poly("(1+Q2)^100") == (SSPoly.one() + Q2) ** 100
+    for bad in (f"({a})*({b}+Q201)", "(Q1+Q2+Q3+Q4+Q5+Q6+Q7+Q8+Q9)^100"):
+        with pytest.raises(ParseError, match="expansion larger than"):
+            parse_poly(bad)
+
+
 def test_format_examples():
     assert format_poly(SSPoly.zero()) == "0"
     assert format_poly(-Q3) == "-Q3"
