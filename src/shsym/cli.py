@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -295,9 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        code = args.func(args)
+        # a closed pipe shows here, while it can still be handled
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit does not fail
+        # again; the reader left, so nothing more is reported.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAILURE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -95,7 +95,9 @@ def monomials_of_weight(k: int) -> list[Triple]:
     return out
 
 
-@lru_cache(maxsize=None)
+# A recognition at weight k <= 32 (the most an order <= 40 admits) uses at
+# most 32 powers per order: P^0..P^16, Q^0..Q^8 and R^0..R^5.
+@lru_cache(maxsize=1024)
 def _gen_power(name: str, e: int, order: int) -> QSeries:
     if e == 0:
         return QSeries.one(order)
@@ -117,15 +119,22 @@ def check_recognizable(k: int, order: int) -> None:
     """Raise unless a series to `order` can be recognized at weight k:
     ValueError for a negative or odd weight, InsufficientOrderError when
     order + 1 is below the number of weight-k triples plus the margin.
-
-    The triples are the partitions of k/2 into parts <= 3, counted in closed
-    form, so that a weight too large for the order is refused before its
-    O(k^2) triples are listed or its series is summed.
     """
     if k < 0:
         raise ValueError("recognition weight must be non-negative")
     if k % 2:
         raise ValueError("recognition weight must be even; odd-weight series must vanish")
+    _check_order(k, order)
+
+
+def _check_order(k: int, order: int) -> None:
+    """Raise InsufficientOrderError when order + 1 is below the number of
+    triples of weight 2 (k // 2) plus the margin.
+
+    The triples are the partitions of k // 2 into parts <= 3, counted in
+    closed form, so that a weight too large for the order is refused before
+    its O(k^2) triples are listed or its series is summed.
+    """
     needed = ((k // 2 + 3) ** 2 + 6) // 12 + RECOGNITION_MARGIN
     if order + 1 < needed:
         raise InsufficientOrderError(
@@ -220,12 +229,15 @@ def bracket_form(
     parts = f.weight_components() if weight is None else {weight: f}
     # Check every part before bracketing any: input q_bracket rejects is
     # reported as such rather than as a recognition failure, and a weight
-    # too large for the order is refused before its series is summed.
+    # too large for the order is refused before its series is summed.  An
+    # odd part is bounded as the even weight below it would be.
     for fw in parts.values():
         check_bracket_input(fw, order)
     for w in parts:
         if w % 2 == 0:
             check_recognizable(w, order)
+        else:
+            _check_order(w, order)
     brackets = {w: q_bracket(fw, order) for w, fw in parts.items()}
     series, form = QSeries.zero(order), QMForm.zero()
     for w, s in brackets.items():

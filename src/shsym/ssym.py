@@ -476,6 +476,12 @@ MAX_EXPONENT = 100
 # (Q1+...+Q9)^100 has C(108, 8) terms.
 MAX_TERMS = 10_000
 
+# Most decimal digits in a numerator or denominator of a constant, written
+# or reached by multiplying.  Nested powers such as ((2^100)^100)^100 would
+# otherwise build numbers far past what can be printed.
+MAX_CONSTANT_DIGITS = 1000
+_CONSTANT_BOUND = 10**MAX_CONSTANT_DIGITS
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -492,6 +498,8 @@ class _Parser:
             if m.lastgroup == "gen":
                 self.tokens.append(("gen", int(m.group("gen")), pos))
             elif m.lastgroup == "num":
+                if len(m.group("num")) > MAX_CONSTANT_DIGITS:
+                    raise ParseError(f"number longer than {MAX_CONSTANT_DIGITS} digits", pos)
                 self.tokens.append(("num", int(m.group("num")), pos))
             else:
                 self.tokens.append(("op", m.group("op"), pos))
@@ -548,7 +556,18 @@ class _Parser:
     def product(self, a: SSPoly, b: SSPoly, pos: int) -> SSPoly:
         if len(a) * len(b) > MAX_TERMS:
             raise ParseError(f"expansion larger than {MAX_TERMS} terms", pos)
-        return a * b
+        return self.bounded(a * b, pos)
+
+    def bounded(self, f: SSPoly, pos: int) -> SSPoly:
+        """f, unless a product made one of its exponents or constants too
+        large; nested powers reach either one step at a time."""
+        for mono, c in f._terms.items():
+            for k, e2 in mono.items2():
+                if abs(e2) > 2 * MAX_EXPONENT:
+                    raise ParseError(f"product exponent of Q{k} larger than {MAX_EXPONENT} in magnitude", pos)
+            if abs(c.numerator) >= _CONSTANT_BOUND or c.denominator >= _CONSTANT_BOUND:
+                raise ParseError(f"constant longer than {MAX_CONSTANT_DIGITS} digits", pos)
+        return f
 
     # factor := atom ('^' exponent)?
     def factor(self) -> SSPoly:
@@ -586,7 +605,7 @@ class _Parser:
                     raise ParseError("zero has no negative powers", epos)
                 if len(base) == 1 and not base.terms()[0][0].items2():
                     c = base.terms()[0][1]
-                    return SSPoly.constant(c ** e)
+                    return self.bounded(SSPoly.constant(c**e), epos)
                 raise ParseError("negative exponent is only allowed on Q2", epos)
             power = SSPoly.one()
             for _ in range(e):

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import Callable
 
 from . import linalg
@@ -47,7 +49,7 @@ from .partitions import (
     enumerate_partitions,
     frobenius,
 )
-from .qseries import QSeries, d_series, eisenstein, partition_gf, q_bracket
+from .qseries import QSeries, _moment_knapsack, d_series, eisenstein, partition_gf, q_bracket
 from .quasimodular import (
     QMForm,
     bracket_form,
@@ -565,16 +567,89 @@ def suite_depth(rng, max_weight, order):
 # -- series and brackets ----------------------------------------------------------
 
 
-def oracle_bracket(f: SSPoly, order: int) -> QSeries:
-    """<f>_q by direct summation: the sum of f(lambda) q^|lambda| over every
-    partition of size <= order, times the inverse of the partition generating
-    function.  Each value comes from eval_at, which evaluates through the
-    diagonal hooks (c_set), independent of the row sums behind q_bracket."""
-    num = [
-        sum((eval_at(f, lam) for lam in enumerate_partitions(n)), Fraction(0))
-        for n in range(order + 1)
+@lru_cache(maxsize=32)
+def _generator_values(k: int, order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D_k, values) with values[n] = D_k Q_k(lambda) over the partitions of
+    n in enumeration order, for every n <= order, from the row sums
+    S_k(lambda) = sum_i (2 lambda_i - 2i + 1)^(k-1) - (1 - 2i)^(k-1), i from 1,
+    with Q_k(lambda) = beta_k + S_k(lambda) / (2^(k-1) (k-1)!)."""
+    b = beta(k)
+    scale = 2 ** (k - 1) * factorial(k - 1)
+    denom = lcm(b.denominator, scale)
+    base = b.numerator * (denom // b.denominator)
+    unit = denom // scale
+    # rows[i][p]: the row-sum term of part p in row i + 1
+    rows = [
+        [(2 * (p - i) - 1) ** (k - 1) - (-2 * i - 1) ** (k - 1) for p in range(order + 1)]
+        for i in range(order)
     ]
-    return QSeries(num) * partition_gf(order).inverse()
+    row_term = list.__getitem__
+    values = tuple(
+        tuple(base + unit * sum(map(row_term, rows, lam)) for lam in enumerate_partitions(n))
+        for n in range(order + 1)
+    )
+    return denom, values
+
+
+def oracle_row_sums(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
+    """(D, totals) for a Q2-free, Q1-free monomial as qseries._moment_knapsack
+    defines them, by multiplying row-sum generator vectors over every
+    partition: the fast oracle of the knapsack, which lists no partition."""
+    factors = [(_generator_values(k, order), e2 // 2) for k, e2 in mono.items2()]
+    denom = prod(d**e for (d, _), e in factors)
+    totals = []
+    for n in range(order + 1):
+        column = [1] * count_partitions(n)
+        for (_, values), e in factors:
+            column = list(map(mul, column, [v**e for v in values[n]]))
+        totals.append(sum(column))
+    return denom, tuple(totals)
+
+
+def oracle_brackets(polys: list[SSPoly], order: int) -> list[QSeries]:
+    """<f>_q for each f by direct summation: the sum of f(lambda) q^|lambda|
+    over every partition of size <= order, times the inverse of the
+    partition generating function.  The generator values of each partition
+    are computed once for all the polynomials, through the diagonal hooks
+    (c_set) and the Bernoulli constants of oracle_beta, independent of the
+    row sums and of the knapsack behind q_bracket."""
+    projected = []
+    for f in polys:
+        if not f.in_r():
+            raise ValueError("evaluation requires non-negative integer exponents")
+        projected.append(f.pr())
+    monos = sorted({m for f in projected for m, _ in f.terms()}, key=Monomial.sort_key)
+    gens = sorted({k for m in monos for k, _ in m.items2()})
+    # D_k Q_k(lambda) = base_k + unit_k sum over c in c_set of sgn(c) c^(k-1)
+    scaled = {}
+    for k in gens:
+        b = oracle_beta(k)
+        scale = 2 ** (k - 1) * factorial(k - 1)
+        d_k = lcm(b.denominator, scale)
+        scaled[k] = (d_k, b.numerator * (d_k // b.denominator), d_k // scale)
+    exps = [[(k, e2 // 2) for k, e2 in m.items2()] for m in monos]
+    sums = [[0] * (order + 1) for _ in monos]
+    for n in range(order + 1):
+        for lam in enumerate_partitions(n):
+            cs = c_set(lam)
+            value = {}
+            for k in gens:
+                _, base, unit = scaled[k]
+                value[k] = base + unit * sum(c ** (k - 1) if c > 0 else -(c ** (k - 1)) for c in cs)
+            for row, mono_exps in zip(sums, exps):
+                row[n] += prod(value[k] ** e for k, e in mono_exps)
+    mono_sums = {}
+    for m, row, mono_exps in zip(monos, sums, exps):
+        denom = prod(scaled[k][0] ** e for k, e in mono_exps)
+        mono_sums[m] = [Fraction(t, denom) for t in row]
+    inverse = partition_gf(order).inverse()
+    return [
+        QSeries(
+            [sum((c * mono_sums[m][n] for m, c in f.terms()), Fraction(0)) for n in range(order + 1)]
+        )
+        * inverse
+        for f in projected
+    ]
 
 
 def suite_euler_product(rng, max_weight, order):
@@ -625,10 +700,20 @@ def suite_q2_shifts_bracket(rng, max_weight, order):
 
 def suite_bracket_oracle(rng, max_weight, order):
     rows = rows_up_to(max_weight)
-    for lam, _, _ in rows:
-        h = basis_element(lam)
-        if q_bracket(h, order) != oracle_bracket(h, order):
+    hs = [basis_element(lam) for lam, _, _ in rows]
+    for (lam, _, _), h, want in zip(rows, hs, oracle_brackets(hs, order)):
+        if q_bracket(h, order) != want:
             return False, f"bracket differs from direct summation at {lam}"
+    return True, f"{len(rows)} table rows, order {order}"
+
+
+def suite_knapsack_oracle(rng, max_weight, order):
+    rows = rows_up_to(max_weight)
+    for lam, _, _ in rows:
+        for mono, _ in basis_element(lam).pr().terms():
+            q2_free = Monomial(t for t in mono.items2() if t[0] != 2)
+            if _moment_knapsack(q2_free, order) != oracle_row_sums(q2_free, order):
+                return False, f"knapsack differs from the row sums at {lam}, monomial {q2_free}"
     return True, f"{len(rows)} table rows, order {order}"
 
 
@@ -751,6 +836,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("series.q1_kills_bracket", suite_q1_kills_bracket),
     ("series.q2_shifts_bracket", suite_q2_shifts_bracket),
     ("series.bracket_oracle", suite_bracket_oracle),
+    ("series.knapsack_oracle", suite_knapsack_oracle),
     ("forms.sl2_triple", suite_qm_sl2),
     ("forms.equivariance", suite_equivariance),
     ("forms.depth_bound", suite_depth_bound),

@@ -422,3 +422,56 @@ def test_unrecognizable_weight_is_refused_before_summing():
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("recognition error: insufficient order: weight 2700")
     assert proc.stderr.count("\n") == 1
+
+
+def test_odd_part_too_heavy_for_the_order_is_refused_before_summing():
+    # summing the weight-2593 series first took 15 s, only to print zero
+    proc = _run_cli_within(10, "qbracket", "Q10^100*Q9^100*Q7^99", "-N", "40")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("recognition error: insufficient order: weight 2593")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_odd_part_is_bounded_as_the_even_weight_below_it(capsys):
+    # at N=40 the largest admitted odd weight is 33, as the largest even one is 32
+    code, out, _ = run(capsys, "qbracket", "Q3^11", "-N", "40")
+    assert code == 0 and out.strip().splitlines()[-1] == "0"
+    for argv in (("qbracket", "Q3^10*Q5", "-N", "40"), ("qbracket", "Q3", "-N", "9")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("recognition error: insufficient order: weight") and err.count("\n") == 1
+    code, out, _ = run(capsys, "qbracket", "Q3", "-N", "10")
+    assert code == 0 and out.strip().splitlines()[-1] == "0"
+
+
+def test_nested_powers_are_parse_errors():
+    for expr, message in (
+        ("((Q2^100)^100)^100", "product exponent of Q2 larger than 100"),
+        ("(Q2^100)^100", "product exponent of Q2 larger than 100"),
+        ("((2^100)^100)^100", "constant longer than 1000 digits"),
+    ):
+        proc = _run_cli_within(10, "eval", expr, "(1)")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"parse error: {message}")
+        assert proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    import os
+    import subprocess
+    import sys
+
+    import shsym
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shsym.__file__)))
+    for argv in (("basis", "12"), ("qbracket", "Q4", "-N", "30", "--format", "json")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shsym.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader leaves before the first write
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 1
+        assert err == b""

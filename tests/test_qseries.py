@@ -15,7 +15,9 @@ from shsym.qseries import (
     sigma,
 )
 from shsym.ssym import Monomial, SSPoly, eval_at, parse_poly
-from shsym.verify import oracle_bracket
+from shsym.qseries import _moment_knapsack
+from shsym.reference import rows_up_to
+from shsym.verify import oracle_brackets, oracle_row_sums
 
 Q1, Q2, Q3 = (SSPoly.gen(k) for k in (1, 2, 3))
 
@@ -160,15 +162,54 @@ def random_kernel_input(rng):
 @pytest.mark.parametrize("order", [0, 1, 12, 24])
 def test_q_bracket_kernel_equals_direct_summation(order):
     rng = random.Random(1000 + order)
-    for _ in range(4):
-        f = random_kernel_input(rng)
-        assert q_bracket(f, order) == oracle_bracket(f, order), format(f)
+    fs = [random_kernel_input(rng) for _ in range(4)]
+    for f, want in zip(fs, oracle_brackets(fs, order)):
+        assert q_bracket(f, order) == want, format(f)
+
+
+def random_generator_product(rng):
+    """A product of up to 4 generators from Q3..Q8 with exponents up to 4."""
+    gens = rng.sample(range(3, 9), rng.randint(1, 4))
+    return Monomial((k, 2 * rng.randint(1, 4)) for k in gens)
+
+
+@pytest.mark.parametrize("order", [0, 1, 12, 24, 36])
+def test_knapsack_equals_row_sums(order):
+    rng = random.Random(2000 + order)
+    monos = {
+        Monomial(t for t in m.items2() if t[0] != 2)
+        for lam, _, _ in rows_up_to(10)
+        for m, _ in basis_element(lam).pr().terms()
+    }
+    monos |= {random_generator_product(rng) for _ in range(4)}
+    for m in sorted(monos, key=Monomial.sort_key):
+        assert _moment_knapsack(m, order) == oracle_row_sums(m, order), m
+
+
+def test_q_bracket_never_lists_partitions(monkeypatch):
+    import sys
+
+    from shsym import partitions
+
+    def refuse(*args):
+        raise AssertionError("q_bracket listed partitions")
+
+    for name in ("enumerate_partitions", "enumerate_min_part"):
+        original = getattr(partitions, name)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "shsym" or mod_name.startswith("shsym."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, refuse)
+    _moment_knapsack.cache_clear()
+    f = parse_poly("1 + Q2^3 - 2/3*Q6 + Q2*Q4^2 + Q3^2*Q5 + Q1*Q3")
+    assert not q_bracket(f, 36).is_zero
 
 
 def test_q2_bracket_is_minus_p_over_24_at_order_30():
     want = eisenstein(2, 30) * Fraction(-1, 24)
     assert q_bracket(Q2, 30).coeffs == want.coeffs
-    assert oracle_bracket(Q2, 30).coeffs == want.coeffs
+    assert oracle_brackets([Q2], 30)[0].coeffs == want.coeffs
 
 
 def test_q_bracket_rejects_bad_exponents():

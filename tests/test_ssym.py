@@ -231,6 +231,23 @@ def test_parse_bounds_the_expansion_of_products_and_powers():
             parse_poly(bad)
 
 
+def test_parse_bounds_the_exponents_and_constants_a_product_reaches():
+    from shsym.ssym import MAX_CONSTANT_DIGITS, MAX_EXPONENT
+
+    assert parse_poly("Q2^100*Q2^-1") == Q2**99
+    assert parse_poly("Q2^60*Q3^60") == Q2**60 * Q3**60
+    assert parse_poly("(2^100)^10") == SSPoly.constant(2**1000)
+    assert parse_poly("9" * MAX_CONSTANT_DIGITS) == SSPoly.constant(int("9" * MAX_CONSTANT_DIGITS))
+    for bad in ("Q2^100*Q2", "Q2^(-199/2)*Q2^-1", "(Q3^10)^11"):
+        with pytest.raises(ParseError, match=f"product exponent of Q[23] larger than {MAX_EXPONENT}"):
+            parse_poly(bad)
+    for bad in ("(10^100)^10", "(1/10^100)^10", "(2^100)^-100"):
+        with pytest.raises(ParseError, match=f"constant longer than {MAX_CONSTANT_DIGITS} digits"):
+            parse_poly(bad)
+    with pytest.raises(ParseError, match="number longer than"):
+        parse_poly("1" * (MAX_CONSTANT_DIGITS + 1))
+
+
 def test_format_examples():
     assert format_poly(SSPoly.zero()) == "0"
     assert format_poly(-Q3) == "-Q3"
