@@ -226,18 +226,22 @@ def bracket_form(
     series.  With `weight`, the whole bracket is recognized at that weight.
     An odd weight must give the zero series.
     """
-    parts = f.weight_components() if weight is None else {weight: f}
+    components = f.weight_components()
+    parts = components if weight is None else {weight: f}
     # Check every part before bracketing any: input q_bracket rejects is
     # reported as such rather than as a recognition failure, and a weight
     # too large for the order is refused before its series is summed.  An
-    # odd part is bounded as the even weight below it would be.
-    for fw in parts.values():
-        check_bracket_input(fw, order)
+    # odd part is bounded as the even weight below it would be.  The real
+    # weights of f are bounded even when another weight is declared, since
+    # they, not the declared one, set the cost of the sum.
+    check_bracket_input(f, order)
     for w in parts:
         if w % 2 == 0:
             check_recognizable(w, order)
         else:
             _check_order(w, order)
+    for w in components:
+        _check_order(w, order)
     brackets = {w: q_bracket(fw, order) for w, fw in parts.items()}
     series, form = QSeries.zero(order), QMForm.zero()
     for w, s in brackets.items():

@@ -424,6 +424,20 @@ def test_unrecognizable_weight_is_refused_before_summing():
     assert proc.stderr.count("\n") == 1
 
 
+def test_declared_weight_does_not_lift_the_bound_on_the_real_weights():
+    # the sum costs what f's own weights cost, whatever weight is declared:
+    # the moment vector of this product alone would hold 101^3 entries
+    for argv in (
+        ("qbracket", "Q10^100*Q9^100*Q8^100", "-N", "40", "--weight", "2"),
+        ("qbracket", "Q2 + Q10^100*Q9^100*Q8^100", "-N", "40", "--weight", "2"),
+        ("qbracket", "Q5^4*Q6^4*Q7^4*Q8^4", "-N", "40", "--weight", "104"),
+    ):
+        proc = _run_cli_within(10, *argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("recognition error: insufficient order: weight")
+        assert proc.stderr.count("\n") == 1
+
+
 def test_odd_part_too_heavy_for_the_order_is_refused_before_summing():
     # summing the weight-2593 series first took 15 s, only to print zero
     proc = _run_cli_within(10, "qbracket", "Q10^100*Q9^100*Q7^99", "-N", "40")
