@@ -27,6 +27,7 @@ from .quasimodular import (
     recognize,
 )
 from .ssym import (
+    MAX_CONSTANT_DIGITS,
     ParseError,
     SSPoly,
     eval_at,
@@ -163,6 +164,13 @@ def cmd_eval(args) -> int:
     f = parse_poly(_read_expr(args.expr))
     lam = parse_partition(args.partition)
     value = eval_at(f, lam)
+    # refused before printing: the interpreter will not convert an integer
+    # this long to text, and its limit is not ours to change
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_CONSTANT_DIGITS:
+        raise ValueError(
+            f"value at {format_partition(lam)} has a numerator or denominator"
+            f" longer than {MAX_CONSTANT_DIGITS} digits"
+        )
     if args.format == "json":
         print(json.dumps({"value": str(value)}))
     else:

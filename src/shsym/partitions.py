@@ -69,7 +69,10 @@ def _reverse_lex(n: int) -> Iterator[Partition]:
         yield tuple(x[:m])
 
 
-@lru_cache(maxsize=None)
+# Partition lists are cached per size.  The CLI lists sizes <= 20 (basis,
+# tables, the weight of a decompose input); verify and the bracket oracles
+# list every size up to their order, at most 40.  64 entries hold them all.
+@lru_cache(maxsize=64)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in lexicographically decreasing order."""
     if n < 0:
@@ -77,7 +80,10 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(_reverse_lex(n))
 
 
-@lru_cache(maxsize=None)
+# A CLI request lists sizes <= 20 with its own smallest part and with 2
+# (the monomial basis behind harmonic); verify uses 1, 2 and 3 at sizes
+# <= 25.  256 entries hold sizes <= 25 for nine smallest parts.
+@lru_cache(maxsize=256)
 def enumerate_min_part(n: int, m: int) -> tuple[Partition, ...]:
     """Partitions of n whose every part is >= m, lexicographically decreasing."""
     if n < 0:

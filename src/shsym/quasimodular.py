@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from math import lcm
+from typing import Mapping, NamedTuple, Union
 
 from . import linalg
 from .harmonic import Decomposition, decompose
@@ -142,11 +143,102 @@ def _check_order(k: int, order: int) -> None:
         )
 
 
+# Recognition works in integers: P, Q and R have integer coefficients, so
+# every column P^a Q^b R^c does, and a fraction-free elimination of the
+# columns (Bareiss, "Sylvester's identity and multistep integer-preserving
+# Gaussian elimination", Math. Comp. 22, 1968) is done once per (weight,
+# order).  `expand` and `_gen_power` stay in Fractions; verify keeps the
+# Fraction solve over their columns as the oracle.
+
+
+def _int_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two integer series of equal length, truncated to it."""
+    return tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a)))
+
+
+# The same 32 powers per order as _gen_power: P^0..P^16, Q^0..Q^8, R^0..R^5
+# cover every weight <= 32, the most an order <= 40 admits.
+@lru_cache(maxsize=1024)
+def _int_power(weight: int, e: int, order: int) -> tuple[int, ...]:
+    """The e-th power of the weight-2, -4 or -6 generator, as integers."""
+    if e == 0:
+        return (1,) + (0,) * order
+    base = tuple(c.numerator for c in eisenstein(weight, order).coeffs)
+    return _int_mul(_int_power(weight, e - 1, order), base)
+
+
+class _Elimination(NamedTuple):
+    """A weight-k system A x = b with rows 0..order, eliminated for any b.
+
+    With `det` the last pivot, each row of `solve` is an integer vector u
+    with u A = det * e_c for its pivot column c, so x_c = u b / det.  Each
+    row of `null` is an integer vector v with v A = 0, one per row of A
+    outside the pivot rows; b is consistent exactly when every v b is 0.
+    Vectors are sparse, as (row index, value) pairs.
+    """
+
+    det: int
+    pivots: tuple[int, ...]
+    solve: tuple[tuple[tuple[int, int], ...], ...]
+    null: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _sparse(row: list[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((i, v) for i, v in enumerate(row) if v)
+
+
+# A CLI request recognizes at one order, at the even weights <= 32 it admits
+# (17 at most); the bound holds every weight at three orders.
+@lru_cache(maxsize=64)
+def _elimination(k: int, order: int) -> _Elimination:
+    """Fraction-free Gauss-Jordan elimination of [A | I], where column
+    (a, b, c) of A is P^a Q^b R^c to `order`.
+
+    Step j divides by the previous pivot; the quotient is exact by
+    Sylvester's identity, so every entry stays an integer.
+    """
+    columns = [
+        _int_mul(_int_mul(_int_power(2, a, order), _int_power(4, b, order)), _int_power(6, c, order))
+        for a, b, c in monomials_of_weight(k)
+    ]
+    n_rows, n_cols = order + 1, len(columns)
+    rows = [
+        [col[i] for col in columns] + [int(i == j) for j in range(n_rows)]
+        for i in range(n_rows)
+    ]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(n_cols):
+        r = len(pivots)
+        found = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in range(n_rows):
+            if i != r:
+                row, f = rows[i], rows[i][c]
+                rows[i] = [(p * v - f * w) // prev for v, w in zip(row, pivot_row)]
+        pivots.append(c)
+        prev = p
+    r = len(pivots)
+    return _Elimination(
+        det=prev,
+        pivots=tuple(pivots),
+        solve=tuple(_sparse(row[n_cols:]) for row in rows[:r]),
+        null=tuple(_sparse(row[n_cols:]) for row in rows[r:]),
+    )
+
+
 def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
     """Identify a truncated series as the unique weight-k form.
 
     Requires order + 1 >= number of weight-k monomials + margin; the extra
-    rows turn the solve into an overdetermined consistency check.
+    rows turn the solve into an overdetermined consistency check.  Raises
+    RecognitionError when the coefficients to `order` are not those of a
+    weight-k form, and LinearSolveError("underdetermined") when they do not
+    pin one down.
     """
     if order is None:
         order = s.order
@@ -155,19 +247,23 @@ def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
             f"series order {s.order} is below the requested order {order}"
         )
     check_recognizable(k, order)
+    elim = _elimination(k, order)
+    rhs = s.coeffs[: order + 1]
+    den = lcm(*(c.denominator for c in rhs))
+    b = [c.numerator * (den // c.denominator) for c in rhs]
+    for v in elim.null:
+        if sum(x * b[i] for i, x in v):
+            raise RecognitionError(f"not quasimodular of weight {k} at this order")
     triples = monomials_of_weight(k)
-    columns = [expand(QMForm({t: 1}), order).coeffs for t in triples]
-    matrix = [[col[n] for col in columns] for n in range(order + 1)]
-    rhs = list(s.coeffs[: order + 1])
-    try:
-        solution = linalg.solve(matrix, rhs)
-    except linalg.LinearSolveError as exc:
-        if exc.kind == "inconsistent":
-            raise RecognitionError(
-                f"not quasimodular of weight {k} at this order"
-            ) from None
-        raise
-    return QMForm({t: c for t, c in zip(triples, solution)})
+    if len(elim.pivots) < len(triples):
+        raise linalg.LinearSolveError("underdetermined")
+    scale = elim.det * den
+    return QMForm(
+        {
+            triples[c]: Fraction(sum(x * b[i] for i, x in u), scale)
+            for c, u in zip(elim.pivots, elim.solve)
+        }
+    )
 
 
 # -- derivations ---------------------------------------------------------------

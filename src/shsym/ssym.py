@@ -309,7 +309,11 @@ class SSPoly(SparseTerms):
 # -- evaluation on partitions ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Keys are 8, 16, 32, ...: beta(k) reads the list of the first key >= k, so
+# a new k redoes the O(k^2) inversion only when it doubles the largest yet.
+# Parsed generators stop at MAX_GENERATOR = 100, which the keys up to 128
+# cover with five entries; the rest is room for library callers.
+@lru_cache(maxsize=8)
 def _beta_list(upto: int) -> tuple[Fraction, ...]:
     # Invert g(z) = sum_j z^(2j) / (4^j (2j+1)!), the odd-part series of
     # the hook generating function divided by z.  g(0) = 1.
@@ -329,7 +333,10 @@ def beta(k: int) -> Fraction:
     """Constant term sequence of the empty-partition evaluation of Q_k."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _beta_list(max(k, 8))[k]
+    upto = 8
+    while upto < k:
+        upto *= 2
+    return _beta_list(upto)[k]
 
 
 @lru_cache(maxsize=1 << 18)
@@ -465,6 +472,11 @@ _TOKEN_RE = re.compile(r"Q(?P<gen>\d+)|(?P<num>\d+)|(?P<op>[-+*/^()])")
 # interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Largest generator index parse_poly accepts.  The constant term beta(k) of
+# Q_k inverts a series of length k in Fractions: 0.03 s at k = 100, 1 s at
+# k = 400.  Brackets and decompositions bound weights far below this.
+MAX_GENERATOR = 100
+
 # Largest magnitude of an exponent parse_poly accepts (half-integer exponents
 # of Q2 included).  Evaluation raises exact rationals to these powers, so an
 # unbounded exponent is an unbounded request.
@@ -496,7 +508,10 @@ class _Parser:
             if not m:
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             if m.lastgroup == "gen":
-                self.tokens.append(("gen", int(m.group("gen")), pos))
+                digits = m.group("gen")
+                if len(digits) > MAX_CONSTANT_DIGITS or int(digits) > MAX_GENERATOR:
+                    raise ParseError(f"generator index larger than {MAX_GENERATOR}", pos)
+                self.tokens.append(("gen", int(digits), pos))
             elif m.lastgroup == "num":
                 if len(m.group("num")) > MAX_CONSTANT_DIGITS:
                     raise ParseError(f"number longer than {MAX_CONSTANT_DIGITS} digits", pos)

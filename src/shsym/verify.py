@@ -51,8 +51,12 @@ from .partitions import (
 )
 from .qseries import QSeries, _moment_knapsack, d_series, eisenstein, partition_gf, q_bracket
 from .quasimodular import (
+    RECOGNITION_MARGIN,
+    InsufficientOrderError,
     QMForm,
+    RecognitionError,
     bracket_form,
+    check_recognizable,
     d_hat,
     depth,
     expand,
@@ -62,7 +66,7 @@ from .quasimodular import (
     recognize,
     w_hat,
 )
-from .reference import rows_up_to
+from .reference import even_rows, rows_up_to
 from .ssym import Monomial, SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
 
 DEFAULT_SEED = 1729
@@ -729,6 +733,29 @@ def random_qmform(rng, weight: int) -> QMForm:
     return QMForm(terms)
 
 
+def oracle_recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
+    """recognize by Gaussian elimination in Fractions (linalg.solve) over
+    the columns that expand gives, independent of recognize's integer
+    columns and its cached elimination; the same errors with the same text."""
+    if order is None:
+        order = s.order
+    if order > s.order:
+        raise InsufficientOrderError(
+            f"series order {s.order} is below the requested order {order}"
+        )
+    check_recognizable(k, order)
+    triples = monomials_of_weight(k)
+    columns = [expand(QMForm({t: 1}), order).coeffs for t in triples]
+    matrix = [[col[n] for col in columns] for n in range(order + 1)]
+    try:
+        solution = linalg.solve(matrix, list(s.coeffs[: order + 1]))
+    except linalg.LinearSolveError as exc:
+        if exc.kind == "inconsistent":
+            raise RecognitionError(f"not quasimodular of weight {k} at this order") from None
+        raise
+    return QMForm(dict(zip(triples, solution)))
+
+
 def suite_qm_sl2(rng, max_weight, order):
     for trial in range(20):
         w = rng.choice(range(0, 12, 2))
@@ -787,6 +814,39 @@ def suite_recognize_roundtrip(rng, max_weight, order):
     return True, "12 samples, weights <= 12"
 
 
+def suite_recognize_oracle(rng, max_weight, order):
+    weights = [
+        w
+        for w in range(0, max_weight + 1, 2)
+        if order + 1 >= len(monomials_of_weight(w)) + RECOGNITION_MARGIN
+    ]
+    series = [
+        (lam, q_bracket(basis_element(lam), order), sum(lam))
+        for lam, _, _ in even_rows(max_weight)
+        if sum(lam) in weights
+    ]
+    series += [(w, expand(random_qmform(rng, w), order), w) for w in weights]
+    for label, s, w in series:
+        if recognize(s, w) != oracle_recognize(s, w):
+            return False, f"recognize differs from the oracle at {label}"
+        if w == 0:
+            continue
+        for row in (0, order):  # a pivot row and a margin row
+            coeffs = list(s.coeffs)
+            coeffs[row] += 1
+            bad = QSeries(coeffs)
+            errors = []
+            for recognizer in (recognize, oracle_recognize):
+                try:
+                    recognizer(bad, w)
+                    errors.append(None)
+                except RecognitionError as exc:
+                    errors.append(str(exc))
+            if errors[0] is None or errors[0] != errors[1]:
+                return False, f"a perturbed row {row} is not refused alike at {label}"
+    return True, f"{len(series)} series at even weights <= {max_weight}, order {order}"
+
+
 def suite_modularity_criterion(rng, max_weight, order):
     for trial in range(8):
         w = rng.choice([2, 4, 6, 8, 10])
@@ -841,6 +901,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("forms.equivariance", suite_equivariance),
     ("forms.depth_bound", suite_depth_bound),
     ("forms.recognize_roundtrip", suite_recognize_roundtrip),
+    ("forms.recognize_oracle", suite_recognize_oracle),
     ("forms.modularity_criterion", suite_modularity_criterion),
     ("goldens.tables", suite_golden_tables),
 )

@@ -10,10 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_job_runs_a_bracket(tmp_path):
+def _traced(tmp_path, *cli_args):
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
-        [sys.executable, "perfbench/traced_job.py", str(spans), "0", "--", "qbracket", "Q4", "-N", "12"],
+        [sys.executable, "perfbench/traced_job.py", str(spans), "0", "--", *cli_args],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -21,6 +21,14 @@ def test_traced_job_runs_a_bracket(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "1/1152*P^2 + 1/2880*Q"
-    report = json.loads(spans.read_text())
+    return proc.stdout, json.loads(spans.read_text())
+
+
+def test_traced_job_runs_a_bracket(tmp_path):
+    out, report = _traced(tmp_path, "qbracket", "Q4", "-N", "12")
+    assert out.splitlines()[-1] == "1/1152*P^2 + 1/2880*Q"
     assert report["calls"]["qseries.q_bracket"] == 1
+    # a table reaches recognition; the oracle-only linalg names are rebound too
+    out, report = _traced(tmp_path, "tables", "--max-weight", "4", "-N", "14", "--format", "latex")
+    assert out.splitlines()[-2] == r"(4) & \frac{27}{4} Q_2^2 + \frac{27}{2} Q_4 & \frac{9}{320} Q \\"
+    assert report["calls"]["quasimodular.recognize"] == 2

@@ -334,6 +334,21 @@ def test_limits_admit_the_benchmark_sizes():
     assert MAX_EXPONENT >= 9  # a weight-18 decompose input may hold Q2^9
 
 
+def test_every_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import shsym
+
+    caches = []
+    for info in pkgutil.iter_modules(shsym.__path__):
+        module = importlib.import_module(f"shsym.{info.name}")
+        caches += [(info.name, name, f) for name, f in vars(module).items() if hasattr(f, "cache_parameters")]
+    assert len(caches) >= 15
+    for module, name, f in caches:
+        assert f.cache_parameters()["maxsize"] is not None, f"{module}.{name}"
+
+
 def _assert_one_line_usage_error(capsys, *argv, prefix="error: "):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -405,6 +420,34 @@ def _run_cli_within(seconds, *argv):
         env=env,
         timeout=seconds,
     )
+
+
+def test_generator_index_over_limit_is_parse_error():
+    # beta(3000) would invert a 3000-term series of Fractions
+    from shsym.ssym import MAX_GENERATOR
+
+    proc = _run_cli_within(10, "eval", "Q3000", "()")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"parse error: generator index larger than {MAX_GENERATOR}")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_eval_value_too_long_to_print_is_usage_error(capsys):
+    import sys
+
+    from shsym.ssym import MAX_CONSTANT_DIGITS
+
+    limit = sys.get_int_max_str_digits()
+    _assert_one_line_usage_error(
+        capsys,
+        "eval",
+        "Q20^100*Q19^100*Q18^100",
+        "(5,3)",
+        prefix=f"error: value at (5,3) has a numerator or denominator longer than {MAX_CONSTANT_DIGITS} digits",
+    )
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run(capsys, "eval", "Q20^10", "(5,3)")
+    assert code == 0 and len(out) > 100
 
 
 def test_runaway_expansion_is_parse_error():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from shsym import quasimodular
 from shsym.harmonic import basis_element
+from shsym.linalg import LinearSolveError
 from shsym.partitions import enumerate_min_part
 from shsym.qseries import QSeries, d_series, eisenstein, partition_gf, q_bracket
 from shsym.quasimodular import (
@@ -22,7 +24,9 @@ from shsym.quasimodular import (
     recognize,
     w_hat,
 )
+from shsym.reference import ROWS
 from shsym.ssym import Monomial, SSPoly
+from shsym.verify import oracle_recognize
 
 P = QMForm.gen("P")
 Q = QMForm.gen("Q")
@@ -104,6 +108,76 @@ def test_recognize_expand_roundtrip():
         for _ in range(3):
             m = random_form(rng, w)
             assert recognize(expand(m, 30), w) == m
+
+
+def _outcome(recognizer, s, k, order=None):
+    try:
+        return recognizer(s, k, order)
+    except (ValueError, LinearSolveError) as exc:
+        return type(exc), str(exc)
+
+
+def _admitted(k, order):
+    return order + 1 >= len(monomials_of_weight(k)) + quasimodular.RECOGNITION_MARGIN
+
+
+def test_recognize_equals_oracle():
+    for lam, _, bracket in ROWS:
+        k = sum(lam)
+        s = q_bracket(basis_element(lam), 30)
+        got = _outcome(recognize, s, k)
+        assert got == _outcome(oracle_recognize, s, k), lam
+        if bracket is not None:
+            coeff, triple = bracket
+            assert got == QMForm({triple: coeff}), lam
+    rng = random.Random(11)
+    for k in range(0, 33, 2):
+        smallest = next(n for n in range(200) if _admitted(k, n))
+        for order in sorted({smallest, 30, 40}):
+            if not _admitted(k, order):
+                continue
+            m = random_form(rng, k)
+            s = expand(m, order)
+            assert recognize(s, k) == oracle_recognize(s, k) == m, (k, order)
+            if k == 0 or order != smallest:
+                continue  # a constant stays a constant
+            # row 0 is a pivot row of every weight; the last row is margin
+            for row in (0, order):
+                coeffs = list(s.coeffs)
+                coeffs[row] += Fraction(1, 7)
+                bad = QSeries(coeffs)
+                got = _outcome(recognize, bad, k)
+                assert got == _outcome(oracle_recognize, bad, k)
+                assert got == (RecognitionError, f"not quasimodular of weight {k} at this order")
+    for s, k, order in ((QSeries.one(5), 2, None), (QSeries.one(30), 10, 50), (QSeries.one(30), -2, None)):
+        assert _outcome(recognize, s, k, order) == _outcome(oracle_recognize, s, k, order)
+
+
+def test_recognize_reads_the_requested_prefix():
+    s = expand(Q * Fraction(9, 320), 30)
+    tail = QSeries(list(s.coeffs[:21]) + [Fraction(1)] * 10)
+    assert recognize(tail, 4, 20) == oracle_recognize(tail, 4, 20) == Q * Fraction(9, 320)
+
+
+def test_rank_deficient_columns_are_underdetermined(monkeypatch):
+    # With E4 replaced by E2^2 the weight-4 columns P^2 and Q coincide
+    e2 = eisenstein(2, 30)
+    fake = {2: e2, 4: e2 * e2, 6: eisenstein(6, 30)}
+    caches = (quasimodular._int_power, quasimodular._elimination, quasimodular._gen_power)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(quasimodular, "eisenstein", lambda k, order: fake[k])
+    try:
+        for recognizer in (recognize, oracle_recognize):
+            assert _outcome(recognizer, e2 * e2 * 3, 4) == (LinearSolveError, "linear system is underdetermined")
+            assert _outcome(recognizer, e2 * e2 + QSeries([0, 1], 30), 4) == (
+                RecognitionError,
+                "not quasimodular of weight 4 at this order",
+            )
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_ramanujan_identities():

@@ -222,12 +222,21 @@ def test_parse_bounds_the_expansion_of_products_and_powers():
     from shsym.ssym import MAX_TERMS
 
     a = "+".join(f"Q{k}" for k in range(1, 101))
-    b = "+".join(f"Q{k}" for k in range(101, 201))
+    b = "+".join(f"Q{k}^3" for k in range(1, 101))  # Q_i * Q_j^3 are all distinct
     assert MAX_TERMS == 100 * 100
     assert len(parse_poly(f"({a})*({b})")) == MAX_TERMS
     assert parse_poly("(1+Q2)^100") == (SSPoly.one() + Q2) ** 100
-    for bad in (f"({a})*({b}+Q201)", "(Q1+Q2+Q3+Q4+Q5+Q6+Q7+Q8+Q9)^100"):
+    for bad in (f"({a})*({b}+Q1^5)", "(Q1+Q2+Q3+Q4+Q5+Q6+Q7+Q8+Q9)^100"):
         with pytest.raises(ParseError, match="expansion larger than"):
+            parse_poly(bad)
+
+
+def test_parse_bounds_the_generator_index():
+    from shsym.ssym import MAX_GENERATOR
+
+    assert parse_poly(f"Q{MAX_GENERATOR}") == SSPoly.gen(MAX_GENERATOR)
+    for bad in (f"Q{MAX_GENERATOR + 1}", "Q3000", "2*Q" + "9" * 5000):
+        with pytest.raises(ParseError, match=f"generator index larger than {MAX_GENERATOR}"):
             parse_poly(bad)
 
 
