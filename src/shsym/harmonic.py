@@ -19,7 +19,14 @@ from math import factorial
 from typing import Iterable
 
 from . import linalg
-from .operators import delta_lambda, falling_factorial, kelvin, laplacian
+from .operators import (
+    delta_lambda,
+    falling_factorial,
+    kelvin,
+    laplacian,
+    multinomial,
+    pr_delta_n,
+)
 from .partitions import (
     Partition,
     check_partition,
@@ -168,10 +175,16 @@ def decompose(f: SSPoly) -> Decomposition:
 @lru_cache(maxsize=_ELEMENT_CACHE_SIZE)
 def basis_element(lam: Partition) -> SSPoly:
     """The harmonic element attached to a partition: the projected,
-    Kelvin-conjugated image of delta_lambda applied to the Kelvin unit."""
+    Kelvin-conjugated image of delta_lambda applied to the Kelvin unit.
+
+    delta_n commutes with Q1, so the projection is taken after each part,
+    largest first, and no Q1 term is carried to the end.
+    """
     lam = check_partition(lam)
-    seed = kelvin(SSPoly.one())
-    h = kelvin(delta_lambda(lam, seed).pr())
+    g = kelvin(SSPoly.one())
+    for part in lam:
+        g = pr_delta_n(part, g)
+    h = kelvin(g * multinomial(lam))
     if not h.in_lambda_star():
         raise AssertionError(f"basis element for {lam} left the Q1-free ring")
     return h

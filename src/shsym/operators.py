@@ -9,9 +9,14 @@ many nonzero terms on any polynomial), with integer numerators over the
 fixed denominator 2^n.  The lowering operator `d_op` is its order-1 case.
 `delta_n` is linear over images of the same kind, each built in integers
 from the `d_op_n` images, and the laplacian is half of `delta_n(2)`.
-Images are cached per (order, monomial) in bounded LRU caches, since the
-harmonic basis expands the same monomials many times; a call combines them
-in integers and divides once per output monomial.
+`delta_n` commutes with multiplication by Q1, so its projection
+`pr_delta_n` (the Q1-free part) is linear over projected images: the
+lowering inside them is kept whole, and the `d_op_n` walk applied last
+visits only the slot multisets that can leave a Q1-free monomial.  The
+harmonic basis is built from these; every other caller uses the whole
+images.  Images are cached per (order, monomial) in bounded LRU caches,
+since the harmonic basis expands the same monomials many times; a call
+combines them in integers and divides once per output monomial.
 """
 
 from __future__ import annotations
@@ -55,28 +60,34 @@ def euler_op(f: SSPoly) -> SSPoly:
     return SSPoly({m: c * m.weight() for m, c in f.terms()})
 
 
-# Entries kept by each of the three caches below; `shsym basis 18` needs
-# 2,860 d_op_n and 995 delta_n images, which hold 1,506 distinct monomials.
+# Entries kept by each of the four caches below; `shsym basis 18` needs
+# 2,500 d_op_n images (1,664 of them projected) and 238 projected delta_n
+# images, which hold 1,154 distinct monomials.
 _IMAGE_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_IMAGE_CACHE_SIZE)
 def _shared(mono: Monomial) -> Monomial:
     """The first-seen monomial equal to mono.  Images repeat the same output
-    monomials (10,220 entries over 1,022 monomials in `shsym basis 18`), so
+    monomials (4,514 entries over 1,154 monomials in `shsym basis 18`), so
     they keep one object per distinct monomial, which also lets dict lookups
     match by identity."""
     return mono
 
 
 @lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """d_op_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n.
+def _d_op_n_image(
+    n: int, mono: Monomial, q1_free: bool = False
+) -> tuple[tuple[Monomial, int], ...]:
+    """d_op_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n;
+    with q1_free, only its Q1-free terms (its projection).
 
     Each multiset of derivative slots {Q_k^t_k} with sum t_k = n contributes
     n!/prod t_k! arrangements, the hook multinomial
     (sum (k-1) t_k)!/prod (k-1)!^t_k and the falling factorials of the
-    halved exponents, (e2/2)_t = prod_{i<t} (e2 - 2i) / 2^t.
+    halved exponents, (e2/2)_t = prod_{i<t} (e2 - 2i) / 2^t.  A term is
+    free of Q1 exactly when its Q1 slot count equals the Q1 exponent and its
+    hook weight is not 1, so the projection walks only those multisets.
     """
     acc: dict[Monomial, int] = {}
     support = mono.items2()
@@ -93,7 +104,7 @@ def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
             for i in range(t):
                 deriv *= e2 - 2 * i
             changes[k] = -2 * t
-        if not deriv:
+        if not deriv or (q1_free and hook_weight == 1):
             return
         inner = factorial(hook_weight)
         for k, _, t in chosen:
@@ -121,18 +132,25 @@ def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
         for t in range(cap + 1):
             walk(idx + 1, remaining - t, chosen + ((k, e2, t),) if t else chosen)
 
-    walk(0, n, ())
+    if q1_free and mono.has_q1():
+        _, e2 = support[0]  # the support is sorted, so Q1 comes first
+        if e2 // 2 <= n:
+            walk(1, n - e2 // 2, ((1, e2, e2 // 2),))
+    else:
+        walk(0, n, ())
     return tuple(acc.items())
 
 
-@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """delta_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n.
+def _delta_n_sum(n: int, mono: Monomial, q1_free: bool) -> tuple[tuple[Monomial, int], ...]:
+    """delta_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n;
+    with q1_free, only its Q1-free terms.
 
     The i-th summand (-1)^i C(n, i) d_op_n(n - i, d_op^i mono) is built from
     the order-1 and order-(n - i) images: d_op^i mono has numerators over
     2^i and each order-(n - i) image over 2^(n - i), so every product is
-    over 2^n.
+    over 2^n.  The lowering d_op^i is kept whole, since its Q1 terms can
+    still be differentiated away; only the order-(n - i) images are
+    projected.
     """
     acc: dict[Monomial, int] = {}
     power = {mono: 1}  # d_op^i mono, over 2^i
@@ -147,10 +165,23 @@ def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
                 break
         scale = -comb(n, i) if i % 2 else comb(n, i)
         for m, c in power.items():
-            image = _d_op_n_image(n - i, m) if i < n else ((m, 1),)
+            image = _d_op_n_image(n - i, m, q1_free) if i < n else ((m, 1),)
             for m2, num in image:
                 acc[m2] = acc.get(m2, 0) + scale * c * num
-    return tuple((m, s) for m, s in acc.items() if s)
+    return tuple((m, s) for m, s in acc.items() if s and not (q1_free and m.has_q1()))
+
+
+@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """delta_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n."""
+    return _delta_n_sum(n, mono, False)
+
+
+@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _pr_delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """pr delta_n(n, mono) as (monomial, numerator) pairs over the denominator
+    2^n: the terms of delta_n(n, mono) free of Q1."""
+    return _delta_n_sum(n, mono, True)
 
 
 def _apply_images(image, n: int, f: SSPoly) -> SSPoly:
@@ -194,6 +225,16 @@ def delta_n(n: int, f: SSPoly) -> SSPoly:
     delta_n(2) is twice the laplacian.
     """
     return _apply_images(_delta_n_image, n, f)
+
+
+def pr_delta_n(n: int, f: SSPoly) -> SSPoly:
+    """pr delta_n(n, f), the Q1-free part of delta_n(n, f), without forming
+    a Q1 term of the final order-(n - i) images.  delta_n commutes with
+    multiplication by Q1, so pr delta_n(n, f) = pr delta_n(n, pr f) and
+    projected images compose."""
+    if n == 0:
+        return f.pr()
+    return _apply_images(_pr_delta_n_image, n, f)
 
 
 def laplacian(f: SSPoly) -> SSPoly:

@@ -40,6 +40,7 @@ from .operators import (
     kelvin,
     laplacian,
     multiply_by,
+    pr_delta_n,
     q2_hat,
 )
 from .partitions import (
@@ -465,6 +466,31 @@ def suite_delta_n_oracle(rng, max_weight, order):
     return True, f"orders <= 5 on {len(samples)} samples, {len(rows)} table rows rebuilt"
 
 
+def suite_pr_delta_n_oracle(rng, max_weight, order):
+    seed = kelvin(SSPoly.one())
+    samples = [SSPoly.zero(), seed, parse_poly("Q1^2*Q2^(-3/2)*Q3 - 2/3*Q1*Q2^(5/2) + Q4")]
+    samples += [random_laurent(rng, min(max_weight, 6)) for _ in range(6)]
+    for f in samples:
+        for n in range(13):
+            got = pr_delta_n(n, f)
+            if n <= 6 and got != oracle_delta_n(n, f).pr():
+                return False, f"order {n} differs from the projected binomial sum on {format_poly(f)}"
+            if got != delta_n(n, f).pr():
+                return False, f"order {n} differs from the projected full image on {format_poly(f)}"
+    top = max(max_weight, 16)
+    count = 0
+    for w in range(top + 1):
+        for lam in enumerate_min_part(w, 3):
+            # the same element projected once, after the whole composition
+            if basis_element(lam) != kelvin(delta_lambda(lam, seed).pr()):
+                return False, f"basis element {lam} differs from the unprojected composition"
+            count += 1
+    return True, (
+        f"orders <= 6 against the binomial sum and <= 12 against delta_n on"
+        f" {len(samples)} samples, {count} basis elements of weight <= {top}"
+    )
+
+
 # -- harmonic decomposition -----------------------------------------------------
 
 
@@ -886,6 +912,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("operators.weight_drop", suite_weight_drop),
     ("operators.d_op_n_oracle", suite_d_op_n_oracle),
     ("operators.delta_n_oracle", suite_delta_n_oracle),
+    ("operators.pr_delta_n_oracle", suite_pr_delta_n_oracle),
     ("harmonic.direct_sum", suite_direct_sum),
     ("harmonic.t_solve_oracle", suite_t_solve_oracle),
     ("harmonic.q2_multiples", suite_q2_multiples_not_harmonic),

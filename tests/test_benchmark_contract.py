@@ -32,3 +32,15 @@ def test_traced_job_runs_a_bracket(tmp_path):
     out, report = _traced(tmp_path, "tables", "--max-weight", "4", "-N", "14", "--format", "latex")
     assert out.splitlines()[-2] == r"(4) & \frac{27}{4} Q_2^2 + \frac{27}{2} Q_4 & \frac{9}{320} Q \\"
     assert report["calls"]["quasimodular.recognize"] == 2
+
+
+def test_traced_job_runs_the_harmonic_jobs(tmp_path):
+    out, report = _traced(tmp_path, "basis", "8", "--format", "json")
+    rows = json.loads(out)
+    assert [row["lambda"] for row in rows] == [[8], [5, 3], [4, 4]]
+    # one call per partition of 8 with parts >= 3
+    assert report["calls"]["harmonic.basis_element"] == 3
+    out, report = _traced(tmp_path, "decompose", "Q2^3*Q4 + 3/5*Q3^2*Q2", "--format", "json")
+    assert json.loads(out)["depth"] == 5
+    assert report["calls"]["harmonic.decompose"] == 1
+    assert report["calls"]["operators.laplacian"] > 0

@@ -450,6 +450,35 @@ def test_eval_value_too_long_to_print_is_usage_error(capsys):
     assert code == 0 and len(out) > 100
 
 
+def test_huge_product_is_refused_before_it_is_multiplied():
+    # multiplied out, this one monomial took 14 s to be refused for printing
+    from shsym.ssym import MAX_EVAL_DIGITS, MAX_EVAL_WORK_DIGITS
+
+    product = "*".join(f"Q{k}^100" for k in range(3, 101))
+    total = "+".join("*".join(f"Q{k}^100" for k in range(j, j + 20)) for j in range(3, 80))
+    for expr, message in (
+        (product, f"may need more than {MAX_EVAL_DIGITS} digits before it is reduced"),
+        (total, f"needs more than {MAX_EVAL_WORK_DIGITS} digits of monomials"),
+    ):
+        proc = _run_cli_within(10, "eval", expr, "(30,20,10)")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: value at (30,20,10) {message}")
+        assert proc.stderr.count("\n") == 1
+
+
+def test_cli_import_leaves_the_verify_suites_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import shsym
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shsym.__file__)))
+    code = "import sys, shsym.cli; sys.exit('shsym.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=30)
+    assert proc.returncode == 0
+
+
 def test_runaway_expansion_is_parse_error():
     # C(108, 8) terms if expanded
     expr = "(" + "+".join(f"Q{k}" for k in range(1, 10)) + ")^100"

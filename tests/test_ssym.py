@@ -83,6 +83,39 @@ def test_eval_is_multiplicative():
             assert eval_at(f * g, lam) == eval_at(f, lam) * eval_at(g, lam)
 
 
+def test_eval_sums_over_the_lcm_of_the_denominators():
+    # many terms with unequal denominators, term by term in Fractions
+    rng = random.Random(11)
+    for _ in range(10):
+        f = sum((random_poly(rng, max_gen=12, max_terms=8) for _ in range(5)), SSPoly.zero())
+        f = SSPoly({m: c / rng.randint(1, 30) for m, c in f.terms()})
+        for lam in [(), (1,), (4, 2), (7, 3, 3, 1)]:
+            want = Fraction(0)
+            for mono, c in f.terms():
+                for k, e2 in mono.items2():
+                    c *= eval_qk(k, lam) ** (e2 // 2) if k != 1 else 0
+                want += c
+            assert eval_at(f, lam) == want
+
+
+def test_eval_bounds_the_integers_it_builds():
+    from shsym.ssym import MAX_EVAL_DIGITS, MAX_EVAL_WORK_DIGITS
+
+    lam = (30, 20, 10)
+    # one monomial whose every factor is within the parse limits
+    product = parse_poly("*".join(f"Q{k}^100" for k in range(3, 101)))
+    with pytest.raises(ValueError, match=f"more than {MAX_EVAL_DIGITS} digits before"):
+        eval_at(product, lam)
+    # monomials that share most factors, so their lcm stays within the first limit
+    total = parse_poly(
+        "*".join(f"Q{k}^100" for k in range(3, 16)) + "*(" + "+".join(f"Q{k}" for k in range(30, 70)) + ")^2"
+    )
+    with pytest.raises(ValueError, match=f"more than {MAX_EVAL_WORK_DIGITS} digits of monomials"):
+        eval_at(total, lam)
+    # well inside both: the largest product of the CLI test that still prints
+    assert eval_at(parse_poly("Q20^10"), (5, 3)).denominator > 1
+
+
 # -- ring structure ------------------------------------------------------------
 
 
