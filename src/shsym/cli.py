@@ -40,11 +40,12 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-# Request-size limits; a request over one is a usage error.  The slowest
-# request each admits (every --min-part and format included) finishes in
-# under a minute on a 2-vCPU host.
-MAX_ORDER = 40  # -N of qbracket, recognize and tables
-MAX_VERIFY_ORDER = 30  # -N of verify, whose direct-summation oracle dominates
+# Request-size limits; a request over one is a usage error.  At the largest
+# sizes they admit, the slowest request is verify --max-weight 16 -N 40, in
+# 30 s on a 2-vCPU host.  They do not bound how many distinct monomials a
+# bracket sums, one moment knapsack each: qbracket -N 40 of all 2,744
+# Q1-free monomials with parts >= 3 and weights 3 to 32 takes 78 s.
+MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
 
@@ -178,7 +179,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_limit("order", args.order, MAX_VERIFY_ORDER)
+    _check_limit("order", args.order, MAX_ORDER)
     _check_limit("max weight", args.max_weight, MAX_TABLE_WEIGHT)
     # imported here: no other subcommand needs the suites and their oracles
     from .verify import run_all
@@ -216,8 +217,17 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, with a usage error reported on one line, as every other
+    error is (argparse prints the usage first, and an unrecognized argument
+    as written, newlines included)."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {' '.join(message.splitlines())} (see {self.prog} --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="shsym",
         description=(
             "Exact computations with shifted symmetric polynomials: harmonic "
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         default=30,
-        help=f"series truncation order (at most {MAX_VERIFY_ORDER})",
+        help=f"series truncation order (at most {MAX_ORDER})",
     )
     p.set_defaults(func=cmd_verify)
 

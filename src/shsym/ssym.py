@@ -512,10 +512,11 @@ MAX_GENERATOR = 100
 # unbounded exponent is an unbounded request.
 MAX_EXPONENT = 100
 
-# Largest number of terms a product or power in an expression may expand
-# to, bounded before multiplying by the product of the factors' term counts.
-# Expansion is the one step whose cost the other limits leave unbounded:
-# (Q1+...+Q9)^100 has C(108, 8) terms.
+# Largest number of terms a product, power or sum in an expression may
+# expand to.  A product or power is bounded before multiplying, by the
+# product of the factors' term counts: (Q1+...+Q9)^100 has C(108, 8) terms.
+# A sum is bounded as it grows, since each addition copies the terms so far
+# (a sum of 10,000 distinct monomials takes about 1 s to parse).
 MAX_TERMS = 10_000
 
 # Most decimal digits in a numerator or denominator of a constant, written
@@ -597,9 +598,11 @@ class _Parser:
         if negate:
             acc = -acc
         while self.at_op("+", "-"):
-            _, op, _ = self.next()
+            _, op, pos = self.next()
             t = self.term()
             acc = acc + t if op == "+" else acc - t
+            if len(acc) > MAX_TERMS:
+                raise ParseError(f"expansion larger than {MAX_TERMS} terms", pos)
         return acc
 
     # term := factor ('*' factor)*

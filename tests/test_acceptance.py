@@ -1,4 +1,16 @@
-"""Acceptance criteria, one test per criterion, every comparison exact.
+"""Acceptance criteria, every comparison exact: the paper's tables row by
+row, and criteria checked at larger weights or on more samples than their
+`verify` suites check them.
+
+The other criteria are tested once: 04 the commutator table and power
+identity (suites operators.commutator_table and
+operators.q2_power_commutator in tests/test_verify.py), 06 sl2
+equivariance (forms.equivariance), 08 the decomposition round trip
+(harmonic.direct_sum), and 10 the laplacian on powers of Q2 against a
+two-variable oracle
+(tests/test_operators.py::test_laplacian_q2_powers_closed_form_and_oracle).
+Criterion 09 repeats the element checks of harmonic.basis and is the next
+to go.
 
 Each test prints a single pass line on success; run with `pytest -v
 tests/test_acceptance.py` (add -s to see the lines inline).
@@ -7,39 +19,12 @@ tests/test_acceptance.py` (add -s to see the lines inline).
 import random
 from fractions import Fraction
 
-from shsym.harmonic import (
-    basis_element,
-    decompose,
-    harmonic_basis,
-    is_harmonic,
-    lambda_star_basis,
-    leading_term_check,
-    unusual_identity_check,
-)
+from shsym.harmonic import basis_element, harmonic_basis, leading_term_check, unusual_identity_check
 from shsym.linalg import matrix_rank
-from shsym.operators import (
-    commutator,
-    d_op,
-    d_op_n,
-    delta_lambda,
-    e_hat,
-    euler_op,
-    laplacian,
-    multiply_by,
-    q2_hat,
-)
+from shsym.operators import d_op_n, delta_lambda
 from shsym.partitions import count_partitions, enumerate_min_part, enumerate_partitions
 from shsym.qseries import q_bracket
-from shsym.quasimodular import (
-    QMForm,
-    d_hat,
-    depth,
-    expand,
-    frak_d,
-    is_modular_bracket,
-    recognize,
-    w_hat,
-)
+from shsym.quasimodular import QMForm, depth, is_modular_bracket, recognize
 from shsym.reference import even_rows, odd_rows
 from shsym.ssym import SSPoly, parse_poly
 from shsym.verify import random_element, random_homogeneous
@@ -47,8 +32,7 @@ from shsym.verify import random_element, random_homogeneous
 ORDER = 30
 SEED = 1729
 
-Q1, Q2 = SSPoly.gen(1), SSPoly.gen(2)
-HALF = Fraction(1, 2)
+Q1 = SSPoly.gen(1)
 
 
 def test_criterion_01_even_table_exact():
@@ -88,31 +72,6 @@ def test_criterion_03_dimension_and_rank():
     print("criterion 3: PASS (counts and full rank for n <= 16)")
 
 
-def test_criterion_04_commutator_table_and_power_identity():
-    rng = random.Random(SEED)
-    q1m, q2m = multiply_by(Q1), multiply_by(Q2)
-    for _ in range(50):
-        f = random_element(rng, 10)
-        assert commutator(laplacian, d_op, f).is_zero
-        assert commutator(laplacian, euler_op, f) == 2 * laplacian(f)
-        assert commutator(laplacian, q1m, f).is_zero
-        assert commutator(laplacian, q2m, f) == euler_op(f) - Q1 * d_op(f) - f * HALF
-        assert commutator(d_op, euler_op, f) == d_op(f)
-        assert commutator(d_op, q1m, f) == f
-        assert commutator(d_op, q2m, f) == Q1 * f
-        assert commutator(euler_op, q1m, f) == Q1 * f
-        assert commutator(euler_op, q2m, f) == 2 * Q2 * f
-        assert commutator(q1m, q2m, f).is_zero
-        for n in range(1, 7):
-            got = laplacian(Q2**n * f) - Q2**n * laplacian(f)
-            want = n * Q2 ** (n - 1) * (euler_op(f) + Fraction(2 * n - 3, 2) * f)
-            want = want - n * Q1 * Q2 ** (n - 1) * d_op(f)
-            if n >= 2:
-                want = want - Fraction(n * (n - 1), 2) * Q1**2 * Q2 ** (n - 2) * f
-            assert got == want, n
-    print("criterion 4: PASS (table and power identity, 50 seeded samples)")
-
-
 def test_criterion_05_higher_operator_commutation():
     rng = random.Random(SEED + 1)
     lams = [lam for n in range(7) for lam in enumerate_partitions(n)]
@@ -127,18 +86,6 @@ def test_criterion_05_higher_operator_commutation():
     print("criterion 5: PASS (orders <= 5 commute; partition operators fix Q1)")
 
 
-def test_criterion_06_sl2_equivariance():
-    rng = random.Random(SEED + 2)
-    for trial in range(20):
-        w = 2 * (trial % 4) + 2
-        f = random_homogeneous(rng, w)
-        m = recognize(q_bracket(f, ORDER), w)
-        assert q_bracket(q2_hat(f), ORDER) == expand(d_hat(m), ORDER)
-        assert q_bracket(laplacian(f).pr(), ORDER) == expand(frak_d(m), ORDER)
-        assert q_bracket(e_hat(f).pr(), ORDER) == expand(w_hat(m), ORDER)
-    print("criterion 6: PASS (20 seeded samples, weights <= 8, order 30)")
-
-
 def test_criterion_07_modularity_criterion():
     rng = random.Random(SEED + 3)
     for trial in range(20):
@@ -150,16 +97,6 @@ def test_criterion_07_modularity_criterion():
     print("criterion 7: PASS (20 seeded samples, even weights <= 10)")
 
 
-def test_criterion_08_decomposition_roundtrip():
-    for n in range(15):
-        for b in lambda_star_basis(n):
-            dec = decompose(b)
-            assert dec.reconstruct() == b
-            for h in dec.components:
-                assert is_harmonic(h)
-    print("criterion 8: PASS (every basis monomial of weight <= 14)")
-
-
 def test_criterion_09_unusual_identity_and_leading_terms():
     for n in range(13):
         for lam in enumerate_min_part(n, 3):
@@ -167,58 +104,3 @@ def test_criterion_09_unusual_identity_and_leading_terms():
             if n >= 1:
                 assert unusual_identity_check(basis_element(lam), n), lam
     print("criterion 9: PASS (all basis elements of weight <= 12)")
-
-
-def test_criterion_10_laplacian_power_regression():
-    # direct-differentiation oracle on the two bottom generators; the
-    # squared-Q1 coefficient is half the published closed form's
-    def d1(p):
-        return {(a - 1, b): c * a for (a, b), c in p.items() if a}
-
-    def d2(p):
-        return {(a, b - 1): c * b for (a, b), c in p.items() if b}
-
-    def shift(p, da, db):
-        return {(a + da, b + db): c for (a, b), c in p.items()}
-
-    def add(*ps):
-        out = {}
-        for p in ps:
-            for key, c in p.items():
-                out[key] = out.get(key, Fraction(0)) + c
-        return {k: c for k, c in out.items() if c}
-
-    def lower(p):
-        return add(d1(p), shift(d2(p), 1, 0))
-
-    def oracle_laplacian(p):
-        curly = add(
-            d1(d1(p)),
-            shift(d2(d1(p)), 1, 0),
-            shift(d1(d2(p)), 1, 0),
-            shift(d2(d2(p)), 0, 1),
-            shift(d2(d2(p)), 0, 1),
-        )
-        sq = lower(lower(p))
-        return {
-            key: (curly.get(key, Fraction(0)) - sq.get(key, Fraction(0))) / 2
-            for key in set(curly) | set(sq)
-        }
-
-    for n in range(1, 7):
-        got = laplacian(Q2**n)
-        closed = n * Fraction(2 * n - 3, 2) * Q2 ** (n - 1)
-        if n >= 2:
-            closed = closed - Fraction(n * (n - 1), 2) * Q1**2 * Q2 ** (n - 2)
-        assert got == closed, n
-        oracle = oracle_laplacian({(0, n): Fraction(1)})
-        rebuilt = sum(
-            (
-                SSPoly.from_monomial({1: a, 2: b}, c)
-                for (a, b), c in oracle.items()
-                if c
-            ),
-            SSPoly.zero(),
-        )
-        assert got == rebuilt, n
-    print("criterion 10: PASS (closed form against the direct oracle, n <= 6)")

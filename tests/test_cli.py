@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
+import shsym
 from shsym.cli import main
+
+# the environment of a fresh interpreter that imports the shsym under test
+ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shsym.__file__)))
 
 
 def run(capsys, *argv):
@@ -198,18 +205,46 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_verify_small(capsys):
-    code, out, _ = run(capsys, "verify", "--max-weight", "4", "-N", "20")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines and all(line.startswith("[PASS]") for line in lines)
+def _verify_with(monkeypatch, capsys, suites, *argv):
+    """`shsym verify` over the given (name, suite) pairs.  The suites
+    themselves are tested one by one in test_verify.py; these tests cover
+    what the subcommand adds: exit codes and one line per suite."""
+    from shsym import verify
+
+    monkeypatch.setattr(verify, "SUITES", suites)
+    return run(capsys, "verify", *argv)
 
 
-def test_verify_insufficient_order_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--max-weight", "6", "-N", "5")
-    assert code == 1
-    assert "[FAIL]" in out
-    assert "insufficient order" in out.lower()
+def _passing(rng, max_weight, order):
+    return True, f"max weight {max_weight}, order {order}"
+
+
+def test_verify_small(capsys, monkeypatch):
+    from shsym.verify import SUITES
+
+    names = [name for name, _ in SUITES]
+    suites = tuple((name, _passing) for name in names)
+    code, out, err = _verify_with(monkeypatch, capsys, suites, "--max-weight", "4", "-N", "20")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [f"[PASS] {name}: max weight 4, order 20" for name in names]
+
+
+def test_verify_insufficient_order_fails(capsys, monkeypatch):
+    from shsym.verify import suite_recognize_roundtrip
+
+    suites = (
+        ("first", _passing),
+        ("forms.recognize_roundtrip", suite_recognize_roundtrip),
+        ("counterexample", lambda rng, max_weight, order: (False, "fails on Q3")),
+        ("last", _passing),
+    )
+    code, out, err = _verify_with(monkeypatch, capsys, suites, "-N", "5")
+    assert code == 1 and err == ""
+    first, raised, failed, last = out.splitlines()
+    assert first.startswith("[PASS] first") and last.startswith("[PASS] last")
+    # an exception is the suite's failure line, not a crash
+    assert raised.startswith("[FAIL] forms.recognize_roundtrip: InsufficientOrderError: insufficient order")
+    assert failed == "[FAIL] counterexample: fails on Q3"
 
 
 def test_tables_latex_weight10_byte_golden(capsys):
@@ -221,15 +256,16 @@ def test_tables_latex_weight10_byte_golden(capsys):
     assert out == golden.read_text()
 
 
-def test_verify_is_deterministic():
-    import io
+def test_verify_is_deterministic(capsys, monkeypatch):
+    def draw(rng, max_weight, order):
+        return True, str(rng.random())
 
-    from shsym.verify import run_all
-
-    first, second = io.StringIO(), io.StringIO()
-    assert run_all(max_weight=3, order=20, out=first)
-    assert run_all(max_weight=3, order=20, out=second)
-    assert first.getvalue() == second.getvalue()
+    suites = (("a", draw), ("b", draw))
+    first = _verify_with(monkeypatch, capsys, suites)
+    assert first == _verify_with(monkeypatch, capsys, suites)
+    # every suite starts from the same seed, whatever ran before it
+    a, b = first[1].splitlines()
+    assert a.split(": ")[1] == b.split(": ")[1]
 
 
 def test_tables_min_part_flag(capsys):
@@ -309,6 +345,31 @@ def test_recognize_negative_order_is_usage_error(capsys):
     assert err == "error: order must be non-negative\n"
 
 
+def test_long_sum_on_stdin_is_parse_error(capsys, monkeypatch):
+    import io
+
+    from shsym.ssym import MAX_TERMS
+
+    # one past the limit, every monomial distinct
+    monos = (f"Q3^{i // 101}*Q4^{i % 101}" for i in range(MAX_TERMS + 1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(" + ".join(monos)))
+    code, out, err = run(capsys, "qbracket")
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error: expansion larger than {MAX_TERMS} terms") and err.count("\n") == 1
+
+
+def test_argument_errors_are_one_line(capsys):
+    import pytest
+
+    # argparse printed its usage first, and the stray argument's newline
+    for argv in (("qbracket", "-Q2"), ("qbracket", "Q2", "-N", "x"), ("bogus",), (), ("eval", "Q2", "()", "a\nb")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_eval_nesting_at_limit(capsys):
     from shsym.ssym import MAX_NESTING
 
@@ -329,7 +390,7 @@ def test_limits_admit_the_benchmark_sizes():
     from shsym import cli
     from shsym.ssym import MAX_EXPONENT
 
-    assert cli.MAX_ORDER >= 36 and cli.MAX_VERIFY_ORDER >= 30
+    assert cli.MAX_ORDER >= 36  # one limit for every -N, verify's included
     assert cli.MAX_WEIGHT >= 18 and cli.MAX_TABLE_WEIGHT >= 10
     assert MAX_EXPONENT >= 9  # a weight-18 decompose input may hold Q2^9
 
@@ -374,9 +435,9 @@ def test_order_over_limit_is_usage_error(capsys):
 
 
 def test_verify_order_over_limit_is_usage_error(capsys):
-    from shsym.cli import MAX_VERIFY_ORDER
+    from shsym.cli import MAX_ORDER
 
-    _assert_one_line_usage_error(capsys, "verify", "-N", str(MAX_VERIFY_ORDER + 1))
+    _assert_one_line_usage_error(capsys, "verify", "-N", str(MAX_ORDER + 1))
 
 
 def test_weight_over_limit_is_usage_error(capsys):
@@ -405,20 +466,8 @@ def test_huge_recognition_weight_is_refused_at_once(capsys):
 
 def _run_cli_within(seconds, *argv):
     """Run the CLI in a fresh interpreter; TimeoutExpired fails the test."""
-    import os
-    import subprocess
-    import sys
-
-    import shsym
-
-    src = os.path.dirname(os.path.dirname(shsym.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "shsym.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=seconds,
+        [sys.executable, "-m", "shsym.cli", *argv], capture_output=True, text=True, env=ENV, timeout=seconds
     )
 
 
@@ -433,8 +482,6 @@ def test_generator_index_over_limit_is_parse_error():
 
 
 def test_eval_value_too_long_to_print_is_usage_error(capsys):
-    import sys
-
     from shsym.ssym import MAX_CONSTANT_DIGITS
 
     limit = sys.get_int_max_str_digits()
@@ -467,15 +514,8 @@ def test_huge_product_is_refused_before_it_is_multiplied():
 
 
 def test_cli_import_leaves_the_verify_suites_unloaded():
-    import os
-    import subprocess
-    import sys
-
-    import shsym
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shsym.__file__)))
     code = "import sys, shsym.cli; sys.exit('shsym.verify' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=30)
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV, timeout=30)
     assert proc.returncode == 0
 
 
@@ -543,19 +583,12 @@ def test_nested_powers_are_parse_errors():
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
-    import os
-    import subprocess
-    import sys
-
-    import shsym
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shsym.__file__)))
     for argv in (("basis", "12"), ("qbracket", "Q4", "-N", "30", "--format", "json")):
         proc = subprocess.Popen(
             [sys.executable, "-m", "shsym.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=ENV,
         )
         proc.stdout.close()  # the reader leaves before the first write
         _, err = proc.communicate(timeout=10)

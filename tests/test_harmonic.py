@@ -15,23 +15,16 @@ from shsym.harmonic import (
     lambda_star_basis,
     leading_term_check,
     leading_term_scale,
-    q_lambda,
     unusual_identity_check,
 )
 from shsym.linalg import matrix_rank
 from shsym.operators import delta_n, kelvin, laplacian
 from shsym.partitions import count_partitions, enumerate_min_part
 from shsym.ssym import SSPoly, format_poly, parse_poly
+from shsym.verify import random_harmonic, random_homogeneous
 
 Q1, Q2, Q3, Q4 = (SSPoly.gen(k) for k in (1, 2, 3, 4))
 H4 = parse_poly("27/4*Q2^2 + 27/2*Q4")
-
-
-def random_lambda_star(rng, weight):
-    acc = SSPoly.zero()
-    for lam in enumerate_min_part(weight, 2):
-        acc = acc + q_lambda(lam) * rng.randint(-5, 5)
-    return acc
 
 
 def test_lambda_star_basis_examples():
@@ -82,11 +75,8 @@ def test_decompose_uniqueness():
     rng = random.Random(71)
     for n in (4, 6, 8, 10):
         for _ in range(4):
-            h = sum(
-                (basis_element(lam) * rng.randint(-3, 3) for lam in enumerate_min_part(n, 3)),
-                SSPoly.zero(),
-            )
-            g = random_lambda_star(rng, n - 2)
+            h = random_harmonic(rng, n)
+            g = random_homogeneous(rng, n - 2, min_part=2)
             dec = decompose(h + Q2 * g)
             assert dec.components[0] == h
             tail = Decomposition(dec.components[1:])
@@ -112,7 +102,7 @@ def test_q2_multiples_are_never_harmonic():
     rng = random.Random(73)
     for _ in range(12):
         w = rng.randint(0, 8)
-        g = random_lambda_star(rng, w)
+        g = random_homogeneous(rng, w, min_part=2)
         if g.is_zero:
             continue
         assert not is_harmonic(Q2 * g)
@@ -194,10 +184,7 @@ def test_unusual_identity_examples():
 def test_unusual_identity_on_random_harmonics():
     rng = random.Random(83)
     for n in (6, 8):
-        h = sum(
-            (basis_element(lam) * rng.randint(-3, 3) for lam in enumerate_min_part(n, 3)),
-            SSPoly.zero(),
-        )
+        h = random_harmonic(rng, n)
         if h.is_zero:
             continue
         assert unusual_identity_check(h, n)

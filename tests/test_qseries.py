@@ -14,28 +14,12 @@ from shsym.qseries import (
     q_bracket,
     sigma,
 )
-from shsym.ssym import Monomial, SSPoly, eval_at, parse_poly
+from shsym.ssym import Monomial, SSPoly, parse_poly
 from shsym.qseries import _moment_knapsack
 from shsym.reference import rows_up_to
-from shsym.verify import oracle_brackets, oracle_row_sums
+from shsym.verify import oracle_brackets, oracle_row_sums, random_element, random_homogeneous
 
 Q1, Q2, Q3 = (SSPoly.gen(k) for k in (1, 2, 3))
-
-
-def brute_bracket(f, order):
-    """Direct definition: partition sums divided by the counting series,
-    with the division done by explicit coefficient recursion."""
-    num = []
-    den = []
-    for n in range(order + 1):
-        lams = enumerate_partitions(n)
-        num.append(sum((eval_at(f, lam) for lam in lams), Fraction(0)))
-        den.append(Fraction(len(lams)))
-    out = []
-    for n in range(order + 1):
-        value = num[n] - sum(den[i] * out[n - i] for i in range(1, n + 1))
-        out.append(value / den[0])
-    return QSeries(out)
 
 
 def test_series_arithmetic_examples():
@@ -137,12 +121,9 @@ def test_q_bracket_examples():
 
 def test_q_bracket_against_direct_definition():
     rng = random.Random(97)
-    for _ in range(5):
-        f = SSPoly.zero()
-        for w in rng.sample(range(7), 3):
-            for lam in enumerate_min_part(w, 1):
-                f = f + q_lambda(lam) * rng.randint(-4, 4)
-        assert q_bracket(f, 12) == brute_bracket(f, 12)
+    fs = [random_element(rng, 6) for _ in range(5)]
+    for f, want in zip(fs, oracle_brackets(fs, 12)):
+        assert q_bracket(f, 12) == want
 
 
 def random_kernel_input(rng):
@@ -238,9 +219,7 @@ def test_q2_shift_identity():
     p_over_24 = eisenstein(2, order) * Fraction(1, 24)
     rng = random.Random(107)
     for _ in range(5):
-        f = SSPoly.zero()
-        for lam in enumerate_min_part(rng.randint(0, 6), 1):
-            f = f + q_lambda(lam) * rng.randint(-4, 4)
+        f = random_homogeneous(rng, rng.randint(0, 6))
         bf = q_bracket(f, order)
         assert q_bracket(Q2 * f, order) == d_series(bf) - p_over_24 * bf
 

@@ -25,18 +25,12 @@ from shsym.quasimodular import (
     w_hat,
 )
 from shsym.reference import ROWS
-from shsym.ssym import Monomial, SSPoly
-from shsym.verify import oracle_recognize
+from shsym.ssym import SSPoly
+from shsym.verify import oracle_recognize, random_homogeneous, random_qmform
 
 P = QMForm.gen("P")
 Q = QMForm.gen("Q")
 R = QMForm.gen("R")
-
-
-def random_form(rng, weight):
-    return QMForm(
-        {t: Fraction(rng.randint(-6, 6)) for t in monomials_of_weight(weight)}
-    )
 
 
 def test_monomials_of_weight():
@@ -70,8 +64,8 @@ def test_expand_examples():
 def test_expand_is_multiplicative():
     rng = random.Random(3)
     for _ in range(6):
-        m1 = random_form(rng, 4)
-        m2 = random_form(rng, 6)
+        m1 = random_qmform(rng, 4)
+        m2 = random_qmform(rng, 6)
         assert expand(m1 * m2, 15) == expand(m1, 15) * expand(m2, 15)
 
 
@@ -106,7 +100,7 @@ def test_recognize_expand_roundtrip():
     rng = random.Random(5)
     for w in range(0, 13, 2):
         for _ in range(3):
-            m = random_form(rng, w)
+            m = random_qmform(rng, w)
             assert recognize(expand(m, 30), w) == m
 
 
@@ -136,7 +130,7 @@ def test_recognize_equals_oracle():
         for order in sorted({smallest, 30, 40}):
             if not _admitted(k, order):
                 continue
-            m = random_form(rng, k)
+            m = random_qmform(rng, k)
             s = expand(m, order)
             assert recognize(s, k) == oracle_recognize(s, k) == m, (k, order)
             if k == 0 or order != smallest:
@@ -220,7 +214,7 @@ def test_depth_raising():
     rng = random.Random(7)
     for w in range(0, 11, 2):
         for _ in range(4):
-            m = random_form(rng, w)
+            m = random_qmform(rng, w)
             if m.is_zero:
                 continue
             assert depth(d_hat(m)) == depth(m) + 1
@@ -229,7 +223,7 @@ def test_depth_raising():
 def test_qm_sl2_triple():
     rng = random.Random(11)
     for w in range(0, 11, 2):
-        m = random_form(rng, w)
+        m = random_qmform(rng, w)
         assert w_hat(d_hat(m)) - d_hat(w_hat(m)) == 2 * d_hat(m)
         assert w_hat(frak_d(m)) - frak_d(w_hat(m)) == -2 * frak_d(m)
         assert frak_d(d_hat(m)) - d_hat(frak_d(m)) == w_hat(m)
@@ -289,14 +283,7 @@ def test_modularity_matches_slot_brackets():
     rng = random.Random(13)
     for w in (4, 6, 8):
         for _ in range(4):
-            f = SSPoly(
-                {
-                    Monomial.from_partition(lam): rng.randint(-4, 4)
-                    for lam in enumerate_min_part(w, 2)
-                }
-            )
-            if f.is_zero:
-                continue
+            f = random_homogeneous(rng, w, min_part=2)
             ok, form, dec = is_modular_bracket(f, 30)  # CrossCheckError on bug
             tail_zero = all(q_bracket(h, 30).is_zero for h in dec.components[1:])
             assert ok == tail_zero == (depth(form) == 0)
