@@ -6,9 +6,10 @@ The other criteria are tested once: 04 the commutator table and power
 identity (suites operators.commutator_table and
 operators.q2_power_commutator in tests/test_verify.py), 06 sl2
 equivariance (forms.equivariance), 08 the decomposition round trip
-(harmonic.direct_sum), and 10 the laplacian on powers of Q2 against a
-two-variable oracle
-(tests/test_operators.py::test_laplacian_q2_powers_closed_form_and_oracle).
+(harmonic.direct_sum). Criterion 10 checks the closed form of the
+laplacian on every half-integer power of Q2 from -4 to 12; its comparison
+with a two-variable oracle for n <= 6 is
+tests/test_operators.py::test_laplacian_q2_powers_closed_form_and_oracle.
 Criterion 09 repeats the element checks of harmonic.basis and is the next
 to go.
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from shsym.harmonic import basis_element, harmonic_basis, leading_term_check, unusual_identity_check
 from shsym.linalg import matrix_rank
-from shsym.operators import d_op_n, delta_lambda
+from shsym.operators import d_op_n, delta_lambda, laplacian
 from shsym.partitions import count_partitions, enumerate_min_part, enumerate_partitions
 from shsym.qseries import q_bracket
 from shsym.quasimodular import QMForm, depth, is_modular_bracket, recognize
@@ -104,3 +105,16 @@ def test_criterion_09_unusual_identity_and_leading_terms():
             if n >= 1:
                 assert unusual_identity_check(basis_element(lam), n), lam
     print("criterion 9: PASS (all basis elements of weight <= 12)")
+
+
+def test_criterion_10_laplacian_power_regression():
+    # the published closed form with the squared-Q1 coefficient -n(n-1)/2,
+    # on negative and half-integer exponents as well as positive ones
+    for k in range(-8, 25):
+        n = Fraction(k, 2)
+        got = laplacian(SSPoly.from_monomial({2: n}))
+        closed = SSPoly.from_monomial({2: n - 1}, n * (2 * n - 3) / 2) - SSPoly.from_monomial(
+            {1: 2, 2: n - 2}, n * (n - 1) / 2
+        )
+        assert got == closed, n
+    print("criterion 10: PASS (closed form on Q2^n, n in {-4, -7/2, ..., 12})")
