@@ -4,6 +4,12 @@ Subcommands: basis, decompose, qbracket, recognize, eval, verify, tables.
 Expressions come from an argument or stdin, results go to stdout,
 diagnostics to stderr.  Exit codes: 0 ok, 1 verification or recognition
 failure, 2 usage or parse error.
+
+Each process runs one subcommand, so this module imports only the ring
+(`ssym`) and the partitions at its top, and each subcommand imports the
+layers it runs: eval nothing more, basis and decompose the operators and
+the harmonic layer, qbracket and recognize the series and recognition,
+tables all four, and verify its suites and oracles as well.
 """
 
 from __future__ import annotations
@@ -13,19 +19,9 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .harmonic import basis_element, decompose, is_harmonic
 from .partitions import enumerate_min_part, format_partition, parse_partition
-from .qseries import QSeries
-from .quasimodular import (
-    InsufficientOrderError,
-    QMForm,
-    RecognitionError,
-    bracket_form,
-    format_qmform,
-    format_qmform_latex,
-    recognize,
-)
 from .ssym import (
     MAX_CONSTANT_DIGITS,
     ParseError,
@@ -36,18 +32,24 @@ from .ssym import (
     parse_poly,
 )
 
+if TYPE_CHECKING:
+    from .qseries import QSeries
+    from .quasimodular import QMForm
+
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 # Request-size limits; a request over one is a usage error.  At the largest
 # sizes they admit, the slowest request is verify --max-weight 16 -N 40, in
-# 30 s on a 2-vCPU host.  They do not bound how many distinct monomials a
-# bracket sums, one moment knapsack each: qbracket -N 40 of all 2,744
-# Q1-free monomials with parts >= 3 and weights 3 to 32 takes 78 s.
+# 30 s on a 2-vCPU host.  A bracket sums one moment knapsack per distinct
+# Q2-free monomial, so qbracket also bounds their count: at -N 40 its
+# slowest admitted input, the 300 dearest of the Q1-free monomials with
+# parts >= 3 and weights 3 to 32, takes 25 s (all 2,744 of them took 78 s).
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
+MAX_BRACKET_MONOMIALS = 300  # distinct Q2-free monomials of a qbracket input
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
@@ -84,6 +86,8 @@ def _series_json(s: QSeries) -> dict:
 
 
 def cmd_basis(args) -> int:
+    from .harmonic import basis_element
+
     _check_limit("weight", args.n, MAX_WEIGHT)
     rows = [(lam, basis_element(lam)) for lam in enumerate_min_part(args.n, args.min_part)]
     if args.format == "json":
@@ -104,6 +108,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .harmonic import decompose, is_harmonic
+
     f = parse_poly(_read_expr(args.expr))
     if f.in_lambda_star():  # anything else is rejected by decompose
         _check_limit("weight", max(f.weight_components(), default=0), MAX_WEIGHT)
@@ -126,8 +132,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_qbracket(args) -> int:
+    from .qseries import knapsack_count
+    from .quasimodular import bracket_form, format_qmform, format_qmform_latex
+
     _check_limit("order", args.order, MAX_ORDER)
     f = parse_poly(_read_expr(args.expr))
+    _check_limit("number of distinct Q2-free monomials", knapsack_count(f), MAX_BRACKET_MONOMIALS)
     series, form = bracket_form(f, args.order, args.weight)
     if args.format == "json":
         payload = {"series": _series_json(series), "q_bracket": _form_json(form)}
@@ -139,13 +149,33 @@ def cmd_qbracket(args) -> int:
     return EXIT_OK
 
 
+def _coefficient(tok: str) -> Fraction:
+    """A coefficient in any form Fraction reads, refused from its text when
+    its numerator or denominator could be longer than MAX_CONSTANT_DIGITS:
+    Fraction("1e10000000") would build a ten-million-digit integer."""
+    mantissa, _, exponent = tok.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    digits = max(sum(ch.isdecimal() for ch in side) for side in mantissa.split("/"))
+    if exponent.isdecimal():  # anything else Fraction refuses
+        if len(exponent) > len(str(MAX_CONSTANT_DIGITS)):
+            digits = MAX_CONSTANT_DIGITS + 1
+        else:
+            digits += int(exponent)
+    if digits > MAX_CONSTANT_DIGITS:
+        raise ValueError(f"longer than {MAX_CONSTANT_DIGITS} digits")
+    return Fraction(tok)
+
+
 def cmd_recognize(args) -> int:
+    from .qseries import QSeries
+    from .quasimodular import format_qmform, format_qmform_latex, recognize
+
     if args.order < 0:
         raise ValueError("order must be non-negative")
     _check_limit("order", args.order, MAX_ORDER)
     text = _read_expr(args.coefficients)
     try:
-        coeffs = [Fraction(tok) for tok in text.replace(",", " ").split()]
+        coeffs = [_coefficient(tok) for tok in text.replace(",", " ").split()]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient: {exc}", 0) from None
     if not coeffs:
@@ -181,7 +211,6 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     _check_limit("order", args.order, MAX_ORDER)
     _check_limit("max weight", args.max_weight, MAX_TABLE_WEIGHT)
-    # imported here: no other subcommand needs the suites and their oracles
     from .verify import run_all
 
     ok = run_all(max_weight=args.max_weight, order=args.order)
@@ -189,6 +218,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .harmonic import basis_element
+    from .quasimodular import bracket_form, format_qmform, format_qmform_latex
+
     _check_limit("order", args.order, MAX_ORDER)
     _check_limit("max weight", args.max_weight, MAX_TABLE_WEIGHT)
     rows = []
@@ -268,7 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("qbracket", help="partition average of an expression")
-    p.add_argument("expr", nargs="?", help="expression (stdin if omitted)")
+    p.add_argument(
+        "expr",
+        nargs="?",
+        help=(
+            f"expression of at most {MAX_BRACKET_MONOMIALS} distinct monomials once Q1 terms"
+            " are dropped and Q2 factored out (stdin if omitted)"
+        ),
+    )
     p.add_argument("--weight", type=int, help="recognition weight (inferred if omitted)")
     add_common(p)
     p.set_defaults(func=cmd_qbracket)
@@ -314,6 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_recognition_failure(exc: ValueError) -> bool:
+    """Whether exc says that a series is not, or not provably, a form.
+    Only the recognition layer raises these, so a process that never
+    loaded it need not import it to tell."""
+    forms = sys.modules.get(f"{__package__}.quasimodular")
+    return forms is not None and isinstance(
+        exc, (forms.RecognitionError, forms.InsufficientOrderError)
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -331,10 +380,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RecognitionError, InsufficientOrderError) as exc:
-        print(f"recognition error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except ValueError as exc:
+        if _is_recognition_failure(exc):
+            print(f"recognition error: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

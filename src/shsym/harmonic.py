@@ -12,13 +12,11 @@ from the Kelvin transform and the delta_lambda operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from . import linalg
 from .operators import (
     delta_lambda,
     falling_factorial,
@@ -33,11 +31,10 @@ from .partitions import (
     count_partitions,
     enumerate_min_part,
 )
-from .ssym import Monomial, SSPoly
+from .ssym import LinearSolveError, Monomial, SSPoly
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Slots (h_0, ..., h_p) with the input equal to sum of Q2^r * h_r."""
 
     components: tuple[SSPoly, ...]
@@ -60,8 +57,7 @@ class Decomposition:
         return top
 
 
-@dataclass(frozen=True)
-class HarmonicBasis:
+class HarmonicBasis(NamedTuple):
     weight: int
     elements: dict[Partition, SSPoly]
 
@@ -118,13 +114,13 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
         for mono, c in laplacian(q2 * SSPoly({m: 1})).pr().terms():
             i = index[mono]
             if i < j:
-                raise linalg.LinearSolveError("not lower-triangular")
+                raise LinearSolveError("not lower-triangular")
             entries[i][j] = c
     rows = []
     for i, m in enumerate(monos):
         diagonal = entries[i].pop(i, None)
         if diagonal is None:
-            raise linalg.LinearSolveError("singular")
+            raise LinearSolveError("singular")
         rows.append((m, diagonal, tuple(entries[i].items())))  # j ascending
     return tuple(rows)
 
@@ -151,7 +147,7 @@ def _decompose_homogeneous(f: SSPoly, n: int) -> list[SSPoly]:
     g = _solve_t(n - 2, laplacian(f).pr())
     h0 = f - SSPoly.gen(2) * g
     if not laplacian(h0).pr().is_zero:
-        raise linalg.LinearSolveError("inconsistent")  # impossible unless buggy
+        raise LinearSolveError("inconsistent")  # impossible unless buggy
     return [h0] + _decompose_homogeneous(g, n - 2)
 
 
@@ -168,7 +164,7 @@ def decompose(f: SSPoly) -> Decomposition:
             merged[i] = merged[i] + h
     dec = Decomposition(tuple(merged))
     if dec.reconstruct() != f:
-        raise linalg.LinearSolveError("inconsistent")  # impossible unless buggy
+        raise LinearSolveError("inconsistent")  # impossible unless buggy
     return dec
 
 

@@ -1,18 +1,17 @@
 """Exact linear algebra over rationals: elimination, solving, rank, inverse.
 
 Matrices are lists of row lists of Fraction.  Sizes here stay at desk
-scale, so plain Gaussian elimination is both fast enough and exact.
+scale, so plain Gaussian elimination is both fast enough and exact.  No
+production path solves through this module; `verify` and the tests use it
+as the independent oracle of the integer eliminations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-class LinearSolveError(RuntimeError):
-    def __init__(self, kind: str):
-        super().__init__(f"linear system is {kind}")
-        self.kind = kind
+# re-exported: the production paths raise the same class
+from .ssym import LinearSolveError  # noqa: F401
 
 
 def _echelon(rows: list[list[Fraction]]) -> list[int]:

@@ -295,11 +295,21 @@ def _moment_knapsack(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(totals)
 
 
+def _without_q2(mono: Monomial) -> Monomial:
+    return Monomial(t for t in mono.items2() if t[0] != 2)
+
+
+def knapsack_count(f: SSPoly) -> int:
+    """How many distinct Q2-free monomials q_bracket(f, order) sums, one
+    moment knapsack each."""
+    return len({_without_q2(mono) for mono in f.pr()._terms})
+
+
 def _monomial_series(mono: Monomial, order: int) -> tuple[int, list[int]]:
     """(D, totals): the sum of the monomial over the partitions of each size
     n <= order is totals[n] / D."""
     q2_power = mono.exponent2(2) // 2
-    denom, totals = _moment_knapsack(Monomial(t for t in mono.items2() if t[0] != 2), order)
+    denom, totals = _moment_knapsack(_without_q2(mono), order)
     return denom * 24**q2_power, [t * (24 * n - 1) ** q2_power for n, t in enumerate(totals)]
 
 

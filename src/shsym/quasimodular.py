@@ -12,12 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
-from . import linalg
-from .harmonic import Decomposition, decompose
 from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket
-from .ssym import SSPoly, SparseTerms, _latex_power, format_signed_sum
+from .ssym import LinearSolveError, SSPoly, SparseTerms, _latex_power, format_signed_sum
+
+if TYPE_CHECKING:
+    from .harmonic import Decomposition
 
 Scalar = Union[int, Fraction]
 Triple = tuple[int, int, int]
@@ -256,7 +257,7 @@ def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
             raise RecognitionError(f"not quasimodular of weight {k} at this order")
     triples = monomials_of_weight(k)
     if len(elim.pivots) < len(triples):
-        raise linalg.LinearSolveError("underdetermined")
+        raise LinearSolveError("underdetermined")
     scale = elim.det * den
     return QMForm(
         {
@@ -363,6 +364,9 @@ def is_modular_bracket(
         raise ValueError("input must be Q1-free with integer exponents")
     if not f.is_homogeneous():
         raise ValueError("input must be weight-homogeneous")
+    # imported here: recognition alone does not need the harmonic layer
+    from .harmonic import decompose
+
     _, form = bracket_form(f, order, f.weight())
     modular = depth(form) == 0
     dec = decompose(f)

@@ -126,6 +126,17 @@ class Monomial:
 MONO_ONE = Monomial(())
 
 
+def _add_into(out: dict, terms: Mapping) -> None:
+    """Add the terms of one sparse map into another, in place, dropping
+    every key whose sum cancels to zero."""
+    for key, c in terms.items():
+        s = out.get(key, _ZERO) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+
 class SparseTerms:
     """Sparse map from hashable keys to nonzero exact rationals, with the
     ring operations of its sum of terms.
@@ -186,12 +197,7 @@ class SparseTerms:
         if not isinstance(other, type(self)):
             return NotImplemented
         out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, _ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        _add_into(out, other._terms)
         return self._wrap(out)
 
     def __neg__(self):
@@ -484,6 +490,16 @@ def format_poly_latex(f: SSPoly) -> str:
     )
 
 
+class LinearSolveError(RuntimeError):
+    """An exact linear system that is singular, inconsistent or does not
+    pin down every unknown.  It lives here, in the module every solving
+    layer loads; `linalg` re-exports it."""
+
+    def __init__(self, kind: str):
+        super().__init__(f"linear system is {kind}")
+        self.kind = kind
+
+
 # -- parser ------------------------------------------------------------------
 
 
@@ -515,8 +531,7 @@ MAX_EXPONENT = 100
 # Largest number of terms a product, power or sum in an expression may
 # expand to.  A product or power is bounded before multiplying, by the
 # product of the factors' term counts: (Q1+...+Q9)^100 has C(108, 8) terms.
-# A sum is bounded as it grows, since each addition copies the terms so far
-# (a sum of 10,000 distinct monomials takes about 1 s to parse).
+# A sum is bounded by the terms it holds, checked after each addition.
 MAX_TERMS = 10_000
 
 # Most decimal digits in a numerator or denominator of a constant, written
@@ -594,16 +609,15 @@ class _Parser:
         if self.at_op("-"):
             self.next()
             negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
+        first = self.term()
+        acc = dict((-first if negate else first)._terms)
         while self.at_op("+", "-"):
             _, op, pos = self.next()
             t = self.term()
-            acc = acc + t if op == "+" else acc - t
+            _add_into(acc, (t if op == "+" else -t)._terms)
             if len(acc) > MAX_TERMS:
                 raise ParseError(f"expansion larger than {MAX_TERMS} terms", pos)
-        return acc
+        return SSPoly._wrap(acc)
 
     # term := factor ('*' factor)*
     def term(self) -> SSPoly:

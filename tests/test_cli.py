@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import shsym
 from shsym.cli import main
@@ -333,6 +334,27 @@ def test_recognize_zero_denominator_is_parse_error(capsys):
     assert err.startswith("parse error: bad coefficient") and err.count("\n") == 1
 
 
+def test_recognize_reads_every_spelling_of_a_coefficient(capsys):
+    from shsym.cli import _coefficient
+    from shsym.ssym import MAX_CONSTANT_DIGITS
+
+    for tok in ("1/2", "-3/4", "0.5", "1e3", "+2.5E-3", "1_000", "1e-999", "9" * MAX_CONSTANT_DIGITS):
+        assert _coefficient(tok) == Fraction(tok), tok
+    spelled = "1e0 -2.4e1 -72.0 -96/1 -168 -1_44 -288 -192 -3.6E+2 -312 -432 -288 -672"
+    code, out, _ = run(capsys, "recognize", spelled, "--weight", "2")
+    assert code == 0 and out == "P\n"
+
+
+def test_recognize_refuses_a_long_coefficient_before_converting_it():
+    # Fraction("1e10000000") alone took 11.7 s
+    from shsym.ssym import MAX_CONSTANT_DIGITS
+
+    for tok in ("1e10000000", "-2.5E+99999999999999999999", "1e-1000", "1" * (MAX_CONSTANT_DIGITS + 1), "1/1e1001"):
+        proc = _run_cli_within(10, "recognize", f"1 {tok} 3", "--weight", "2")
+        assert proc.returncode == 2 and proc.stdout == "", tok
+        assert proc.stderr.startswith("parse error: bad coefficient: ") and proc.stderr.count("\n") == 1, tok
+
+
 def test_recognize_negative_weight_is_usage_error(capsys):
     code, _, err = run(capsys, "recognize", "1 2 3", "--weight", "-2")
     assert code == 2
@@ -391,6 +413,7 @@ def test_limits_admit_the_benchmark_sizes():
     from shsym.ssym import MAX_EXPONENT
 
     assert cli.MAX_ORDER >= 36  # one limit for every -N, verify's included
+    assert cli.MAX_BRACKET_MONOMIALS >= 2  # a qbracket-deep input has two
     assert cli.MAX_WEIGHT >= 18 and cli.MAX_TABLE_WEIGHT >= 10
     assert MAX_EXPONENT >= 9  # a weight-18 decompose input may hold Q2^9
 
@@ -471,6 +494,23 @@ def _run_cli_within(seconds, *argv):
     )
 
 
+def test_bracket_of_too_many_monomials_is_refused_before_summing():
+    # 2,744 distinct monomials at -N 40 took 78 s to sum
+    from shsym.cli import MAX_BRACKET_MONOMIALS
+    from shsym.qseries import knapsack_count
+    from shsym.ssym import parse_poly
+
+    # a Q1 term is never summed, and Q2 powers share one knapsack
+    assert knapsack_count(parse_poly("Q3 + Q2*Q3 + Q1*Q4 + Q2^2 + 5")) == 2
+    monos = [f"Q3^{i // 20}*Q4^{i % 20}*Q2" for i in range(MAX_BRACKET_MONOMIALS + 1)]
+    proc = _run_cli_within(10, "qbracket", " + ".join(monos + ["Q1*Q5"]), "-N", "40")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: number of distinct Q2-free monomials {MAX_BRACKET_MONOMIALS + 1}"
+        f" is above the limit of {MAX_BRACKET_MONOMIALS}\n"
+    )
+
+
 def test_generator_index_over_limit_is_parse_error():
     # beta(3000) would invert a 3000-term series of Fractions
     from shsym.ssym import MAX_GENERATOR
@@ -514,9 +554,38 @@ def test_huge_product_is_refused_before_it_is_multiplied():
 
 
 def test_cli_import_leaves_the_verify_suites_unloaded():
-    code = "import sys, shsym.cli; sys.exit('shsym.verify' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=ENV, timeout=30)
-    assert proc.returncode == 0
+    # each subcommand loads the layers it runs and no others; -S keeps the
+    # site hooks of the interpreter out of the module list
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import shsym\n"
+        "loaded = sorted(sys.modules)\n"
+        "import shsym.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert shsym.cli.main(sys.argv[1:]) == 0\n"
+        "    loaded = sorted(sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    base = ["shsym", "shsym.cli", "shsym.partitions", "shsym.ssym"]
+    harmonic = ["shsym.harmonic", "shsym.operators"]
+    forms = ["shsym.qseries", "shsym.quasimodular"]
+    for argv, want in (
+        ((), ["shsym"]),  # the bare package loads no module
+        (("eval", "Q3*Q2", "(2,1)"), base),
+        (("qbracket", "Q4", "-N", "12", "--format", "json"), base + forms),
+        (("recognize", "1" + " 0" * 10, "--weight", "0"), base + forms),
+        (("basis", "8", "--format", "latex"), base + harmonic),
+        (("decompose", "Q2*Q4"), base + harmonic),
+        (("tables", "--max-weight", "4", "-N", "14"), base + harmonic + forms),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv], capture_output=True, text=True, env=ENV, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert [m for m in loaded if m.split(".")[0] == "shsym"] == sorted(want), argv
+        assert "dataclasses" not in loaded and "inspect" not in loaded, argv
 
 
 def test_runaway_expansion_is_parse_error():

@@ -272,6 +272,27 @@ def test_is_modular_bracket_examples():
     assert dec.components[0] == SSPoly.gen(3)
 
 
+def test_is_modular_bracket_in_a_process_that_loaded_only_recognition():
+    # is_modular_bracket loads the harmonic layer when it is called
+    import os
+    import subprocess
+    import sys
+
+    import shsym
+
+    script = (
+        "import sys\n"
+        "import shsym.quasimodular as qm\n"
+        "assert 'shsym.harmonic' not in sys.modules\n"
+        "ok, form, dec = qm.is_modular_bracket(qm.SSPoly.gen(2), 30)\n"
+        "print(ok, qm.format_qmform(form), [str(h) for h in dec.components])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shsym.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False -1/24*P ['0', '1']\n"
+
+
 def test_is_modular_bracket_rejects_bad_input():
     with pytest.raises(ValueError):
         is_modular_bracket(SSPoly.gen(1), 30)

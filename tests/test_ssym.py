@@ -259,6 +259,29 @@ def test_parse_bounds_the_expansion_of_products_and_powers():
             parse_poly(bad)
 
 
+def test_parse_of_a_sum_equals_the_sum_of_its_terms():
+    # few monomials, so terms repeat and cancel; one sum in four cancels out
+    rng = random.Random(7)
+    monos = {"1": SSPoly.one(), "Q3": Q3, "Q2^2*Q4": Q2**2 * Q4, "Q2^(-1/2)": SSPoly.from_monomial({2: Fraction(-1, 2)})}
+    for trial in range(200):
+        terms = []
+        for _ in range(rng.randint(1, 12)):
+            c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            text, f = rng.choice(list(monos.items()))
+            terms.append((rng.choice("+-"), f"{c}*{text}", f * c))
+        if trial % 4 == 0:
+            terms += [("-" if sign == "+" else "+", text, f) for sign, text, f in terms]
+        expr, want = "", SSPoly.zero()
+        for sign, text, f in terms:
+            expr += f" {sign} {text}" if expr or sign == "-" else text
+            want = want + f if sign == "+" else want - f
+        got = parse_poly(expr)
+        assert got == want, expr
+        assert all(got._terms.values()), expr  # no term cancelled to zero is kept
+        if trial % 4 == 0:
+            assert got.is_zero, expr
+
+
 def test_parse_bounds_the_generator_index():
     from shsym.ssym import MAX_GENERATOR
 
