@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -149,20 +150,33 @@ def cmd_qbracket(args) -> int:
     return EXIT_OK
 
 
+# A coefficient: an optionally signed integer, ratio of integers, or decimal
+# with an optional exponent.  Underscores between digits, which Fraction
+# would also read, are refused, as parse_poly refuses them.  Compiled on
+# first use (re caches it), so that other subcommands do not pay for it.
+_COEFFICIENT = r"[-+]?(?:(?P<num>\d+)/(?P<den>\d+)|(?P<mantissa>\d+\.?\d*|\.\d+)(?:[eE](?P<exp>[-+]?\d+))?)"
+
+
 def _coefficient(tok: str) -> Fraction:
-    """A coefficient in any form Fraction reads, refused from its text when
-    its numerator or denominator could be longer than MAX_CONSTANT_DIGITS:
-    Fraction("1e10000000") would build a ten-million-digit integer."""
-    mantissa, _, exponent = tok.lower().partition("e")
-    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    digits = max(sum(ch.isdecimal() for ch in side) for side in mantissa.split("/"))
-    if exponent.isdecimal():  # anything else Fraction refuses
+    """A coefficient read from its text, refused when its numerator or
+    denominator could be longer than MAX_CONSTANT_DIGITS before any integer
+    is built: Fraction("1e10000000") would build a ten-million-digit one."""
+    m = re.fullmatch(_COEFFICIENT, tok)
+    if m is None:
+        raise ValueError("not a number")
+    if m["num"] is not None:
+        digits = max(len(m["num"]), len(m["den"]))
+    else:
+        digits = sum(ch != "." for ch in m["mantissa"])
+        exponent = (m["exp"] or "").lstrip("+-").lstrip("0")
         if len(exponent) > len(str(MAX_CONSTANT_DIGITS)):
             digits = MAX_CONSTANT_DIGITS + 1
         else:
-            digits += int(exponent)
+            digits += int(exponent or 0)
     if digits > MAX_CONSTANT_DIGITS:
         raise ValueError(f"longer than {MAX_CONSTANT_DIGITS} digits")
+    if m["den"] is not None and not int(m["den"]):
+        raise ValueError("zero denominator")
     return Fraction(tok)
 
 
@@ -174,10 +188,12 @@ def cmd_recognize(args) -> int:
         raise ValueError("order must be non-negative")
     _check_limit("order", args.order, MAX_ORDER)
     text = _read_expr(args.coefficients)
-    try:
-        coeffs = [_coefficient(tok) for tok in text.replace(",", " ").split()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad coefficient: {exc}", 0) from None
+    coeffs = []
+    for tok in re.finditer(r"[^\s,]+", text):
+        try:
+            coeffs.append(_coefficient(tok[0]))
+        except ValueError as exc:
+            raise ParseError(f"bad coefficient: {exc}", tok.start()) from None
     if not coeffs:
         raise ParseError("no coefficients given", 0)
     series = QSeries(coeffs)

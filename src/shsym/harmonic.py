@@ -3,27 +3,32 @@
 A polynomial f in the Q1-free ring is harmonic when the projection of its
 laplacian vanishes.  Every weight-n element splits uniquely as
 f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `decompose`
-peels one slot at a time: the g with pr laplacian(Q2 g) = pr laplacian(f)
-solves a sparse lower-triangular system by forward substitution, and
-f - Q2 g is the harmonic slot.  The explicit basis of the weight-n
-harmonic space is indexed by partitions of n with all parts >= 3 and built
-from the Kelvin transform and the delta_lambda operators.
+peels one slot at a time: the g with T(g) = pr laplacian(f), where
+T(g) = pr laplacian(Q2 g), solves a sparse lower-triangular integer system
+by forward substitution, and f - Q2 g is the harmonic slot.
+
+The explicit basis of the weight-n harmonic space is indexed by partitions
+of n with all parts >= 3.  Its element h_lambda, the projected Kelvin image
+of delta_lambda applied to the Kelvin unit, is c_n Q_lambda modulo Q2 with
+c_n = n! (3/2)_n, so it is the harmonic slot of c_n Q_lambda: the same
+triangular solve builds it.  `verify` keeps the Kelvin/delta_lambda
+composition as the independent oracle of that identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .operators import (
+    _pr_laplacian_image,
     delta_lambda,
     falling_factorial,
     kelvin,
     laplacian,
-    multinomial,
-    pr_delta_n,
+    pr_laplacian,
 )
 from .partitions import (
     Partition,
@@ -91,13 +96,14 @@ def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     )
 
 
-_TRow = tuple[Monomial, Fraction, tuple[tuple[int, Fraction], ...]]
+_TRow = tuple[Monomial, int, tuple[tuple[int, int], ...]]
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def _t_inverse(n: int) -> tuple[_TRow, ...]:
     """The map T(g) = pr laplacian(Q2 g) on the weight-n slice, as sparse
-    lower-triangular rows in solve order, one per unknown.
+    lower-triangular integer rows, numerators over the denominator 8 of
+    `pr_laplacian`, in solve order, one per unknown.
 
     Unknowns Q_mu are ordered by (len(mu), mu).  Every term of T(Q_mu) other
     than Q_mu itself has more parts, or as many parts and a lexicographically
@@ -108,10 +114,9 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
     mus = sorted(enumerate_min_part(n, 2), key=lambda mu: (len(mu), mu))
     monos = [Monomial.from_partition(mu) for mu in mus]
     index = {m: i for i, m in enumerate(monos)}
-    entries: list[dict[int, Fraction]] = [{} for _ in monos]
-    q2 = SSPoly.gen(2)
+    entries: list[dict[int, int]] = [{} for _ in monos]
     for j, m in enumerate(monos):
-        for mono, c in laplacian(q2 * SSPoly({m: 1})).pr().terms():
+        for mono, c in _pr_laplacian_image(m.shift({2: 2})):
             i = index[mono]
             if i < j:
                 raise LinearSolveError("not lower-triangular")
@@ -126,16 +131,32 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
 
 
 def _solve_t(n: int, rhs: SSPoly) -> SSPoly:
-    """The weight-n g with T(g) = rhs, by forward substitution; terms of rhs
-    outside the weight-n slice are ignored."""
+    """The weight-n g with T(g) = rhs, by forward substitution in integers;
+    terms of rhs outside the weight-n slice are ignored.
+
+    With rhs = N / den, the rows R = 8 T solve R y = N and g = 8 y / den.
+    y is kept as integer numerators over one running denominator, which
+    grows only when a division by a diagonal entry is inexact.
+    """
+    terms = rhs.terms()
+    den = lcm(*(c.denominator for _, c in terms))
+    numerators = {m: c.numerator * (den // c.denominator) for m, c in terms}
     rows = _t_inverse(n)
-    values: list[Fraction] = []
+    scale = 1  # y = values / scale
+    values: list[int] = []
     for mono, diagonal, lower in rows:
-        s = rhs.coeff(mono)
-        for j, c in lower:
-            s -= c * values[j]
-        values.append(s / diagonal)
-    return SSPoly({row[0]: v for row, v in zip(rows, values)})
+        s = numerators.get(mono, 0) * scale
+        for j, entry in lower:
+            s -= entry * values[j]
+        q, r = divmod(s, diagonal)
+        if r:
+            step = diagonal // gcd(s, diagonal)
+            scale *= step
+            values = [v * step for v in values]
+            q = s * step // diagonal
+        values.append(q)
+    den *= scale
+    return SSPoly({row[0]: Fraction(8 * v, den) for row, v in zip(rows, values) if v})
 
 
 def _decompose_homogeneous(f: SSPoly, n: int) -> list[SSPoly]:
@@ -144,7 +165,7 @@ def _decompose_homogeneous(f: SSPoly, n: int) -> list[SSPoly]:
         return [SSPoly.zero()] * slots
     if n < 2:
         return [f]
-    g = _solve_t(n - 2, laplacian(f).pr())
+    g = _solve_t(n - 2, pr_laplacian(f))
     h0 = f - SSPoly.gen(2) * g
     if not laplacian(h0).pr().is_zero:
         raise LinearSolveError("inconsistent")  # impossible unless buggy
@@ -173,17 +194,19 @@ def basis_element(lam: Partition) -> SSPoly:
     """The harmonic element attached to a partition: the projected,
     Kelvin-conjugated image of delta_lambda applied to the Kelvin unit.
 
-    delta_n commutes with Q1, so the projection is taken after each part,
-    largest first, and no Q1 term is carried to the end.
+    It is c_n (Q_lambda - Q2 g) with c_n = n! (3/2)_n, where g solves
+    T(g) = pr laplacian(Q_lambda): the harmonic slot of c_n Q_lambda, since
+    the element is c_n Q_lambda modulo Q2 and harmonic elements are fixed by
+    their Q2-free part.  A part 1 or 2 gives zero, since delta_1 vanishes
+    and the projection of delta_2 on the Kelvin unit Q2^(3/2) does.
     """
     lam = check_partition(lam)
-    g = kelvin(SSPoly.one())
-    for part in lam:
-        g = pr_delta_n(part, g)
-    h = kelvin(g * multinomial(lam))
-    if not h.in_lambda_star():
-        raise AssertionError(f"basis element for {lam} left the Q1-free ring")
-    return h
+    if lam and lam[-1] <= 2:
+        return SSPoly.zero()
+    n = sum(lam)
+    q = q_lambda(lam)
+    g = _solve_t(n - 2, pr_laplacian(q)) if lam else SSPoly.zero()
+    return (q - SSPoly.gen(2) * g) * leading_term_scale(n)
 
 
 def harmonic_basis(n: int) -> HarmonicBasis:

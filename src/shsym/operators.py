@@ -9,14 +9,14 @@ many nonzero terms on any polynomial), with integer numerators over the
 fixed denominator 2^n.  The lowering operator `d_op` is its order-1 case.
 `delta_n` is linear over images of the same kind, each built in integers
 from the `d_op_n` images, and the laplacian is half of `delta_n(2)`.
-`delta_n` commutes with multiplication by Q1, so its projection
-`pr_delta_n` (the Q1-free part) is linear over projected images: the
-lowering inside them is kept whole, and the `d_op_n` walk applied last
-visits only the slot multisets that can leave a Q1-free monomial.  The
-harmonic basis is built from these; every other caller uses the whole
-images.  Images are cached per (order, monomial) in bounded LRU caches,
-since the harmonic basis expands the same monomials many times; a call
-combines them in integers and divides once per output monomial.
+Images are cached per (order, monomial) in bounded LRU caches, since the
+Kelvin/delta_lambda composition expands the same monomials many times; a
+call combines them in integers and divides once per output monomial.
+
+`pr_laplacian`, the Q1-free part of the laplacian, has a closed form of
+its own in integers over the denominator 8, which builds the harmonic
+projection behind the basis and the decomposition.  It shares nothing
+with the images, so `laplacian(f).pr()` stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -60,34 +60,28 @@ def euler_op(f: SSPoly) -> SSPoly:
     return SSPoly({m: c * m.weight() for m, c in f.terms()})
 
 
-# Entries kept by each of the four caches below; `shsym basis 18` needs
-# 2,500 d_op_n images (1,664 of them projected) and 238 projected delta_n
-# images, which hold 1,154 distinct monomials.
+# Entries kept by each of the three caches below; the Kelvin/delta_lambda
+# composition of every partition of 18 with parts >= 3 (the oracle of
+# `shsym basis 18`) and a weight-18 decomposition fit without an eviction.
 _IMAGE_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_IMAGE_CACHE_SIZE)
 def _shared(mono: Monomial) -> Monomial:
     """The first-seen monomial equal to mono.  Images repeat the same output
-    monomials (4,514 entries over 1,154 monomials in `shsym basis 18`), so
-    they keep one object per distinct monomial, which also lets dict lookups
-    match by identity."""
+    monomials, so they keep one object per distinct monomial, which also
+    lets dict lookups match by identity."""
     return mono
 
 
 @lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _d_op_n_image(
-    n: int, mono: Monomial, q1_free: bool = False
-) -> tuple[tuple[Monomial, int], ...]:
-    """d_op_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n;
-    with q1_free, only its Q1-free terms (its projection).
+def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """d_op_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n.
 
     Each multiset of derivative slots {Q_k^t_k} with sum t_k = n contributes
     n!/prod t_k! arrangements, the hook multinomial
     (sum (k-1) t_k)!/prod (k-1)!^t_k and the falling factorials of the
-    halved exponents, (e2/2)_t = prod_{i<t} (e2 - 2i) / 2^t.  A term is
-    free of Q1 exactly when its Q1 slot count equals the Q1 exponent and its
-    hook weight is not 1, so the projection walks only those multisets.
+    halved exponents, (e2/2)_t = prod_{i<t} (e2 - 2i) / 2^t.
     """
     acc: dict[Monomial, int] = {}
     support = mono.items2()
@@ -104,7 +98,7 @@ def _d_op_n_image(
             for i in range(t):
                 deriv *= e2 - 2 * i
             changes[k] = -2 * t
-        if not deriv or (q1_free and hook_weight == 1):
+        if not deriv:
             return
         inner = factorial(hook_weight)
         for k, _, t in chosen:
@@ -132,25 +126,18 @@ def _d_op_n_image(
         for t in range(cap + 1):
             walk(idx + 1, remaining - t, chosen + ((k, e2, t),) if t else chosen)
 
-    if q1_free and mono.has_q1():
-        _, e2 = support[0]  # the support is sorted, so Q1 comes first
-        if e2 // 2 <= n:
-            walk(1, n - e2 // 2, ((1, e2, e2 // 2),))
-    else:
-        walk(0, n, ())
+    walk(0, n, ())
     return tuple(acc.items())
 
 
-def _delta_n_sum(n: int, mono: Monomial, q1_free: bool) -> tuple[tuple[Monomial, int], ...]:
-    """delta_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n;
-    with q1_free, only its Q1-free terms.
+@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """delta_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n.
 
     The i-th summand (-1)^i C(n, i) d_op_n(n - i, d_op^i mono) is built from
     the order-1 and order-(n - i) images: d_op^i mono has numerators over
     2^i and each order-(n - i) image over 2^(n - i), so every product is
-    over 2^n.  The lowering d_op^i is kept whole, since its Q1 terms can
-    still be differentiated away; only the order-(n - i) images are
-    projected.
+    over 2^n.
     """
     acc: dict[Monomial, int] = {}
     power = {mono: 1}  # d_op^i mono, over 2^i
@@ -165,52 +152,83 @@ def _delta_n_sum(n: int, mono: Monomial, q1_free: bool) -> tuple[tuple[Monomial,
                 break
         scale = -comb(n, i) if i % 2 else comb(n, i)
         for m, c in power.items():
-            image = _d_op_n_image(n - i, m, q1_free) if i < n else ((m, 1),)
+            image = _d_op_n_image(n - i, m) if i < n else ((m, 1),)
             for m2, num in image:
                 acc[m2] = acc.get(m2, 0) + scale * c * num
-    return tuple((m, s) for m, s in acc.items() if s and not (q1_free and m.has_q1()))
+    return tuple((m, s) for m, s in acc.items() if s)
 
 
-@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """delta_n(n, mono) as (monomial, numerator) pairs over the denominator 2^n."""
-    return _delta_n_sum(n, mono, False)
+def _pr_laplacian_image(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """pr laplacian(mono) of a Q1-free monomial, as (monomial, numerator)
+    pairs over the denominator 8.
+
+    The laplacian is half of d_op_n(2) - d_op^2.  Every Q1 it emits is a
+    factor of its own, so on the Q1-free ring, with d_k the formal
+    derivative in Q_k and ordered pairs k, l >= 2,
+
+        2 pr laplacian = sum (C(k+l-2, k-1) Q_(k+l-2) - [k, l >= 3] Q_(k-1) Q_(l-1)) d_k d_l
+                         - d_2 - sum_(k >= 4) Q_(k-2) d_k.
+
+    On doubled exponents e, d_k d_l gives e_k e_l / 4 (e_k (e_k - 2) / 4 for
+    k = l) and d_k gives e_k / 2; an unordered pair k < l counts twice.
+    """
+    acc: dict[Monomial, int] = {}
+    support = mono.items2()
+
+    def add(num: int, *changes: tuple[int, int]):
+        m = Monomial(support + changes)
+        s = acc.get(m, 0) + num
+        if s:
+            acc[m] = s
+        else:
+            acc.pop(m, None)
+
+    for a, (k, ek) in enumerate(support):
+        if k == 2:
+            add(-2 * ek, (2, -2))
+        elif k >= 4:
+            add(-2 * ek, (k, -2), (k - 2, 2))
+        for l, el in support[a:]:
+            num = ek * (ek - 2) if l == k else 2 * ek * el
+            if not num:
+                continue
+            add(comb(k + l - 2, k - 1) * num, (k, -2), (l, -2), (k + l - 2, 2))
+            if k >= 3:
+                add(-num, (k, -2), (l, -2), (k - 1, 2), (l - 1, 2))
+    return tuple(acc.items())
 
 
-@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _pr_delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """pr delta_n(n, mono) as (monomial, numerator) pairs over the denominator
-    2^n: the terms of delta_n(n, mono) free of Q1."""
-    return _delta_n_sum(n, mono, True)
-
-
-def _apply_images(image, n: int, f: SSPoly) -> SSPoly:
-    """Extend a per-monomial image with numerators over 2^n linearly to f.
+def _apply_images(image, shift: int, f: SSPoly) -> SSPoly:
+    """Extend a per-monomial image with numerators over 2^shift linearly to f.
 
     The coefficients of f are brought to one common denominator, so the
     images combine in integers and each output coefficient is divided once.
-    Order 0 is the identity.
     """
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    if n == 0:
-        return f
     terms = f.terms()
     den = lcm(*(c.denominator for _, c in terms))
     acc: dict[Monomial, int] = {}
     for mono, coeff in terms:
         scale = coeff.numerator * (den // coeff.denominator)
-        for m, num in image(n, mono):
+        for m, num in image(mono):
             acc[m] = acc.get(m, 0) + scale * num
-    den <<= n
+    den <<= shift
     return SSPoly({m: Fraction(s, den) for m, s in acc.items() if s})
+
+
+def _apply_order_n(image, n: int, f: SSPoly) -> SSPoly:
+    """An order-n image, over 2^n, applied to f; order 0 is the identity."""
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    if n == 0:
+        return f
+    return _apply_images(lambda mono: image(n, mono), n, f)
 
 
 def d_op_n(n: int, f: SSPoly) -> SSPoly:
     """The order-n operator; order 1 is the lowering operator d_op and
     order 0 the identity.  On weight-homogeneous input the weight drops
     by n."""
-    return _apply_images(_d_op_n_image, n, f)
+    return _apply_order_n(_d_op_n_image, n, f)
 
 
 def d_op(f: SSPoly) -> SSPoly:
@@ -224,17 +242,14 @@ def delta_n(n: int, f: SSPoly) -> SSPoly:
     delta_n(0) is the identity, delta_n(1) vanishes identically and
     delta_n(2) is twice the laplacian.
     """
-    return _apply_images(_delta_n_image, n, f)
+    return _apply_order_n(_delta_n_image, n, f)
 
 
-def pr_delta_n(n: int, f: SSPoly) -> SSPoly:
-    """pr delta_n(n, f), the Q1-free part of delta_n(n, f), without forming
-    a Q1 term of the final order-(n - i) images.  delta_n commutes with
-    multiplication by Q1, so pr delta_n(n, f) = pr delta_n(n, pr f) and
-    projected images compose."""
-    if n == 0:
-        return f.pr()
-    return _apply_images(_pr_delta_n_image, n, f)
+def pr_laplacian(f: SSPoly) -> SSPoly:
+    """pr laplacian(f), the Q1-free part of the laplacian, from its closed
+    form.  The laplacian commutes with multiplication by Q1, so the Q1 terms
+    of f are dropped first."""
+    return _apply_images(_pr_laplacian_image, 3, f.pr())
 
 
 def laplacian(f: SSPoly) -> SSPoly:

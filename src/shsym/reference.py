@@ -2,8 +2,8 @@
 
 Polynomials are stored as parseable expression strings in the factored
 form scalar * (integer combination); the bracket column is None for odd
-weights, whose averages vanish identically.  These rows back both the
-self-verification suite and the table-rendering command.
+weights, whose averages vanish identically.  Only the self-verification
+suites and the tests read these rows; `shsym tables` computes its own.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .operators import (
     kelvin,
     laplacian,
     multiply_by,
-    pr_delta_n,
+    pr_laplacian,
     q2_hat,
 )
 from .partitions import (
@@ -466,29 +466,17 @@ def suite_delta_n_oracle(rng, max_weight, order):
     return True, f"orders <= 5 on {len(samples)} samples, {len(rows)} table rows rebuilt"
 
 
-def suite_pr_delta_n_oracle(rng, max_weight, order):
-    seed = kelvin(SSPoly.one())
-    samples = [SSPoly.zero(), seed, parse_poly("Q1^2*Q2^(-3/2)*Q3 - 2/3*Q1*Q2^(5/2) + Q4")]
-    samples += [random_laurent(rng, min(max_weight, 6)) for _ in range(6)]
-    for f in samples:
-        for n in range(13):
-            got = pr_delta_n(n, f)
-            if n <= 6 and got != oracle_delta_n(n, f).pr():
-                return False, f"order {n} differs from the projected binomial sum on {format_poly(f)}"
-            if got != delta_n(n, f).pr():
-                return False, f"order {n} differs from the projected full image on {format_poly(f)}"
+def suite_pr_laplacian_oracle(rng, max_weight, order):
+    samples = [SSPoly.zero(), kelvin(SSPoly.one())]
+    samples.append(parse_poly("Q1^2*Q2^(-3/2)*Q3 - 2/3*Q1*Q2^(5/2) + Q4"))
+    # rational coefficients, Q1 terms, extra Q2 powers in {-3, -5/2, ..., 3}
+    samples += [random_laurent(rng, min(max_weight, 8)) for _ in range(40)]
     top = max(max_weight, 16)
-    count = 0
-    for w in range(top + 1):
-        for lam in enumerate_min_part(w, 3):
-            # the same element projected once, after the whole composition
-            if basis_element(lam) != kelvin(delta_lambda(lam, seed).pr()):
-                return False, f"basis element {lam} differs from the unprojected composition"
-            count += 1
-    return True, (
-        f"orders <= 6 against the binomial sum and <= 12 against delta_n on"
-        f" {len(samples)} samples, {count} basis elements of weight <= {top}"
-    )
+    monomials = [b for w in range(top + 1) for b in lambda_star_basis(w)]
+    for f in samples + monomials:
+        if pr_laplacian(f) != laplacian(f).pr():
+            return False, f"closed form differs from the projected laplacian on {format_poly(f)}"
+    return True, f"{len(samples)} samples, {len(monomials)} monomials of weight <= {top}"
 
 
 # -- harmonic decomposition -----------------------------------------------------
@@ -544,6 +532,21 @@ def suite_t_solve_oracle(rng, max_weight, order):
             if decompose(f).components != want:
                 return False, f"decompose of Q2^{r} * h differs at table row {lam}"
     return True, f"{len(rows)} table rows times Q2^r, r <= 3"
+
+
+def suite_basis_oracle(rng, max_weight, order):
+    """Each basis element equals the projected Kelvin image of delta_lambda
+    on the Kelvin unit, which shares nothing with the triangular solve that
+    builds it; parts 1 and 2 included, where both are zero."""
+    seed = kelvin(SSPoly.one())
+    top = max(max_weight, 16)
+    count = 0
+    for w in range(top + 1):
+        for lam in enumerate_min_part(w, 1):
+            if basis_element(lam) != kelvin(delta_lambda(lam, seed).pr()):
+                return False, f"basis element {lam} differs from the Kelvin/delta_lambda composition"
+            count += 1
+    return True, f"{count} partitions of weight <= {top}"
 
 
 def suite_q2_multiples_not_harmonic(rng, max_weight, order):
@@ -912,9 +915,10 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("operators.weight_drop", suite_weight_drop),
     ("operators.d_op_n_oracle", suite_d_op_n_oracle),
     ("operators.delta_n_oracle", suite_delta_n_oracle),
-    ("operators.pr_delta_n_oracle", suite_pr_delta_n_oracle),
+    ("operators.pr_laplacian_oracle", suite_pr_laplacian_oracle),
     ("harmonic.direct_sum", suite_direct_sum),
     ("harmonic.t_solve_oracle", suite_t_solve_oracle),
+    ("harmonic.basis_oracle", suite_basis_oracle),
     ("harmonic.q2_multiples", suite_q2_multiples_not_harmonic),
     ("harmonic.basis", suite_harmonic_basis),
     ("harmonic.depth", suite_depth),

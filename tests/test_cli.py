@@ -338,11 +338,26 @@ def test_recognize_reads_every_spelling_of_a_coefficient(capsys):
     from shsym.cli import _coefficient
     from shsym.ssym import MAX_CONSTANT_DIGITS
 
-    for tok in ("1/2", "-3/4", "0.5", "1e3", "+2.5E-3", "1_000", "1e-999", "9" * MAX_CONSTANT_DIGITS):
+    for tok in ("1/2", "-3/4", "0.5", "5.", ".5", "1e3", "+2.5E-3", "1e-999", "9" * MAX_CONSTANT_DIGITS):
         assert _coefficient(tok) == Fraction(tok), tok
-    spelled = "1e0 -2.4e1 -72.0 -96/1 -168 -1_44 -288 -192 -3.6E+2 -312 -432 -288 -672"
+    spelled = "1e0 -2.4e1 -72.0 -96/1 -168 -144 -288 -192 -3.6E+2 -312 -432 -288 -672"
     code, out, _ = run(capsys, "recognize", spelled, "--weight", "2")
     assert code == 0 and out == "P\n"
+
+
+def test_recognize_names_a_bad_coefficient_at_its_own_position(capsys):
+    for text, position, reason in (
+        ("1 2 1/0", 4, "zero denominator"),
+        ("1,2, 1_2", 5, "not a number"),  # Fraction would read 12
+        ("1_000", 0, "not a number"),
+        ("1 2 x 4", 4, "not a number"),
+        ("1 1/1e1001 3", 2, "not a number"),
+        ("1  2\n\t3 .e5", 8, "not a number"),
+        ("1 2 -1e10000000", 4, "longer than 1000 digits"),
+    ):
+        code, out, err = run(capsys, "recognize", text, "--weight", "2")
+        assert code == 2 and out == "", text
+        assert err == f"parse error: bad coefficient: {reason} (at position {position})\n", text
 
 
 def test_recognize_refuses_a_long_coefficient_before_converting_it():

@@ -228,6 +228,15 @@ def test_t_is_lower_triangular_with_nonzero_diagonal():
         for i, (_, diagonal, lower) in enumerate(rows):
             assert diagonal != 0
             assert all(j < i and c != 0 for j, c in lower)
+        # the integer rows are 8 T, column by column, against the operator
+        for j, (m, _, _) in enumerate(rows):
+            column = {
+                rows[i][0]: Fraction(c, 8)
+                for i, (_, diagonal, lower) in enumerate(rows)
+                for k, c in ((i, diagonal),) + lower
+                if k == j
+            }
+            assert laplacian(Q2 * SSPoly({m: 1})).pr() == SSPoly(column), (n, m)
 
 
 def test_triangular_solve_matches_dense_inverse():
@@ -241,6 +250,17 @@ def test_triangular_solve_matches_dense_inverse():
         g = _solve_t(n, rhs)
         assert g == oracle_t_solve(n, rhs), n
         assert laplacian(Q2 * g).pr() == rhs, n
+
+
+def test_basis_element_equals_the_kelvin_composition():
+    from shsym.verify import suite_basis_oracle
+
+    # every partition of weight <= 18, parts 1 and 2 included, where both
+    # are zero
+    ok, detail = suite_basis_oracle(random.Random(1), 18, 30)
+    assert ok, detail
+    for lam in ((1,), (2,), (2, 2), (5, 3, 1), (4, 2), (3, 3, 2, 1)):
+        assert basis_element(lam).is_zero, lam
 
 
 def test_harmonic_caches_are_bounded_and_cover_the_cli_caps():

@@ -16,7 +16,7 @@ from shsym.operators import (
     kelvin,
     laplacian,
     multiply_by,
-    pr_delta_n,
+    pr_laplacian,
     q2_hat,
 )
 from shsym.ssym import Monomial, SSPoly, format_poly, parse_poly
@@ -25,7 +25,7 @@ from shsym.verify import (
     oracle_d_op_n,
     oracle_delta_n,
     random_laurent,
-    suite_pr_delta_n_oracle,
+    suite_pr_laplacian_oracle,
 )
 
 Q1, Q2, Q3, Q4 = (SSPoly.gen(k) for k in (1, 2, 3, 4))
@@ -85,39 +85,44 @@ def test_d_op_n_matches_ordered_tuple_oracle():
             assert d_op_n(n, f) == oracle_d_op_n(n, f), (n, format_poly(f))
 
 
+def _kelvin_composition(lam):
+    """The basis element's oracle, built from the delta_n images."""
+    return kelvin(delta_lambda(lam, kelvin(SSPoly.one())).pr())
+
+
 def test_d_op_n_image_cache_is_bounded():
     from shsym.harmonic import basis_element, decompose
-    from shsym.operators import _d_op_n_image, _delta_n_image, _pr_delta_n_image, _shared
+    from shsym.operators import _d_op_n_image, _delta_n_image, _shared
     from shsym.partitions import enumerate_min_part
 
-    caches = (_d_op_n_image, _delta_n_image, _pr_delta_n_image, _shared)
+    caches = (_d_op_n_image, _delta_n_image, _shared)
     for cache in caches:
         cache.cache_clear()
-    build = basis_element.__wrapped__  # bypass the per-partition cache
     for lam in enumerate_min_part(18, 3):
-        build(lam)
-    # the basis fills the projected images only
-    assert _pr_delta_n_image.cache_info().currsize > 0
-    assert _delta_n_image.cache_info().currsize == 0
+        basis_element.__wrapped__(lam)  # bypass the per-partition cache
+    # the basis is solved on the closed form and fills no image
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
+    for lam in enumerate_min_part(18, 3):
+        _kelvin_composition(lam)
     decompose(parse_poly("Q18 + Q6^3 - 2*Q5^2*Q4^2 + Q3^6"))
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None
-        # `shsym basis 18` and a weight-18 decomposition fit without an eviction
-        assert info.currsize == info.misses < info.maxsize
+        # the oracle of `shsym basis 18` and a weight-18 decomposition fit
+        # without an eviction
+        assert 0 < info.currsize == info.misses < info.maxsize
 
 
 def test_d_op_n_image_cache_is_thread_safe():
     import sys
     import threading
 
-    from shsym.harmonic import basis_element
-    from shsym.operators import _d_op_n_image, _delta_n_image, _pr_delta_n_image, _shared
+    from shsym.operators import _d_op_n_image, _delta_n_image, _shared
     from shsym.partitions import enumerate_min_part
 
-    build = basis_element.__wrapped__  # bypass the per-partition cache
+    build = _kelvin_composition
     lams = enumerate_min_part(12, 3)
-    caches = (_d_op_n_image, _delta_n_image, _pr_delta_n_image, _shared)
+    caches = (_d_op_n_image, _delta_n_image, _shared)
     for cache in caches:
         cache.cache_clear()
     serial = [build(lam) for lam in lams]
@@ -272,18 +277,15 @@ def test_delta_n_defining_sum():
             assert delta_n(n, f) == oracle_delta_n(n, f), (n, format_poly(f))
 
 
-def test_pr_delta_n_is_the_projected_delta_n():
-    f = parse_poly("Q1^2*Q3 + Q2^(-1/2)*Q4")
-    assert pr_delta_n(0, f) == f.pr()
-    assert pr_delta_n(1, f).is_zero
-    assert pr_delta_n(3, Q1 * f).is_zero  # delta_n commutes with Q1
-    with pytest.raises(ValueError):
-        pr_delta_n(-1, f)
-    # against the binomial sum (n <= 6) and the full images (n <= 12) on
-    # Laurent samples with Q1 powers, and every basis element of weight <= 16
-    # against the composition projected once at the end
+def test_pr_laplacian_is_the_projected_laplacian():
+    assert pr_laplacian(Q2**2) == Q2
+    assert pr_laplacian(Q3).is_zero
+    assert pr_laplacian(Q1 * Q4 + Q1**2).is_zero  # the laplacian commutes with Q1
+    assert pr_laplacian(parse_poly("Q2^(3/2)")).is_zero  # the Kelvin unit is harmonic
+    # against the projected operator on Laurent samples with Q1 powers and
+    # on every monomial of weight <= 18
     for seed in (1, 2):
-        ok, detail = suite_pr_delta_n_oracle(random.Random(seed), 16, 30)
+        ok, detail = suite_pr_laplacian_oracle(random.Random(seed), 18, 30)
         assert ok, detail
 
 
