@@ -109,25 +109,25 @@ def cmd_basis(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .harmonic import decompose, is_harmonic
+    from .harmonic import decompose
 
     f = parse_poly(_read_expr(args.expr))
     if f.in_lambda_star():  # anything else is rejected by decompose
         _check_limit("weight", max(f.weight_components(), default=0), MAX_WEIGHT)
+    # decompose raises unless every slot it peels is harmonic, and each
+    # component is a sum of such slots
     dec = decompose(f)
-    flags = [is_harmonic(h) for h in dec.components]
     if args.format == "json":
         payload = {
             "components": [_poly_json(h) for h in dec.components],
-            "harmonic": flags,
+            "harmonic": [True] * len(dec.components),
             "depth": dec.depth,
         }
         print(json.dumps(payload, indent=2))
     else:
         render = format_poly_latex if args.format == "latex" else format_poly
-        for r, (h, flag) in enumerate(zip(dec.components, flags)):
-            marker = "harmonic" if flag else "NOT harmonic"
-            print(f"h{r}: {render(h)}   [{marker}]")
+        for r, h in enumerate(dec.components):
+            print(f"h{r}: {render(h)}   [harmonic]")
         print(f"depth: {dec.depth}")
     return EXIT_OK
 

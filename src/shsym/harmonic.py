@@ -5,7 +5,8 @@ laplacian vanishes.  Every weight-n element splits uniquely as
 f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `decompose`
 peels one slot at a time: the g with T(g) = pr laplacian(f), where
 T(g) = pr laplacian(Q2 g), solves a sparse lower-triangular integer system
-by forward substitution, and f - Q2 g is the harmonic slot.
+by forward substitution, and f - Q2 g is the harmonic slot, which
+`is_harmonic` checks once on the operator laplacian.
 
 The explicit basis of the weight-n harmonic space is indexed by partitions
 of n with all parts >= 3.  Its element h_lambda, the projected Kelvin image
@@ -78,14 +79,6 @@ def is_harmonic(f: SSPoly) -> bool:
     return laplacian(f).pr().is_zero
 
 
-# Cache bounds: every weight up to the CLI's cap of 20 for the per-weight
-# caches, and every partition of weight <= 20 (2,714 of them) for the basis
-# elements.
-_WEIGHT_CACHE_SIZE = 32
-_ELEMENT_CACHE_SIZE = 1 << 12
-
-
-@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     """Monomial basis of the weight-n slice: products over partitions of n
     with all parts >= 2, in the deterministic enumeration order."""
@@ -99,7 +92,9 @@ def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
 _TRow = tuple[Monomial, int, tuple[tuple[int, int], ...]]
 
 
-@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+# Every weight up to the CLI's cap of 20: `decompose` at weight w solves on
+# each slice of weight <= w - 2, and `basis n` reuses the slice n - 2.
+@lru_cache(maxsize=32)
 def _t_inverse(n: int) -> tuple[_TRow, ...]:
     """The map T(g) = pr laplacian(Q2 g) on the weight-n slice, as sparse
     lower-triangular integer rows, numerators over the denominator 8 of
@@ -159,15 +154,21 @@ def _solve_t(n: int, rhs: SSPoly) -> SSPoly:
     return SSPoly({row[0]: Fraction(8 * v, den) for row, v in zip(rows, values) if v})
 
 
+def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
+    """The split f = h + Q2 g of a weight-n element, with h the harmonic slot:
+    g solves T(g) = pr laplacian(f)."""
+    g = _solve_t(n - 2, pr_laplacian(f))
+    return f - SSPoly.gen(2) * g, g
+
+
 def _decompose_homogeneous(f: SSPoly, n: int) -> list[SSPoly]:
     slots = n // 2 + 1
     if f.is_zero:
         return [SSPoly.zero()] * slots
     if n < 2:
         return [f]
-    g = _solve_t(n - 2, pr_laplacian(f))
-    h0 = f - SSPoly.gen(2) * g
-    if not laplacian(h0).pr().is_zero:
+    h0, g = _peel(f, n)
+    if not is_harmonic(h0):
         raise LinearSolveError("inconsistent")  # impossible unless buggy
     return [h0] + _decompose_homogeneous(g, n - 2)
 
@@ -189,7 +190,6 @@ def decompose(f: SSPoly) -> Decomposition:
     return dec
 
 
-@lru_cache(maxsize=_ELEMENT_CACHE_SIZE)
 def basis_element(lam: Partition) -> SSPoly:
     """The harmonic element attached to a partition: the projected,
     Kelvin-conjugated image of delta_lambda applied to the Kelvin unit.
@@ -201,12 +201,13 @@ def basis_element(lam: Partition) -> SSPoly:
     and the projection of delta_2 on the Kelvin unit Q2^(3/2) does.
     """
     lam = check_partition(lam)
-    if lam and lam[-1] <= 2:
+    if not lam:
+        return SSPoly.one()
+    if lam[-1] <= 2:
         return SSPoly.zero()
     n = sum(lam)
-    q = q_lambda(lam)
-    g = _solve_t(n - 2, pr_laplacian(q)) if lam else SSPoly.zero()
-    return (q - SSPoly.gen(2) * g) * leading_term_scale(n)
+    h, _ = _peel(q_lambda(lam), n)
+    return h * leading_term_scale(n)
 
 
 def harmonic_basis(n: int) -> HarmonicBasis:

@@ -60,18 +60,10 @@ def euler_op(f: SSPoly) -> SSPoly:
     return SSPoly({m: c * m.weight() for m, c in f.terms()})
 
 
-# Entries kept by each of the three caches below; the Kelvin/delta_lambda
+# Entries kept by each of the two caches below; the Kelvin/delta_lambda
 # composition of every partition of 18 with parts >= 3 (the oracle of
 # `shsym basis 18`) and a weight-18 decomposition fit without an eviction.
 _IMAGE_CACHE_SIZE = 1 << 14
-
-
-@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _shared(mono: Monomial) -> Monomial:
-    """The first-seen monomial equal to mono.  Images repeat the same output
-    monomials, so they keep one object per distinct monomial, which also
-    lets dict lookups match by identity."""
-    return mono
 
 
 @lru_cache(maxsize=_IMAGE_CACHE_SIZE)
@@ -105,7 +97,7 @@ def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
             inner //= factorial(k - 1) ** t
         if hook_weight >= 1:
             changes[hook_weight] = changes.get(hook_weight, 0) + 2
-        m = _shared(mono.shift(changes))
+        m = mono.shift(changes)
         s = acc.get(m, 0) + arrangements * inner * deriv
         if s:
             acc[m] = s

@@ -345,7 +345,9 @@ def beta(k: int) -> Fraction:
     return _beta_list(upto)[k]
 
 
-@lru_cache(maxsize=1 << 18)
+# `eval` reads each generator once per partition; the reuse is in the oracles,
+# which evaluate many products on a few partitions.
+@lru_cache(maxsize=1024)
 def eval_qk(k: int, lam: Partition) -> Fraction:
     """Exact value of the generator Q_k on a partition."""
     if k < 0:

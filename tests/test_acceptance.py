@@ -6,12 +6,12 @@ The other criteria are tested once: 04 the commutator table and power
 identity (suites operators.commutator_table and
 operators.q2_power_commutator in tests/test_verify.py), 06 sl2
 equivariance (forms.equivariance), 08 the decomposition round trip
-(harmonic.direct_sum). Criterion 10 checks the closed form of the
+(harmonic.direct_sum), 09 the leading terms and the reproduction
+identity of every basis element of weight <= 12 (harmonic.basis).
+Criterion 10 checks the closed form of the
 laplacian on every half-integer power of Q2 from -4 to 12; its comparison
 with a two-variable oracle for n <= 6 is
 tests/test_operators.py::test_laplacian_q2_powers_closed_form_and_oracle.
-Criterion 09 repeats the element checks of harmonic.basis and is the next
-to go.
 
 Each test prints a single pass line on success; run with `pytest -v
 tests/test_acceptance.py` (add -s to see the lines inline).
@@ -20,10 +20,10 @@ tests/test_acceptance.py` (add -s to see the lines inline).
 import random
 from fractions import Fraction
 
-from shsym.harmonic import basis_element, harmonic_basis, leading_term_check, unusual_identity_check
+from shsym.harmonic import basis_element, harmonic_basis
 from shsym.linalg import matrix_rank
 from shsym.operators import d_op_n, delta_lambda, laplacian
-from shsym.partitions import count_partitions, enumerate_min_part, enumerate_partitions
+from shsym.partitions import count_partitions, enumerate_partitions
 from shsym.qseries import q_bracket
 from shsym.quasimodular import QMForm, depth, is_modular_bracket, recognize
 from shsym.reference import even_rows, odd_rows
@@ -96,15 +96,6 @@ def test_criterion_07_modularity_criterion():
         tail_zero = all(q_bracket(h, ORDER).is_zero for h in dec.components[1:])
         assert modular == (depth(form) == 0) == tail_zero
     print("criterion 7: PASS (20 seeded samples, even weights <= 10)")
-
-
-def test_criterion_09_unusual_identity_and_leading_terms():
-    for n in range(13):
-        for lam in enumerate_min_part(n, 3):
-            assert leading_term_check(lam), lam
-            if n >= 1:
-                assert unusual_identity_check(basis_element(lam), n), lam
-    print("criterion 9: PASS (all basis elements of weight <= 12)")
 
 
 def test_criterion_10_laplacian_power_regression():

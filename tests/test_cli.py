@@ -123,6 +123,24 @@ def test_decompose_text(capsys):
     ]
 
 
+def test_decompose_checks_each_slot_once(capsys, monkeypatch):
+    from shsym import harmonic
+
+    calls = []
+    laplacian = harmonic.laplacian
+
+    def counted(f):
+        calls.append(f)
+        return laplacian(f)
+
+    monkeypatch.setattr(harmonic, "laplacian", counted)
+    code, out, _ = run(capsys, "decompose", "Q4^2 + Q2*Q3^2 - 2*Q2^4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["harmonic"] == [True] * 5
+    # one harmonicity check per peeled slot, at weights 8, 6, 4 and 2
+    assert len(calls) == 4
+
+
 def test_decompose_stdin(capsys, monkeypatch):
     import io
 
@@ -439,13 +457,32 @@ def test_every_cache_is_bounded():
 
     import shsym
 
-    caches = []
+    caches = {}
     for info in pkgutil.iter_modules(shsym.__path__):
         module = importlib.import_module(f"shsym.{info.name}")
-        caches += [(info.name, name, f) for name, f in vars(module).items() if hasattr(f, "cache_parameters")]
-    assert len(caches) >= 15
-    for module, name, f in caches:
-        assert f.cache_parameters()["maxsize"] is not None, f"{module}.{name}"
+        caches.update(
+            (f"{info.name}.{name}", f)
+            for name, f in vars(module).items()
+            if hasattr(f, "cache_parameters") and f.__module__ == module.__name__
+        )
+    # the rows of the README cache table
+    assert set(caches) == {
+        "ssym._beta_list",
+        "ssym.eval_qk",
+        "partitions.enumerate_partitions",
+        "partitions.enumerate_min_part",
+        "operators._d_op_n_image",
+        "operators._delta_n_image",
+        "harmonic._t_inverse",
+        "qseries.eisenstein",
+        "qseries._moment_knapsack",
+        "quasimodular._gen_power",
+        "quasimodular._int_power",
+        "quasimodular._elimination",
+        "verify._generator_values",
+    }
+    for name, f in caches.items():
+        assert f.cache_parameters()["maxsize"] is not None, name
 
 
 def _assert_one_line_usage_error(capsys, *argv, prefix="error: "):

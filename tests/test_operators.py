@@ -92,14 +92,14 @@ def _kelvin_composition(lam):
 
 def test_d_op_n_image_cache_is_bounded():
     from shsym.harmonic import basis_element, decompose
-    from shsym.operators import _d_op_n_image, _delta_n_image, _shared
+    from shsym.operators import _d_op_n_image, _delta_n_image
     from shsym.partitions import enumerate_min_part
 
-    caches = (_d_op_n_image, _delta_n_image, _shared)
+    caches = (_d_op_n_image, _delta_n_image)
     for cache in caches:
         cache.cache_clear()
     for lam in enumerate_min_part(18, 3):
-        basis_element.__wrapped__(lam)  # bypass the per-partition cache
+        basis_element(lam)
     # the basis is solved on the closed form and fills no image
     assert all(cache.cache_info().currsize == 0 for cache in caches)
     for lam in enumerate_min_part(18, 3):
@@ -117,12 +117,12 @@ def test_d_op_n_image_cache_is_thread_safe():
     import sys
     import threading
 
-    from shsym.operators import _d_op_n_image, _delta_n_image, _shared
+    from shsym.operators import _d_op_n_image, _delta_n_image
     from shsym.partitions import enumerate_min_part
 
     build = _kelvin_composition
     lams = enumerate_min_part(12, 3)
-    caches = (_d_op_n_image, _delta_n_image, _shared)
+    caches = (_d_op_n_image, _delta_n_image)
     for cache in caches:
         cache.cache_clear()
     serial = [build(lam) for lam in lams]

@@ -74,15 +74,6 @@ def test_partition_gf_examples():
     assert partition_gf(10).coeff(10) == 42
 
 
-def test_partition_gf_euler_product():
-    order = 20
-    gf = partition_gf(order)
-    prod = QSeries.one(order)
-    for m in range(1, order + 1):
-        prod = prod * QSeries([1] + [0] * (m - 1) + [-1], order)
-    assert gf * prod == QSeries.one(order)
-
-
 def test_sigma_by_direct_divisor_sums():
     for n in range(1, 40):
         for k in (1, 3, 5):
@@ -103,14 +94,6 @@ def test_eisenstein_leading_coefficients():
 def test_d_series_examples():
     assert d_series(QSeries.one(5)).is_zero
     assert d_series(QSeries([0, 1], 5)) == QSeries([0, 1], 5)
-
-
-def test_partition_gf_logarithmic_derivative():
-    order = 25
-    gf = partition_gf(order)
-    lhs = d_series(gf) * gf.inverse()
-    rhs = (QSeries.one(order) - eisenstein(2, order)) * Fraction(1, 24)
-    assert lhs == rhs
 
 
 def test_q_bracket_examples():
