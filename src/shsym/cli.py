@@ -9,13 +9,13 @@ Each process runs one subcommand, so this module imports only the ring
 (`ssym`) and the partitions at its top, and each subcommand imports the
 layers it runs: eval nothing more, basis and decompose the operators and
 the harmonic layer, qbracket and recognize the series and recognition,
-tables all four, and verify its suites and oracles as well.
+tables all four, and verify its suites and oracles as well.  Only a
+request for JSON output loads `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -64,16 +64,59 @@ def _read_expr(arg: str | None) -> str:
     return arg
 
 
-def _poly_json(f: SSPoly) -> list[dict]:
-    out = []
-    for mono, coeff in f.terms():
-        out.append(
-            {
-                "coeff": str(coeff),
-                "monomial": {str(k): e2 // 2 for k, e2 in mono.items2()},
-            }
-        )
-    return out
+def _write_json(value, pad: str, out: list[str]) -> None:
+    """Append the text of json.dumps(value, indent=2) at the indentation pad.
+
+    A polynomial is written as its term list, each term a "coeff" and a
+    "monomial" mapping each generator to its exponent, straight from its
+    terms.  Python's C encoder ignores `indent`, so json.dumps would
+    encode every indented payload in pure Python instead.
+    """
+    import json  # loaded only by the requests that print JSON
+
+    string = json.encoder.encode_basestring_ascii
+    inner = pad + "  "
+    if isinstance(value, str):
+        out.append(string(value))
+    elif value is True or value is False or value is None:
+        out.append(json.dumps(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (SSPoly, dict, list, tuple)):
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    elif not value:  # an empty container or polynomial
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, SSPoly):
+        term = inner + "  "
+        sep = "[\n" + inner
+        for mono, coeff in value.terms():
+            exponents = ",\n".join(f'{term}  "{k}": {e2 // 2}' for k, e2 in mono.items2())
+            monomial = f"{{\n{exponents}\n{term}}}" if exponents else "{}"
+            out.append(f'{sep}{{\n{term}"coeff": "{coeff!s}",\n{term}"monomial": {monomial}\n{inner}}}')
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{string(key)}: ")
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+
+
+def _print_json(payload) -> None:
+    """Print payload as json.dumps(payload, indent=2) would, polynomials
+    written as their term lists."""
+    out: list[str] = []
+    _write_json(payload, "", out)
+    print("".join(out))
 
 
 def _form_json(m: QMForm) -> list[dict]:
@@ -92,10 +135,7 @@ def cmd_basis(args) -> int:
     _check_limit("weight", args.n, MAX_WEIGHT)
     rows = [(lam, basis_element(lam)) for lam in enumerate_min_part(args.n, args.min_part)]
     if args.format == "json":
-        payload = [
-            {"lambda": list(lam), "h": _poly_json(h)} for lam, h in rows
-        ]
-        print(json.dumps(payload, indent=2))
+        _print_json([{"lambda": list(lam), "h": h} for lam, h in rows])
     elif args.format == "latex":
         print(r"\begin{array}{ll}")
         print(r"\lambda & h_\lambda \\ \hline")
@@ -119,11 +159,11 @@ def cmd_decompose(args) -> int:
     dec = decompose(f)
     if args.format == "json":
         payload = {
-            "components": [_poly_json(h) for h in dec.components],
+            "components": dec.components,
             "harmonic": [True] * len(dec.components),
             "depth": dec.depth,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         render = format_poly_latex if args.format == "latex" else format_poly
         for r, h in enumerate(dec.components):
@@ -141,8 +181,7 @@ def cmd_qbracket(args) -> int:
     _check_limit("number of distinct Q2-free monomials", knapsack_count(f), MAX_BRACKET_MONOMIALS)
     series, form = bracket_form(f, args.order, args.weight)
     if args.format == "json":
-        payload = {"series": _series_json(series), "q_bracket": _form_json(form)}
-        print(json.dumps(payload, indent=2))
+        _print_json({"series": _series_json(series), "q_bracket": _form_json(form)})
     else:
         render = format_qmform_latex if args.format == "latex" else format_qmform
         print(f"series: {series}")
@@ -199,7 +238,7 @@ def cmd_recognize(args) -> int:
     series = QSeries(coeffs)
     form = recognize(series, args.weight, min(args.order, series.order))
     if args.format == "json":
-        print(json.dumps({"q_bracket": _form_json(form)}, indent=2))
+        _print_json({"q_bracket": _form_json(form)})
     else:
         render = format_qmform_latex if args.format == "latex" else format_qmform
         print(render(form))
@@ -218,6 +257,8 @@ def cmd_eval(args) -> int:
             f" longer than {MAX_CONSTANT_DIGITS} digits"
         )
     if args.format == "json":
+        import json
+
         print(json.dumps({"value": str(value)}))
     else:
         print(value)
@@ -245,11 +286,9 @@ def cmd_tables(args) -> int:
             h = basis_element(lam)
             rows.append((lam, h, bracket_form(h, args.order, n)[1]))
     if args.format == "json":
-        payload = [
-            {"lambda": list(lam), "h": _poly_json(h), "q_bracket": _form_json(form)}
-            for lam, h, form in rows
-        ]
-        print(json.dumps(payload, indent=2))
+        _print_json(
+            [{"lambda": list(lam), "h": h, "q_bracket": _form_json(form)} for lam, h, form in rows]
+        )
     elif args.format == "latex":
         print(r"\begin{array}{lll}")
         print(r"\lambda & h_\lambda & \langle h_\lambda\rangle_q \\ \hline")

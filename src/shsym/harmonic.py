@@ -46,13 +46,13 @@ class Decomposition(NamedTuple):
     components: tuple[SSPoly, ...]
 
     def reconstruct(self) -> SSPoly:
-        q2 = SSPoly.gen(2)
-        acc = SSPoly.zero()
-        power = SSPoly.one()
-        for h in self.components:
-            acc = acc + power * h
-            power = power * q2
-        return acc
+        # multiplying by Q2^r shifts each exponent of Q2 by r
+        acc: dict[Monomial, Fraction] = {}
+        for r, h in enumerate(self.components):
+            for m, c in h._terms.items():
+                key = m.shift({2: 2 * r})
+                acc[key] = acc.get(key, 0) + c
+        return SSPoly(acc)
 
     @property
     def depth(self) -> int:
@@ -89,7 +89,7 @@ def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     )
 
 
-_TRow = tuple[Monomial, int, tuple[tuple[int, int], ...]]
+_TRow = tuple[Monomial, Monomial, int, tuple[tuple[int, int], ...]]
 
 
 # Every weight up to the CLI's cap of 20: `decompose` at weight w solves on
@@ -102,16 +102,17 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
 
     Unknowns Q_mu are ordered by (len(mu), mu).  Every term of T(Q_mu) other
     than Q_mu itself has more parts, or as many parts and a lexicographically
-    larger partition, so row i holds the unknown's monomial, its nonzero
-    diagonal entry and the (j, entry) pairs of earlier unknowns j < i.
-    Raises LinearSolveError if that structure fails.
+    larger partition, so row i holds the unknown's monomial Q_mu, its
+    product Q2 Q_mu, its nonzero diagonal entry and the (j, entry) pairs of
+    earlier unknowns j < i.  Raises LinearSolveError if that structure fails.
     """
     mus = sorted(enumerate_min_part(n, 2), key=lambda mu: (len(mu), mu))
     monos = [Monomial.from_partition(mu) for mu in mus]
+    shifted = [m.shift({2: 2}) for m in monos]
     index = {m: i for i, m in enumerate(monos)}
     entries: list[dict[int, int]] = [{} for _ in monos]
-    for j, m in enumerate(monos):
-        for mono, c in _pr_laplacian_image(m.shift({2: 2})):
+    for j, m in enumerate(shifted):
+        for mono, c in _pr_laplacian_image(m):
             i = index[mono]
             if i < j:
                 raise LinearSolveError("not lower-triangular")
@@ -121,13 +122,15 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
         diagonal = entries[i].pop(i, None)
         if diagonal is None:
             raise LinearSolveError("singular")
-        rows.append((m, diagonal, tuple(entries[i].items())))  # j ascending
+        rows.append((m, shifted[i], diagonal, tuple(entries[i].items())))  # j ascending
     return tuple(rows)
 
 
-def _solve_t(n: int, rhs: SSPoly) -> SSPoly:
-    """The weight-n g with T(g) = rhs, by forward substitution in integers;
-    terms of rhs outside the weight-n slice are ignored.
+def _solve_t(n: int, rhs: SSPoly) -> tuple[list[int], int]:
+    """The weight-n g with T(g) = rhs, by forward substitution in integers,
+    as numerators v_i over one denominator D: the coefficient of row i's
+    monomial in g is 8 v_i / D.  Terms of rhs outside the weight-n slice
+    are ignored.
 
     With rhs = N / den, the rows R = 8 T solve R y = N and g = 8 y / den.
     y is kept as integer numerators over one running denominator, which
@@ -139,7 +142,7 @@ def _solve_t(n: int, rhs: SSPoly) -> SSPoly:
     rows = _t_inverse(n)
     scale = 1  # y = values / scale
     values: list[int] = []
-    for mono, diagonal, lower in rows:
+    for mono, _, diagonal, lower in rows:
         s = numerators.get(mono, 0) * scale
         for j, entry in lower:
             s -= entry * values[j]
@@ -150,15 +153,25 @@ def _solve_t(n: int, rhs: SSPoly) -> SSPoly:
             values = [v * step for v in values]
             q = s * step // diagonal
         values.append(q)
-    den *= scale
-    return SSPoly({row[0]: Fraction(8 * v, den) for row, v in zip(rows, values) if v})
+    return values, den * scale
 
 
 def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
     """The split f = h + Q2 g of a weight-n element, with h the harmonic slot:
-    g solves T(g) = pr laplacian(f)."""
-    g = _solve_t(n - 2, pr_laplacian(f))
-    return f - SSPoly.gen(2) * g, g
+    g solves T(g) = pr laplacian(f), and Q2 g is written on the rows'
+    Q2-shifted monomials."""
+    values, den = _solve_t(n - 2, pr_laplacian(f))
+    g: dict[Monomial, Fraction] = {}
+    h = dict(f._terms)
+    for (mono, q2_mono, _, _), v in zip(_t_inverse(n - 2), values):
+        if v:
+            c = g[mono] = Fraction(8 * v, den)
+            s = h.get(q2_mono, 0) - c
+            if s:
+                h[q2_mono] = s
+            else:
+                del h[q2_mono]
+    return SSPoly._wrap(h), SSPoly._wrap(g)
 
 
 def _decompose_homogeneous(f: SSPoly, n: int) -> list[SSPoly]:
@@ -206,8 +219,17 @@ def basis_element(lam: Partition) -> SSPoly:
     if lam[-1] <= 2:
         return SSPoly.zero()
     n = sum(lam)
-    h, _ = _peel(q_lambda(lam), n)
-    return h * leading_term_scale(n)
+    mono = Monomial.from_partition(lam)
+    values, den = _solve_t(n - 2, pr_laplacian(SSPoly({mono: 1})))
+    # c_n Q_lambda, and -c_n * 8 v / den on each Q2-shifted row; Q_lambda
+    # has no Q2, so no two terms share a monomial
+    c = leading_term_scale(n)
+    num, den = -8 * c.numerator, den * c.denominator
+    terms = {mono: c}
+    for row, v in zip(_t_inverse(n - 2), values):
+        if v:
+            terms[row[1]] = Fraction(num * v, den)
+    return SSPoly._wrap(terms)
 
 
 def harmonic_basis(n: int) -> HarmonicBasis:

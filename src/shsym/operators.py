@@ -129,24 +129,27 @@ def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     The i-th summand (-1)^i C(n, i) d_op_n(n - i, d_op^i mono) is built from
     the order-1 and order-(n - i) images: d_op^i mono has numerators over
     2^i and each order-(n - i) image over 2^(n - i), so every product is
-    over 2^n.
+    over 2^n.  The last two summands are both multiples of d_op^n mono,
+    the last lowering, and merge into (-1)^(n-1) (n - 1) d_op^n mono.
     """
     acc: dict[Monomial, int] = {}
     power = {mono: 1}  # d_op^i mono, over 2^i
-    for i in range(n + 1):
-        if i:
-            lowered: dict[Monomial, int] = {}
+    for i in range(n):
+        if i < n - 1:
+            scale = -comb(n, i) if i % 2 else comb(n, i)
             for m, c in power.items():
-                for m2, num in _d_op_n_image(1, m):
-                    lowered[m2] = lowered.get(m2, 0) + c * num
-            power = {m: c for m, c in lowered.items() if c}
-            if not power:
-                break
-        scale = -comb(n, i) if i % 2 else comb(n, i)
+                for m2, num in _d_op_n_image(n - i, m):
+                    acc[m2] = acc.get(m2, 0) + scale * c * num
+        lowered: dict[Monomial, int] = {}
         for m, c in power.items():
-            image = _d_op_n_image(n - i, m) if i < n else ((m, 1),)
-            for m2, num in image:
-                acc[m2] = acc.get(m2, 0) + scale * c * num
+            for m2, num in _d_op_n_image(1, m):
+                lowered[m2] = lowered.get(m2, 0) + c * num
+        power = {m: c for m, c in lowered.items() if c}
+        if not power:
+            break
+    scale = n - 1 if n % 2 else 1 - n
+    for m, c in power.items():
+        acc[m] = acc.get(m, 0) + scale * c
     return tuple((m, s) for m, s in acc.items() if s)
 
 
@@ -196,7 +199,7 @@ def _apply_images(image, shift: int, f: SSPoly) -> SSPoly:
     The coefficients of f are brought to one common denominator, so the
     images combine in integers and each output coefficient is divided once.
     """
-    terms = f.terms()
+    terms = f._terms.items()
     den = lcm(*(c.denominator for _, c in terms))
     acc: dict[Monomial, int] = {}
     for mono, coeff in terms:
@@ -204,7 +207,7 @@ def _apply_images(image, shift: int, f: SSPoly) -> SSPoly:
         for m, num in image(mono):
             acc[m] = acc.get(m, 0) + scale * num
     den <<= shift
-    return SSPoly({m: Fraction(s, den) for m, s in acc.items() if s})
+    return SSPoly._wrap({m: Fraction(s, den) for m, s in acc.items() if s})
 
 
 def _apply_order_n(image, n: int, f: SSPoly) -> SSPoly:
@@ -246,8 +249,8 @@ def pr_laplacian(f: SSPoly) -> SSPoly:
 
 def laplacian(f: SSPoly) -> SSPoly:
     """Half of delta_n(2): half the difference of the order-2 operator and
-    the squared lowering."""
-    return delta_n(2, f) * _HALF
+    the squared lowering, as the delta_n(2) images over 2^3."""
+    return _apply_images(lambda mono: _delta_n_image(2, mono), 3, f)
 
 
 def delta_lambda(lam: Iterable[int], f: SSPoly) -> SSPoly:

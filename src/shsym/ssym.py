@@ -46,6 +46,16 @@ class Monomial:
         merged: dict[int, int] = {}
         for k, e2 in e2_items:
             merged[k] = merged.get(k, 0) + e2
+        self._store(merged)
+
+    @classmethod
+    def _from_merged(cls, merged: dict[int, int]) -> "Monomial":
+        """The monomial of a map with one doubled exponent per generator."""
+        mono = cls.__new__(cls)
+        mono._store(merged)
+        return mono
+
+    def _store(self, merged: dict[int, int]) -> None:
         items = tuple(sorted((k, e2) for k, e2 in merged.items() if e2))
         for k, e2 in items:
             if k < 1:
@@ -89,10 +99,13 @@ class Monomial:
         merged = dict(self._e2)
         for k, delta in changes.items():
             merged[k] = merged.get(k, 0) + delta
-        return Monomial(merged.items())
+        return Monomial._from_merged(merged)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(self._e2 + other._e2)
+        merged = dict(self._e2)
+        for k, e2 in other._e2:
+            merged[k] = merged.get(k, 0) + e2
+        return Monomial._from_merged(merged)
 
     def weight(self) -> int:
         w2 = sum(k * e2 for k, e2 in self._e2)
@@ -208,17 +221,20 @@ class SparseTerms:
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
+            # integer numerators over each factor's common denominator, so
+            # that each output term divides once
             key_mul = self._key_mul
-            out: dict = {}
+            den1 = lcm(*(c.denominator for c in self._terms.values()))
+            den2 = lcm(*(c.denominator for c in other._terms.values()))
+            right = [(k2, c2.numerator * (den2 // c2.denominator)) for k2, c2 in other._terms.items()]
+            acc: dict = {}
             for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
+                n1 = c1.numerator * (den1 // c1.denominator)
+                for k2, n2 in right:
                     key = key_mul(k1, k2)
-                    s = out.get(key, _ZERO) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return self._wrap(out)
+                    acc[key] = acc.get(key, 0) + n1 * n2
+            den = den1 * den2
+            return self._wrap({key: Fraction(s, den) for key, s in acc.items() if s})
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
@@ -300,7 +316,7 @@ class SSPoly(SparseTerms):
 
     def pr(self) -> "SSPoly":
         """Projection killing every monomial divisible by Q1."""
-        return SSPoly({m: c for m, c in self._terms.items() if not m.has_q1()})
+        return self._wrap({m: c for m, c in self._terms.items() if not m.has_q1()})
 
     def in_r(self) -> bool:
         return all(m.in_r() for m in self._terms)

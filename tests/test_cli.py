@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import shsym
 from shsym.cli import main
 
@@ -183,15 +185,6 @@ def test_recognize_failure(capsys):
     assert "not quasimodular" in err
 
 
-def test_tables_text(capsys):
-    code, out, _ = run(capsys, "tables", "--max-weight", "4")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "()\t1\t1"
-    assert lines[1] == "(3)\t-9/4*Q3\t0"
-    assert lines[2] == "(4)\t27/4*Q2^2 + 27/2*Q4\t9/320*Q"
-
-
 def test_tables_json_schema(capsys):
     code, out, _ = run(capsys, "tables", "--max-weight", "4", "--format", "json")
     assert code == 0
@@ -203,19 +196,6 @@ def test_tables_json_schema(capsys):
     ]
     assert rows[2]["q_bracket"] == [{"coeff": "9/320", "P": 0, "Q": 1, "R": 0}]
     assert rows[1]["q_bracket"] == []
-
-
-def test_tables_latex_golden(capsys):
-    code, out, _ = run(capsys, "tables", "--max-weight", "4", "--format", "latex")
-    assert code == 0
-    assert out.splitlines() == [
-        r"\begin{array}{lll}",
-        r"\lambda & h_\lambda & \langle h_\lambda\rangle_q \\ \hline",
-        r"() & 1 & 1 \\",
-        r"(3) & -\frac{9}{4} Q_3 & 0 \\",
-        r"(4) & \frac{27}{4} Q_2^2 + \frac{27}{2} Q_4 & \frac{9}{320} Q \\",
-        r"\end{array}",
-    ]
 
 
 def test_output_is_deterministic(capsys):
@@ -414,8 +394,6 @@ def test_long_sum_on_stdin_is_parse_error(capsys, monkeypatch):
 
 
 def test_argument_errors_are_one_line(capsys):
-    import pytest
-
     # argparse printed its usage first, and the stray argument's newline
     for argv in (("qbracket", "-Q2"), ("qbracket", "Q2", "-N", "x"), ("bogus",), (), ("eval", "Q2", "()", "a\nb")):
         with pytest.raises(SystemExit) as exc:
@@ -609,7 +587,7 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
     # each subcommand loads the layers it runs and no others; -S keeps the
     # site hooks of the interpreter out of the module list
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "import shsym\n"
         "loaded = sorted(sys.modules)\n"
         "import shsym.cli\n"
@@ -617,7 +595,7 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert shsym.cli.main(sys.argv[1:]) == 0\n"
         "    loaded = sorted(sys.modules)\n"
-        "print(json.dumps(loaded))\n"
+        "print(*loaded, sep='\\n')\n"
     )
     base = ["shsym", "shsym.cli", "shsym.partitions", "shsym.ssym"]
     harmonic = ["shsym.harmonic", "shsym.operators"]
@@ -635,9 +613,11 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
             [sys.executable, "-S", "-c", script, *argv], capture_output=True, text=True, env=ENV, timeout=30
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout)
+        loaded = proc.stdout.split()
         assert [m for m in loaded if m.split(".")[0] == "shsym"] == sorted(want), argv
         assert "dataclasses" not in loaded and "inspect" not in loaded, argv
+        # only a request for JSON output loads json
+        assert ("json" in loaded) == ("json" in argv), argv
 
 
 def test_runaway_expansion_is_parse_error():
@@ -715,3 +695,98 @@ def test_closed_stdout_exits_1_without_a_traceback():
         _, err = proc.communicate(timeout=10)
         assert proc.returncode == 1
         assert err == b""
+
+
+# -- JSON output: the writer against json.dumps(..., indent=2) ------------------
+
+
+def _terms_json(f):
+    return [
+        {"coeff": str(c), "monomial": {str(k): e2 // 2 for k, e2 in m.items2()}}
+        for m, c in f.terms()
+    ]
+
+
+def _form_terms_json(form):
+    return [{"coeff": str(c), "P": a, "Q": b, "R": r} for (a, b, r), c in form.terms()]
+
+
+def _assert_prints_json(capsys, payload, *argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, argv
+    assert out == json.dumps(payload, indent=2) + "\n", argv
+
+
+def test_json_writer_equals_json_dumps():
+    from shsym.cli import _write_json
+
+    values = [
+        0, -7, 10**40, True, False, None, "", "a\"b\\c\n\t\x01é☃", [], {}, (),
+        [[]], [{}], {"": []}, {"k": {"n": [1, [2, {}]], "s": "x"}}, (1, (2, "3")),
+        [True, None, {"deep": [[[0]]]}],
+    ]
+    for value in values:
+        out = []
+        _write_json(value, "", out)
+        assert "".join(out) == json.dumps(value, indent=2), value
+    with pytest.raises(TypeError):
+        _write_json(0.5, "", [])
+
+
+def test_basis_json_equals_json_dumps(capsys):
+    from shsym.harmonic import basis_element
+    from shsym.partitions import enumerate_min_part
+
+    # [] rows at weights 1 and 2, and the constant term of weight 0
+    for n in range(15):
+        code, out, _ = run(capsys, "basis", str(n), "--min-part", "0", "--format", "json")
+        assert code == 2 and out == ""
+        for min_part in range(1, 4):
+            payload = [
+                {"lambda": list(lam), "h": _terms_json(basis_element(lam))}
+                for lam in enumerate_min_part(n, min_part)
+            ]
+            _assert_prints_json(capsys, payload, "basis", str(n), "--min-part", str(min_part), "--format", "json")
+
+
+def test_decompose_json_equals_json_dumps(capsys):
+    from shsym.harmonic import decompose
+    from shsym.ssym import parse_poly
+
+    # zero, a constant, slots that are all zero but one, and a mixed sum
+    for expr in ("0", "1", "Q2^3", "Q3^2 + Q2*Q4"):
+        dec = decompose(parse_poly(expr))
+        payload = {
+            "components": [_terms_json(h) for h in dec.components],
+            "harmonic": [True] * len(dec.components),
+            "depth": dec.depth,
+        }
+        _assert_prints_json(capsys, payload, "decompose", expr, "--format", "json")
+
+
+def test_forms_json_equals_json_dumps(capsys):
+    from shsym.harmonic import basis_element
+    from shsym.partitions import enumerate_min_part
+    from shsym.qseries import QSeries
+    from shsym.quasimodular import bracket_form, recognize
+    from shsym.ssym import parse_poly
+
+    rows = []
+    for n in range(7):
+        for lam in enumerate_min_part(n, 3):
+            h = basis_element(lam)
+            form = bracket_form(h, 30, n)[1]
+            rows.append({"lambda": list(lam), "h": _terms_json(h), "q_bracket": _form_terms_json(form)})
+    _assert_prints_json(capsys, rows, "tables", "--format", "json", "--max-weight", "6")
+
+    for expr in ("Q3^2 + 1/2*Q2*Q4", "Q3"):
+        series, form = bracket_form(parse_poly(expr), 14)
+        payload = {
+            "series": {"order": series.order, "coefficients": [str(c) for c in series.coeffs]},
+            "q_bracket": _form_terms_json(form),
+        }
+        _assert_prints_json(capsys, payload, "qbracket", expr, "-N", "14", "--format", "json")
+
+    coeffs = "1 -24 -72 -96 -168 -144 -288 -192 -360 -312 -432"  # E2
+    form = recognize(QSeries([Fraction(c) for c in coeffs.split()]), 2, 10)
+    _assert_prints_json(capsys, {"q_bracket": _form_terms_json(form)}, "recognize", coeffs, "--weight", "2", "--format", "json")

@@ -1,11 +1,13 @@
 """Fuzz test of the command-line contract: whatever the argv and stdin,
 `shsym` exits 0, 1 or 2, writes at most one line to stderr, and raises no
-exception of its own.  Sizes are cheap (orders <= 12, weights <= 8) except
-at each limit and just past it; examples are derandomized, so every run
-tries the same ones.
+exception of its own; a successful `--format json` request prints JSON in
+the layout json.dumps gives it (indented by 2, but one line for `eval`).
+Sizes are cheap (orders <= 12, weights <= 8) except at each limit and just
+past it; examples are derandomized, so every run tries the same ones.
 """
 
 import io
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -67,8 +69,11 @@ COMMANDS = {
 
 
 @st.composite
-def invocations(draw):
-    command = draw(st.sampled_from(sorted(COMMANDS)))
+def invocations(draw, json_only=False):
+    """An argv and stdin; with json_only, a request for JSON without a stray
+    token, from the subcommands that print JSON."""
+    commands = [c for c in sorted(COMMANDS) if not json_only or FORMAT in COMMANDS[c][2]]
+    command = draw(st.sampled_from(commands))
     positional, from_stdin, options = COMMANDS[command]
     argv, stdin = [command], ""
     if positional is not None:
@@ -78,9 +83,11 @@ def invocations(draw):
         else:
             argv += value if isinstance(value, list) else [value]
     for flag, values in options:
-        if draw(st.booleans()):
+        if json_only and flag == "--format":
+            argv += [flag, "json"]
+        elif draw(st.booleans()):
             argv += [flag, str(draw(values))]
-    if draw(st.integers(0, 9)) == 0:  # a stray token anywhere
+    if not json_only and draw(st.integers(0, 9)) == 0:  # a stray token anywhere
         argv.insert(draw(st.integers(0, len(argv))), draw(FREE_TEXT | st.sampled_from(["-N", "--", "-h"])))
     return argv, stdin
 
@@ -92,15 +99,7 @@ CHEAP_SUITES = tuple(
 )
 
 
-@settings(
-    max_examples=300,
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-)
-@given(invocations())
-def test_any_invocation_keeps_the_cli_contract(capsys, invocation):
-    argv, stdin = invocation
+def _check(capsys, argv, stdin):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sys.stdin", io.StringIO(stdin))
         mp.setattr(verify, "SUITES", CHEAP_SUITES)
@@ -108,6 +107,33 @@ def test_any_invocation_keeps_the_cli_contract(capsys, invocation):
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's way out: --help or a usage error
             code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2), (argv, code)
     assert err.count("\n") <= 1, (argv, err)
+    if code == 0:
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:  # --help, printed as text
+            return
+        if getattr(args, "format", None) == "json":
+            indent = None if args.command == "eval" else 2
+            assert out == json.dumps(json.loads(out), indent=indent) + "\n", argv
+
+
+SETTINGS = settings(
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(invocations())
+def test_any_invocation_keeps_the_cli_contract(capsys, invocation):
+    _check(capsys, *invocation)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(invocations(json_only=True))
+def test_json_requests_keep_the_cli_contract(capsys, invocation):
+    _check(capsys, *invocation)

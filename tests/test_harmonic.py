@@ -208,14 +208,15 @@ def test_t_is_lower_triangular_with_nonzero_diagonal():
         assert len(rows) == len(monos) and {row[0] for row in rows} == set(monos)
         keys = [_solve_key(row[0]) for row in rows]
         assert keys == sorted(keys)
-        for i, (_, diagonal, lower) in enumerate(rows):
+        for i, (m, q2_m, diagonal, lower) in enumerate(rows):
+            assert q2_m == m.shift({2: 2})
             assert diagonal != 0
             assert all(j < i and c != 0 for j, c in lower)
         # the integer rows are 8 T, column by column, against the operator
-        for j, (m, _, _) in enumerate(rows):
+        for j, (m, _, _, _) in enumerate(rows):
             column = {
                 rows[i][0]: Fraction(c, 8)
-                for i, (_, diagonal, lower) in enumerate(rows)
+                for i, (_, _, diagonal, lower) in enumerate(rows)
                 for k, c in ((i, diagonal),) + lower
                 if k == j
             }
@@ -223,14 +224,15 @@ def test_t_is_lower_triangular_with_nonzero_diagonal():
 
 
 def test_triangular_solve_matches_dense_inverse():
-    from shsym.harmonic import _solve_t
+    from shsym.harmonic import _solve_t, _t_inverse
     from shsym.verify import oracle_t_solve
 
     rng = random.Random(101)
     for n in range(17):
         monos = [b.terms()[0][0] for b in lambda_star_basis(n)]
         rhs = SSPoly({m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in monos})
-        g = _solve_t(n, rhs)
+        values, den = _solve_t(n, rhs)
+        g = SSPoly({row[0]: Fraction(8 * v, den) for row, v in zip(_t_inverse(n), values)})
         assert g == oracle_t_solve(n, rhs), n
         assert laplacian(Q2 * g).pr() == rhs, n
 

@@ -277,6 +277,24 @@ def test_delta_n_defining_sum():
             assert delta_n(n, f) == oracle_delta_n(n, f), (n, format_poly(f))
 
 
+def test_delta_n_merged_last_lowering_to_order_8():
+    # the last two summands of each image share the last lowering; Q1
+    # powers and the Q2 powers -3/2 and 5/2 keep every summand alive
+    from shsym.operators import _delta_n_image
+
+    rng = random.Random(71)
+    samples = [
+        parse_poly("Q1^3*Q2^(-3/2)*Q3 - 2/3*Q1*Q2^(5/2)*Q4 + 5/7*Q5^2"),
+        parse_poly("Q1^2*Q2^(5/2) + Q2^(-3/2)*Q6 - Q1^4"),
+        random_laurent(rng, 6) * Q1,
+    ]
+    for f in samples:
+        for n in range(9):
+            assert delta_n(n, f) == oracle_delta_n(n, f), (n, format_poly(f))
+        assert delta_n(1, f).is_zero
+        assert all(_delta_n_image(1, m) == () for m, _ in f.terms())
+
+
 def test_pr_laplacian_is_the_projected_laplacian():
     assert pr_laplacian(Q2**2) == Q2
     assert pr_laplacian(Q3).is_zero
@@ -379,17 +397,6 @@ def test_dualize_rejects_half_exponents():
 
 
 # -- commutators -------------------------------------------------------------------
-
-
-def test_commutator_examples():
-    rng = random.Random(53)
-    for _ in range(8):
-        f = random_poly(rng)
-        assert commutator(d_op, multiply_by(Q1), f) == f
-        assert commutator(euler_op, d_op, f) == -d_op(f)
-        assert commutator(laplacian, multiply_by(Q2), f) == (
-            euler_op(f) - Q1 * d_op(f) - f * HALF
-        )
 
 
 def test_full_commutator_table():

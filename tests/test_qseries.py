@@ -181,15 +181,6 @@ def test_q_bracket_rejects_bad_exponents():
         q_bracket(parse_poly("Q2^(1/2)"), 10)
 
 
-def test_q_bracket_linearity():
-    rng = random.Random(101)
-    for _ in range(5):
-        f = q_lambda((3, 2)) * rng.randint(-4, 4) + q_lambda((5,)) * rng.randint(-4, 4)
-        g = q_lambda((4,)) * rng.randint(-4, 4) + q_lambda((2, 2)) * rng.randint(-4, 4)
-        a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        assert q_bracket(a * f + b * g, 15) == q_bracket(f, 15) * a + q_bracket(g, 15) * b
-
-
 def test_q1_multiples_have_zero_bracket():
     rng = random.Random(103)
     for _ in range(5):

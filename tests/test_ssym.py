@@ -259,6 +259,22 @@ def test_parse_bounds_the_expansion_of_products_and_powers():
             parse_poly(bad)
 
 
+def test_power_of_a_sum_is_bounded_at_each_successive_product():
+    from math import comb
+
+    from shsym.ssym import MAX_TERMS
+
+    # (1+Q3+Q4)^k has C(k+2, 2) terms, and the power is multiplied out one
+    # factor at a time: ^81 is admitted (its last product bounds 3321 * 3
+    # terms) and ^82 refused at its last product (3403 * 3)
+    f = parse_poly("(1+Q3+Q4)^81")
+    assert len(f) == comb(83, 2)
+    assert f.coeff(Monomial(((3, 80), (4, 82)))) == comb(81, 40)
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(1+Q3+Q4)^82")
+    assert str(exc.value) == f"expansion larger than {MAX_TERMS} terms (at position 10)"
+
+
 def test_parse_of_a_sum_equals_the_sum_of_its_terms():
     # few monomials, so terms repeat and cancel; one sum in four cancels out
     rng = random.Random(7)
