@@ -26,7 +26,6 @@ from typing import Iterable, NamedTuple
 from .operators import (
     _pr_laplacian_image,
     delta_lambda,
-    falling_factorial,
     kelvin,
     laplacian,
     pr_laplacian,
@@ -267,8 +266,14 @@ def q_lambda(lam: Iterable[int]) -> SSPoly:
 
 
 def leading_term_scale(n: int) -> Fraction:
-    """Normalization n! (3/2)_n carried by the leading monomial."""
-    return factorial(n) * falling_factorial(Fraction(3, 2), n)
+    """Normalization n! (3/2)_n carried by the leading monomial, in
+    integers: (3/2)_n = (3)(1)(-1)...(5 - 2n) / 2^n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    num = factorial(n)
+    for i in range(n):
+        num *= 3 - 2 * i
+    return Fraction(num, 1 << n)
 
 
 def leading_term_check(lam: Iterable[int]) -> bool:

@@ -159,6 +159,16 @@ def test_leading_term_examples():
     assert leading_term_scale(3) == Fraction(-9, 4)
     assert leading_term_scale(4) == Fraction(27, 2)
     assert leading_term_scale(0) == 1
+    # n! (3/2)_n with the falling factorial in Fractions, to every weight
+    # a basis element can have and past it
+    from math import factorial
+
+    from shsym.operators import falling_factorial
+
+    for n in range(41):
+        assert leading_term_scale(n) == factorial(n) * falling_factorial(Fraction(3, 2), n), n
+    with pytest.raises(ValueError):
+        leading_term_scale(-1)
     with pytest.raises(ValueError):
         leading_term_check((2, 1))
 
