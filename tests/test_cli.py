@@ -737,7 +737,8 @@ def test_basis_json_equals_json_dumps(capsys):
     from shsym.harmonic import basis_element
     from shsym.partitions import enumerate_min_part
 
-    # [] rows at weights 1 and 2, and the constant term of weight 0
+    # an empty payload at weights 1 and 2 (min part 3), and the constant
+    # term of weight 0, whose "monomial" is {}
     for n in range(15):
         code, out, _ = run(capsys, "basis", str(n), "--min-part", "0", "--format", "json")
         assert code == 2 and out == ""

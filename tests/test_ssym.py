@@ -151,6 +151,21 @@ def test_monomial_rules():
     m = Monomial.from_exponents({2: Fraction(-3, 2)})
     assert m.exponent(2) == Fraction(-3, 2)
     assert m.weight() == -3
+    # shift and mul merge the exponents once and store them through the
+    # constructor's checks, with the same messages
+    import re
+
+    q3 = Monomial(((3, 2),))
+    for make, message in (
+        (lambda: Monomial(((0, 2),)), "generator index must be >= 1, got Q0"),
+        (lambda: q3.shift({0: 2}), "generator index must be >= 1, got Q0"),
+        (lambda: q3.shift({3: -4}), "only Q2 may carry negative or half-integer exponents (Q3^(-2/2))"),
+        (lambda: q3.shift({4: 1}), "only Q2 may carry negative or half-integer exponents (Q4^(1/2))"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+    assert q3.shift({3: -2, 2: -3}) == Monomial(((2, -3),))
+    assert q3.mul(m).mul(q3) == Monomial(((3, 4), (2, -3)))
 
 
 st_scalar = st.fractions(
