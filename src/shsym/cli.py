@@ -46,7 +46,7 @@ EXIT_USAGE = 2
 # 30 s on a 2-vCPU host.  A bracket sums one moment knapsack per distinct
 # Q2-free monomial, so qbracket also bounds their count: at -N 40 its
 # slowest admitted input, the 300 dearest of the Q1-free monomials with
-# parts >= 3 and weights 3 to 32, takes 25 s (all 2,744 of them took 78 s).
+# parts >= 3 and weights 3 to 32, takes 12 s (all 2,744 knapsacks: 45 s).
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import comb, factorial, isqrt, lcm, prod
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Union
 
 from .partitions import count_partitions
@@ -180,11 +179,11 @@ def d_series(a: QSeries) -> QSeries:
 # Q2 never touches partitions: Q2(lambda) = |lambda| - 1/24.
 
 
-def _apply_axes(cols: list, axes: list) -> list:
-    """Apply one small matrix per axis to a flat moment vector whose entries
-    are lists, so that the whole map is their tensor product.  `axes` holds
+def _mix_axes(cols: list[int], axes: list) -> list[int]:
+    """Apply one small matrix per axis to a flat moment vector of packed
+    rows, so that the whole map is their tensor product.  `axes` holds
     (stride, rows): entry i with digit b on that axis becomes the sum of
-    c * entry(i with digit a) over the nonzero (a, c) pairs of rows[b]."""
+    c * entry(i with digit a) over the (a, c) pairs of rows[b]."""
     for stride, rows in axes:
         size = len(rows)
         out = []
@@ -194,60 +193,25 @@ def _apply_axes(cols: list, axes: list) -> list:
             (a, c), *rest = rows[digit]
             acc = cols[low + a * stride]
             if c != 1:
-                acc = [c * x for x in acc]
+                acc = c * acc
             for a, c in rest:
-                acc = [y + c * x for y, x in zip(acc, cols[low + a * stride])]
+                acc += c * cols[low + a * stride]
             out.append(acc)
         cols = out
     return cols
 
 
-def _arm_moments(gens: list[tuple[int, int]], order: int) -> list:
-    """The 0/1 knapsack over the odd values 1, 3, ..., 2 order - 1.
-
-    table[d][i][s] is the sum, over the sets X of d distinct odd values with
-    sum s, of prod_j A_kj(X)^(i_j), where i is a mixed-radix index with
-    digits i_j <= e_j for gens = [(k_j, e_j)].  A set of arms is kept only
-    while d legs can still fit: d^2 <= s <= 2 order - d^2.
-    """
-    strides = [prod(e + 1 for _, e in gens[:j]) for j in range(len(gens))]
-    size = prod(e + 1 for _, e in gens)
-    top = isqrt(order)
-    width = 2 * order + 1
-    table = [[[0] * width for _ in range(size)] for _ in range(top + 1)]
-    table[0][0][0] = 1
-    reach = [0] + [-1] * top  # the largest sum stored for each d
-    for v in range(1, 2 * order, 2):
-        # adding v to a set adds v^(k-1) to A_k: a binomial shift per axis
-        shift = []
-        for (k, e), stride in zip(gens, strides):
-            w = v ** (k - 1)
-            rows = [[(b, 1)] + [(a, comb(b, a) * w ** (b - a)) for a in range(b)] for b in range(e + 1)]
-            shift.append((stride, rows))
-        # Every d is shifted in one pass, from the table as it was before v,
-        # so each set takes v at most once.  Sums of d odd values have the
-        # parity of d, so only every other sum is read and written.
-        spans = []
-        for d in range(top):
-            lo = d * d
-            hi = min(reach[d], 2 * order - (d + 1) ** 2 - v)
-            if hi >= lo:
-                spans.append((d, lo, hi))
-        if not spans:
-            continue
-        cols = [
-            list(chain.from_iterable(table[d][i][lo : hi + 1 : 2] for d, lo, hi in spans))
-            for i in range(size)
-        ]
-        cols = _apply_axes(cols, shift)
-        start = 0
-        for d, lo, hi in spans:
-            stop = start + (hi - lo) // 2 + 1
-            for row, col in zip(table[d + 1], cols):
-                row[lo + v : hi + v + 1 : 2] = map(add, row[lo + v : hi + v + 1 : 2], col[start:stop])
-            start = stop
-            reach[d + 1] = max(reach[d + 1], hi + v)
-    return table
+def unpack_signed(x: int, width: int, count: int) -> list[int]:
+    """c_0 ... c_(count-1) of x = sum c_n 2^(width n), read slot by slot
+    with a borrow; each of them must satisfy |c_n| < 2^(width - 1)."""
+    x &= (1 << width * count) - 1
+    out = []
+    for _ in range(count):
+        c = x & ((1 << width) - 1)
+        c -= c >> (width - 1) << width  # a set top bit makes the slot negative
+        out.append(c)
+        x = (x - c) >> width
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -255,44 +219,79 @@ def _moment_knapsack(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     """(D, totals) with totals[n] = D times the sum of the Q2-free, Q1-free
     monomial over the partitions of n, for every n <= order.
 
-    Arms and legs draw on one table from _arm_moments.  At equal d they are
-    joined by the multinomial expansion of
-    prod_k (base_k + unit_k (A_k + (-1)^k B_k))^(e_k), one axis at a time.
+    A 0/1 knapsack over the odd values 1, 3, ..., 2 order - 1 fills, for
+    each mixed-radix moment index i with digits i_j <= e_j, one integer
+    table[i].  Its region d holds, over the sets X of d distinct odd values
+    with sum s, the sum of prod_j A_kj(X)^(i_j) in the `width`-bit slot p
+    with s = d^2 + 2p (sums of d odd values have the parity of d).  A set is
+    kept only while d legs still fit: s <= 2 order - d^2.  Arms and legs
+    draw on the same table; at equal d they are joined by the multinomial
+    expansion of prod_k (base_k + unit_k (A_k + (-1)^k B_k))^(e_k), one axis
+    at a time, and one product per moment index convolves arm and leg sums.
     """
     gens = [(k, e2 // 2) for k, e2 in mono.items2()]
-    table = _arm_moments(gens, order)
+    strides = [prod(e + 1 for _, e in gens[:j]) for j in range(len(gens))]
+    size = prod(e + 1 for _, e in gens)
+    top = isqrt(order)
     denom = 1
     join = []
-    stride = 1
-    for k, e in gens:
+    bound = count_partitions(order)
+    for (k, e), stride in zip(gens, strides):
         b = beta(k)
         scale = 2 ** (k - 1) * factorial(k - 1)
         d_k = lcm(b.denominator, scale)
         base = b.numerator * (d_k // b.denominator)
         unit = d_k // scale
         denom *= d_k**e
+        bound *= (abs(base) + unit * (2 * order) ** (k - 1)) ** e
         # leg digit j gathers the arm digits a <= e - j, each with its term
         # of the multinomial expansion (base_k is 0 for odd k)
-        rows = []
-        for j in range(e + 1):
-            terms = [
-                (a, comb(e, a) * comb(e - a, j) * base ** (e - a - j) * unit ** (a + j) * (-1) ** (k * j))
+        rows = [
+            [
+                (a, c)
                 for a in range(e + 1 - j)
+                if (c := comb(e, a) * comb(e - a, j) * base ** (e - a - j) * unit ** (a + j) * (-1) ** (k * j))
             ]
-            rows.append([(a, c) for a, c in terms if c])
+            for j in range(e + 1)
+        ]
         join.append((stride, rows))
-        stride *= e + 1
-    totals = [0] * (order + 1)
-    for d, arms in enumerate(table):
-        lo = d * d
-        # position p holds the sum lo + 2p
-        legs = [row[lo : 2 * order - lo + 1 : 2] for row in arms]
-        joined = _apply_axes(legs, join)
-        for u, t in zip(joined, legs):
-            for n in range(lo, order + 1):
-                m = n - lo
-                totals[n] += sum(map(mul, u[: m + 1], t[m::-1]))
-    return denom, tuple(totals)
+    # Slot width.  Slot n of the joined sum is totals[n], a sum over the
+    # p(n) partitions of n of prod_k (D_k Q_k)^(e_k), where
+    # |D_k Q_k| <= |base_k| + unit_k (2n)^(k-1) as |A_k +- B_k| <=
+    # (sum x + sum y)^(k-1): below `bound`, with one more bit for the sign.
+    # An arm slot fits too: the (x - 1) / 2 of a set are distinct and sum to
+    # at most order, so at most p(order) sets share a slot, each with
+    # A_k <= (2 order)^(k-1), and unit_k >= 1 (order 0 stores only a 1).
+    width = bound.bit_length() + 1
+    # Region d (order - d^2 + 1 slots) starts at (order + 1) d + d (d - 1) / 2,
+    # past region d - 1, so that moving a set from d to d + 1 as it takes v
+    # is one shift by order + 1 + (v - 1) / 2 slots.
+    start = [(order + 1) * d + d * (d - 1) // 2 for d in range(top + 1)]
+    table = [int(i == 0) for i in range(size)]
+    for v in range(1, 2 * order, 2):
+        # keep the slots whose sets still fit once v is added; every region
+        # moves from the table as it was before v, so each set takes v once
+        fits = 0
+        for d in range(min(top, v // 2 + 1)):
+            keep = order - (d + 1) ** 2 + 1 - (v - 1) // 2 + d
+            if keep > 0:
+                fits |= ((1 << width * keep) - 1) << width * start[d]
+        if not fits:
+            break
+        # adding v to a set adds v^(k-1) to A_k: a binomial shift per axis
+        shift = [
+            (stride, [[(b, 1)] + [(a, comb(b, a) * v ** ((k - 1) * (b - a))) for a in range(b)] for b in range(e + 1)])
+            for (k, e), stride in zip(gens, strides)
+        ]
+        moved = _mix_axes([x & fits for x in table], shift)
+        step = width * (order + 1 + (v - 1) // 2)
+        table = [x + (y << step) for x, y in zip(table, moved)]
+    joined = 0
+    for d in range(top + 1):
+        cap = (1 << width * (order - d * d + 1)) - 1
+        legs = [x >> width * start[d] & cap for x in table]
+        joined += sum(map(mul, _mix_axes(legs, join), legs)) << width * d * d
+    return denom, tuple(unpack_signed(joined, width, order + 1))
 
 
 def _without_q2(mono: Monomial) -> Monomial:

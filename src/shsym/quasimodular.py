@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
-from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket
+from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket, unpack_signed
 from .ssym import LinearSolveError, SSPoly, SparseTerms, _latex_power, format_signed_sum
 
 if TYPE_CHECKING:
@@ -153,8 +153,15 @@ def _check_order(k: int, order: int) -> None:
 
 
 def _int_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two integer series of equal length, truncated to it."""
-    return tuple(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a)))
+    """Product of two integer series of equal length, truncated to it: one
+    integer product of the two packed series, whose slot n holds a sum of
+    at most len(a) products, so that it fits the width below with a sign."""
+    width = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length() + 1
+    x = y = 0
+    for s, t in zip(reversed(a), reversed(b)):
+        x = (x << width) + s
+        y = (y << width) + t
+    return tuple(unpack_signed(x * y, width, len(a)))
 
 
 # The same 32 powers per order as _gen_power: P^0..P^16, Q^0..Q^8, R^0..R^5

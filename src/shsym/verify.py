@@ -712,23 +712,25 @@ def suite_bracket_linearity(rng, max_weight, order):
 
 
 def suite_q1_kills_bracket(rng, max_weight, order):
-    for trial in range(6):
-        f = random_element(rng, min(max_weight, 8))
+    top = min(max_weight, 8)
+    for w in range(top + 1):
+        f = random_homogeneous(rng, w)
         if not q_bracket(SSPoly.gen(1) * f, order).is_zero:
             return False, f"bracket of Q1 * f nonzero for {format_poly(f)}"
-    return True, "6 samples"
+    return True, f"one sample at each weight 0..{top}"
 
 
 def suite_q2_shifts_bracket(rng, max_weight, order):
     p_over_24 = eisenstein(2, order) * Fraction(1, 24)
-    for trial in range(6):
-        f = random_element(rng, min(max_weight, 8))
+    top = min(max_weight, 8)
+    for w in range(top + 1):
+        f = random_homogeneous(rng, w)
         bf = q_bracket(f, order)
         lhs = q_bracket(SSPoly.gen(2) * f, order)
         rhs = d_series(bf) - p_over_24 * bf
         if lhs != rhs:
             return False, f"shifted derivation fails for {format_poly(f)}"
-    return True, "6 samples"
+    return True, f"one sample at each weight 0..{top}"
 
 
 def suite_bracket_oracle(rng, max_weight, order):
@@ -748,6 +750,20 @@ def suite_knapsack_oracle(rng, max_weight, order):
             if _moment_knapsack(q2_free, order) != oracle_row_sums(q2_free, order):
                 return False, f"knapsack differs from the row sums at {lam}, monomial {q2_free}"
     return True, f"{len(rows)} table rows, order {order}"
+
+
+def suite_expansion_at_100(rng, max_weight, order):
+    """Brackets recognized at order 40 and compared with the expansion of
+    their form at order 100.  expand builds E2, E4 and E6 from divisor sums
+    and shares nothing with the knapsack, so this reaches the slot widths of
+    the knapsack at an order no enumerating oracle can afford."""
+    exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "Q12^2", "Q6*Q4^2*Q2")
+    for expr in exprs:
+        f = parse_poly(expr)
+        _, form = bracket_form(f, 40)
+        if expand(form, 100) != q_bracket(f, 100):
+            return False, f"bracket of {expr} to order 100 differs from the form recognized at 40"
+    return True, f"{len(exprs)} brackets recognized at order 40, compared at 100"
 
 
 # -- quasimodular forms ------------------------------------------------------------
@@ -928,6 +944,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("series.q2_shifts_bracket", suite_q2_shifts_bracket),
     ("series.bracket_oracle", suite_bracket_oracle),
     ("series.knapsack_oracle", suite_knapsack_oracle),
+    ("series.expansion_at_100", suite_expansion_at_100),
     ("forms.sl2_triple", suite_qm_sl2),
     ("forms.equivariance", suite_equivariance),
     ("forms.depth_bound", suite_depth_bound),

@@ -320,3 +320,11 @@ def test_depth_bound_for_shifted_harmonics():
             continue
         form = recognize(q_bracket(f, 30), w)
         assert depth(form) <= p
+
+
+def test_int_mul_fills_its_slot_width():
+    # equal coefficients of one sign make the product slots as large as the
+    # packed width allows, so the sign bit is needed to tell them apart
+    for n in range(1, 20):
+        for a, b in (((2**5 - 1,) * n, (2**7 - 1,) * n), ((-(2**5),) * n, (2**7,) * n)):
+            assert quasimodular._int_mul(a, b) == tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n))
