@@ -25,7 +25,9 @@ from typing import TYPE_CHECKING
 from .partitions import enumerate_min_part, format_partition, parse_partition
 from .ssym import (
     MAX_CONSTANT_DIGITS,
+    InsufficientOrderError,
     ParseError,
+    RecognitionError,
     SSPoly,
     eval_at,
     format_poly,
@@ -388,13 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         help=f"largest random weight (at most {MAX_TABLE_WEIGHT})",
     )
-    p.add_argument(
-        "-N",
-        "--order",
-        type=int,
-        default=30,
-        help=f"series truncation order (at most {MAX_ORDER})",
-    )
+    add_common(p, fmt=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tables", help="full basis/average tables up to a weight")
@@ -406,16 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     return parser
-
-
-def _is_recognition_failure(exc: ValueError) -> bool:
-    """Whether exc says that a series is not, or not provably, a form.
-    Only the recognition layer raises these, so a process that never
-    loaded it need not import it to tell."""
-    forms = sys.modules.get(f"{__package__}.quasimodular")
-    return forms is not None and isinstance(
-        exc, (forms.RecognitionError, forms.InsufficientOrderError)
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -435,10 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RecognitionError, InsufficientOrderError) as exc:
+        print(f"recognition error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except ValueError as exc:
-        if _is_recognition_failure(exc):
-            print(f"recognition error: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,9 +25,10 @@ from typing import Iterable, NamedTuple
 
 from .operators import (
     _pr_laplacian_image,
-    delta_lambda,
+    dualize_apply,
     kelvin,
     laplacian,
+    multinomial,
     pr_laplacian,
 )
 from .partitions import (
@@ -260,11 +261,6 @@ def depth_ss(f: SSPoly) -> int:
     return decompose(f).depth
 
 
-def q_lambda(lam: Iterable[int]) -> SSPoly:
-    """The monomial with one generator factor per part."""
-    return SSPoly({Monomial.from_partition(check_partition(lam)): 1})
-
-
 def leading_term_scale(n: int) -> Fraction:
     """Normalization n! (3/2)_n carried by the leading monomial, in
     integers: (3/2)_n = (3)(1)(-1)...(5 - 2n) / 2^n."""
@@ -282,23 +278,8 @@ def leading_term_check(lam: Iterable[int]) -> bool:
     if any(p < 3 for p in lam):
         raise ValueError("basis partitions need all parts >= 3")
     n = sum(lam)
-    diff = basis_element(lam) - q_lambda(lam) * leading_term_scale(n)
+    diff = basis_element(lam) - SSPoly({Monomial.from_partition(lam): leading_term_scale(n)})
     return all(mono.exponent2(2) >= 2 for mono, _ in diff.terms())
-
-
-def dualize_apply_multinomial(f: SSPoly, g: SSPoly) -> SSPoly:
-    """Dualization sending each monomial to the partition-indexed operator.
-
-    Unlike dualize_apply, the delta_lambda multinomial prefactor is kept;
-    this is the normalization under which the reproduction identity below
-    holds for every harmonic element.
-    """
-    if not f.in_r():
-        raise ValueError("dualization requires non-negative integer exponents")
-    acc = SSPoly.zero()
-    for mono, c in f.terms():
-        acc = acc + delta_lambda(mono.partition(), g) * c
-    return acc
 
 
 def unusual_identity_check(h: SSPoly, n: int) -> bool:
@@ -310,5 +291,8 @@ def unusual_identity_check(h: SSPoly, n: int) -> bool:
         raise ValueError("input must be harmonic")
     if not h.is_zero and h.weight() != n:
         raise ValueError(f"input is not weight-{n} homogeneous")
-    rhs = kelvin(dualize_apply_multinomial(h, kelvin(SSPoly.one())).pr())
+    # each monomial Q_lambda of h acts as delta_lambda, which is
+    # multinomial(lambda) times the composition that dualize_apply applies
+    dual = SSPoly({m: c * multinomial(m.partition()) for m, c in h.terms()})
+    rhs = kelvin(dualize_apply(dual, kelvin(SSPoly.one())).pr())
     return h * leading_term_scale(n) == rhs

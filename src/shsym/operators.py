@@ -303,10 +303,6 @@ def dualize_apply(f: SSPoly, g: SSPoly) -> SSPoly:
 # -- operator combinators and distinguished operators -------------------------
 
 
-def multiply_by(p: SSPoly) -> Operator:
-    return lambda f: p * f
-
-
 def commutator(a: Operator, b: Operator, f: SSPoly) -> SSPoly:
     """[a, b] applied to f: a(b(f)) - b(a(f))."""
     return a(b(f)) - b(a(f))

@@ -94,8 +94,22 @@ def enumerate_min_part(n: int, m: int) -> tuple[Partition, ...]:
     return tuple(lam for lam in enumerate_partitions(n) if not lam or lam[-1] >= m)
 
 
-# Counting uses the pentagonal-number recurrence.  The table is append-only
-# and extended under a lock, so concurrent callers each see a correct prefix.
+def pentagonal_terms(bound: int) -> Iterator[tuple[int, int]]:
+    """The (g, sign) terms of Euler's product prod (1 - q^n), the sum over
+    j in Z of (-1)^j q^(j (3j - 1) / 2), with exponent g <= bound, g = 0
+    first."""
+    yield 0, 1
+    j = 1
+    while j * (3 * j - 1) // 2 <= bound:
+        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if g <= bound:
+                yield g, (-1) ** j
+        j += 1
+
+
+# Counting uses the pentagonal-number recurrence: the product of Euler's
+# series and the generating function is 1.  The table is append-only and
+# extended under a lock, so concurrent callers each see a correct prefix.
 _P_TABLE = [1]
 _P_LOCK = threading.Lock()
 
@@ -108,25 +122,8 @@ def count_partitions(n: int) -> int:
         with _P_LOCK:
             while len(_P_TABLE) <= n:
                 m = len(_P_TABLE)
-                total = 0
-                k = 1
-                while True:
-                    g1 = k * (3 * k - 1) // 2
-                    g2 = k * (3 * k + 1) // 2
-                    if g1 > m:
-                        break
-                    sign = 1 if k % 2 else -1
-                    total += sign * _P_TABLE[m - g1]
-                    if g2 <= m:
-                        total += sign * _P_TABLE[m - g2]
-                    k += 1
-                _P_TABLE.append(total)
+                _P_TABLE.append(-sum(sign * _P_TABLE[m - g] for g, sign in pentagonal_terms(m) if g))
     return _P_TABLE[n]
-
-
-def conjugate(lam: Iterable[int]) -> Partition:
-    """Transpose of the Young diagram."""
-    return _conjugate(check_partition(lam))
 
 
 def _conjugate(lam: Partition) -> Partition:

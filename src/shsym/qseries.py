@@ -14,7 +14,7 @@ from math import comb, factorial, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Union
 
-from .partitions import count_partitions
+from .partitions import count_partitions, pentagonal_terms
 from .ssym import Monomial, SSPoly, beta, format_signed_sum
 
 Scalar = Union[int, Fraction]
@@ -58,11 +58,6 @@ class QSeries:
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: order + 1])
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -336,12 +331,7 @@ def q_bracket(f: SSPoly, order: int) -> QSeries:
         for n, t in enumerate(totals):
             num[n] += scale * t
     # dividing by the generating function multiplies by Euler's product
-    # prod (1 - q^n) = sum over j in Z of (-1)^j q^(j (3j - 1) / 2)
-    euler = [(0, 1)]
-    j = 1
-    while j * (3 * j - 1) // 2 <= order:
-        euler += [(g, (-1) ** j) for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= order]
-        j += 1
+    euler = list(pentagonal_terms(order))
     return QSeries(
         Fraction(sum(sign * num[n - g] for g, sign in euler if g <= n), denom)
         for n in range(order + 1)

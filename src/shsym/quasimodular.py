@@ -15,7 +15,8 @@ from math import lcm
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket, unpack_signed
-from .ssym import LinearSolveError, SSPoly, SparseTerms, _latex_power, format_signed_sum
+from .ssym import InsufficientOrderError, LinearSolveError, RecognitionError, SSPoly, SparseTerms
+from .ssym import _latex_power, format_signed_sum
 
 if TYPE_CHECKING:
     from .harmonic import Decomposition
@@ -24,14 +25,6 @@ Scalar = Union[int, Fraction]
 Triple = tuple[int, int, int]
 
 RECOGNITION_MARGIN = 10
-
-
-class RecognitionError(ValueError):
-    pass
-
-
-class InsufficientOrderError(ValueError):
-    pass
 
 
 class CrossCheckError(RuntimeError):
@@ -164,17 +157,6 @@ def _int_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(unpack_signed(x * y, width, len(a)))
 
 
-# The same 32 powers per order as _gen_power: P^0..P^16, Q^0..Q^8, R^0..R^5
-# cover every weight <= 32, the most an order <= 40 admits.
-@lru_cache(maxsize=1024)
-def _int_power(weight: int, e: int, order: int) -> tuple[int, ...]:
-    """The e-th power of the weight-2, -4 or -6 generator, as integers."""
-    if e == 0:
-        return (1,) + (0,) * order
-    base = tuple(c.numerator for c in eisenstein(weight, order).coeffs)
-    return _int_mul(_int_power(weight, e - 1, order), base)
-
-
 class _Elimination(NamedTuple):
     """A weight-k system A x = b with rows 0..order, eliminated for any b.
 
@@ -205,10 +187,16 @@ def _elimination(k: int, order: int) -> _Elimination:
     Step j divides by the previous pivot; the quotient is exact by
     Sylvester's identity, so every entry stays an integer.
     """
-    columns = [
-        _int_mul(_int_mul(_int_power(2, a, order), _int_power(4, b, order)), _int_power(6, c, order))
-        for a, b, c in monomials_of_weight(k)
-    ]
+    def powers(weight: int) -> list[tuple[int, ...]]:
+        # the generator of this weight to the powers 0 .. k // weight
+        base = tuple(c.numerator for c in eisenstein(weight, order).coeffs)
+        out = [(1,) + (0,) * order]
+        for _ in range(k // weight):
+            out.append(_int_mul(out[-1], base))
+        return out
+
+    p, q, r = powers(2), powers(4), powers(6)
+    columns = [_int_mul(_int_mul(p[a], q[b]), r[c]) for a, b, c in monomials_of_weight(k)]
     n_rows, n_cols = order + 1, len(columns)
     rows = [
         [col[i] for col in columns] + [int(i == j) for j in range(n_rows)]

@@ -93,7 +93,3 @@ def rows_up_to(max_weight: int) -> list[Row]:
 
 def even_rows(max_weight: int = 10) -> list[Row]:
     return [row for row in rows_up_to(max_weight) if sum(row[0]) % 2 == 0]
-
-
-def odd_rows(max_weight: int = 10) -> list[Row]:
-    return [row for row in rows_up_to(max_weight) if sum(row[0]) % 2 == 1]

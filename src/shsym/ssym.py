@@ -91,9 +91,6 @@ class Monomial:
                 return e2
         return 0
 
-    def exponent(self, k: int) -> Fraction:
-        return Fraction(self.exponent2(k), 2)
-
     def shift(self, changes: Mapping[int, int]) -> "Monomial":
         """New monomial with doubled exponents adjusted by `changes`."""
         merged = dict(self._e2)
@@ -305,12 +302,6 @@ class SSPoly(SparseTerms):
             return cls.one()
         return cls({Monomial(((k, 2),)): _ONE})
 
-    @classmethod
-    def from_monomial(
-        cls, exponents: Mapping[int, ExponentLike], coeff: Scalar = 1
-    ) -> "SSPoly":
-        return cls({Monomial.from_exponents(exponents): Fraction(coeff)})
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -516,6 +507,16 @@ class LinearSolveError(RuntimeError):
     def __init__(self, kind: str):
         super().__init__(f"linear system is {kind}")
         self.kind = kind
+
+
+# The recognition errors live here too, so that the command line can catch
+# them by class without loading the recognition layer.
+class RecognitionError(ValueError):
+    """A series that is not a form of the requested weight to its order."""
+
+
+class InsufficientOrderError(ValueError):
+    """A series too short to pin down a form of the requested weight."""
 
 
 # -- parser ------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .operators import (
     euler_op,
     kelvin,
     laplacian,
-    multiply_by,
     pr_laplacian,
     q2_hat,
 )
@@ -230,8 +229,8 @@ def suite_parse_roundtrip(rng, max_weight, order):
 
 def suite_commutator_table(rng, max_weight, order):
     one = SSPoly.one
-    q1 = multiply_by(SSPoly.gen(1))
-    q2 = multiply_by(SSPoly.gen(2))
+    q1 = lambda f: SSPoly.gen(1) * f  # noqa: E731
+    q2 = lambda f: SSPoly.gen(2) * f  # noqa: E731
     half = Fraction(1, 2)
     entries = [
         ("[lap, d]", lambda f: commutator(laplacian, d_op, f), lambda f: SSPoly.zero()),
@@ -733,23 +732,43 @@ def suite_q2_shifts_bracket(rng, max_weight, order):
     return True, f"one sample at each weight 0..{top}"
 
 
+# The table rows stop at weight 10.
+_TABLE_WEIGHT = 10
+
+
 def suite_bracket_oracle(rng, max_weight, order):
+    # Direct summation is the dearest oracle (12-16 s on the table rows at
+    # order 40, 2 vCPUs), so it stays on the table; the knapsack suite
+    # goes higher.
     rows = rows_up_to(max_weight)
     hs = [basis_element(lam) for lam, _, _ in rows]
     for (lam, _, _), h, want in zip(rows, hs, oracle_brackets(hs, order)):
         if q_bracket(h, order) != want:
             return False, f"bracket differs from direct summation at {lam}"
-    return True, f"{len(rows)} table rows, order {order}"
+    table = f"{len(rows)} table rows"
+    if max_weight > _TABLE_WEIGHT:
+        table += f" (weights <= {_TABLE_WEIGHT} only)"
+    return True, f"{table}, order {order}"
 
 
 def suite_knapsack_oracle(rng, max_weight, order):
+    """Each distinct Q2-free monomial of the table rows, and of one random
+    basis element at each weight above the table, against the row sums."""
     rows = rows_up_to(max_weight)
-    for lam, _, _ in rows:
+    drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(_TABLE_WEIGHT + 1, max_weight + 1)]
+    seen = set()
+    for lam in [lam for lam, _, _ in rows] + drawn:
         for mono, _ in basis_element(lam).pr().terms():
             q2_free = Monomial(t for t in mono.items2() if t[0] != 2)
+            if q2_free in seen:
+                continue
+            seen.add(q2_free)
             if _moment_knapsack(q2_free, order) != oracle_row_sums(q2_free, order):
                 return False, f"knapsack differs from the row sums at {lam}, monomial {q2_free}"
-    return True, f"{len(rows)} table rows, order {order}"
+    detail = f"{len(rows)} table rows"
+    if drawn:
+        detail += f" and one basis element at each weight {_TABLE_WEIGHT + 1}..{max_weight}, {len(seen)} monomials"
+    return True, f"{detail}, order {order}"
 
 
 def suite_expansion_at_100(rng, max_weight, order):

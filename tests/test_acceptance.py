@@ -26,8 +26,8 @@ from shsym.operators import d_op_n, delta_lambda, laplacian
 from shsym.partitions import count_partitions, enumerate_partitions
 from shsym.qseries import q_bracket
 from shsym.quasimodular import QMForm, depth, is_modular_bracket, recognize
-from shsym.reference import even_rows, odd_rows
-from shsym.ssym import SSPoly, parse_poly
+from shsym.reference import even_rows, rows_up_to
+from shsym.ssym import Monomial, SSPoly, parse_poly
 from shsym.verify import random_element, random_homogeneous
 
 ORDER = 30
@@ -50,7 +50,7 @@ def test_criterion_01_even_table_exact():
 
 
 def test_criterion_02_odd_table_exact():
-    rows = odd_rows(9)
+    rows = [row for row in rows_up_to(9) if sum(row[0]) % 2]
     assert len(rows) == 8
     for lam, expr, bracket in rows:
         assert bracket is None
@@ -103,9 +103,12 @@ def test_criterion_10_laplacian_power_regression():
     # on negative and half-integer exponents as well as positive ones
     for k in range(-8, 25):
         n = Fraction(k, 2)
-        got = laplacian(SSPoly.from_monomial({2: n}))
-        closed = SSPoly.from_monomial({2: n - 1}, n * (2 * n - 3) / 2) - SSPoly.from_monomial(
-            {1: 2, 2: n - 2}, n * (n - 1) / 2
+        got = laplacian(SSPoly({Monomial.from_exponents({2: n}): 1}))
+        closed = SSPoly(
+            {
+                Monomial.from_exponents({2: n - 1}): n * (2 * n - 3) / 2,
+                Monomial.from_exponents({1: 2, 2: n - 2}): -n * (n - 1) / 2,
+            }
         )
         assert got == closed, n
     print("criterion 10: PASS (closed form on Q2^n, n in {-4, -7/2, ..., 12})")

@@ -432,8 +432,7 @@ def test_limits_admit_the_benchmark_sizes():
 def test_every_cache_is_bounded():
     import importlib
     import pkgutil
-
-    import shsym
+    import re
 
     caches = {}
     for info in pkgutil.iter_modules(shsym.__path__):
@@ -443,24 +442,14 @@ def test_every_cache_is_bounded():
             for name, f in vars(module).items()
             if hasattr(f, "cache_parameters") and f.__module__ == module.__name__
         )
-    # the rows of the README cache table
-    assert set(caches) == {
-        "ssym._beta_list",
-        "ssym.eval_qk",
-        "partitions.enumerate_partitions",
-        "partitions.enumerate_min_part",
-        "operators._d_op_n_image",
-        "operators._delta_n_image",
-        "harmonic._t_inverse",
-        "qseries.eisenstein",
-        "qseries._moment_knapsack",
-        "quasimodular._gen_power",
-        "quasimodular._int_power",
-        "quasimodular._elimination",
-        "verify._generator_values",
-    }
+    # the rows of the README cache table: each cache with its bound
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        table = fh.read().split("| cache | entries |", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+\.\w+)` \| ([\d,]+) \|", table, re.M))
+    assert set(caches) == set(rows)
     for name, f in caches.items():
-        assert f.cache_parameters()["maxsize"] is not None, name
+        assert f.cache_parameters()["maxsize"] == int(rows[name].replace(",", "")), name
 
 
 def _assert_one_line_usage_error(capsys, *argv, prefix="error: "):

@@ -9,7 +9,6 @@ from shsym.harmonic import (
     decompose,
     depth_ss,
     dim_h,
-    dualize_apply_multinomial,
     harmonic_basis,
     is_harmonic,
     lambda_star_basis,
@@ -18,7 +17,7 @@ from shsym.harmonic import (
     unusual_identity_check,
 )
 from shsym.linalg import matrix_rank
-from shsym.operators import delta_n, kelvin, laplacian
+from shsym.operators import laplacian
 from shsym.partitions import count_partitions, enumerate_min_part
 from shsym.ssym import SSPoly, format_poly, parse_poly
 from shsym.verify import random_harmonic, random_homogeneous
@@ -188,15 +187,6 @@ def test_unusual_identity_on_random_harmonics():
         if h.is_zero:
             continue
         assert unusual_identity_check(h, n)
-
-
-def test_multinomial_dual_reduces_to_plain_on_single_generators():
-    rng = random.Random(89)
-    g = kelvin(SSPoly.one())
-    assert dualize_apply_multinomial(Q3, g) == delta_n(3, g)
-    assert dualize_apply_multinomial(SSPoly.one(), g) == g
-    # repeated generators pick up the multinomial prefactor
-    assert dualize_apply_multinomial(Q2**2, g) == 6 * delta_n(2, delta_n(2, g))
 
 
 def _solve_key(mono):

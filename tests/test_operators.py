@@ -15,7 +15,6 @@ from shsym.operators import (
     falling_factorial,
     kelvin,
     laplacian,
-    multiply_by,
     pr_laplacian,
     q2_hat,
 )
@@ -163,7 +162,7 @@ def test_weight_drop():
         while f.is_zero:
             f = random_poly(rng).weight_components().get(w, SSPoly.zero())
             if f.is_zero:
-                f = SSPoly.from_monomial({w: 1})
+                f = SSPoly.gen(w)
         for n in range(6):
             g = d_op_n(n, f)
             if not g.is_zero:
@@ -211,7 +210,7 @@ def oracle_two_variable_laplacian(poly):
 def to_q1q2(poly_dict):
     return sum(
         (
-            SSPoly.from_monomial({1: a, 2: b}, c)
+            SSPoly({Monomial.from_exponents({1: a, 2: b}): c})
             for (a, b), c in poly_dict.items()
             if c
         ),
@@ -401,7 +400,7 @@ def test_dualize_rejects_half_exponents():
 
 def test_full_commutator_table():
     rng = random.Random(59)
-    q1m, q2m = multiply_by(Q1), multiply_by(Q2)
+    q1m, q2m = (lambda f: Q1 * f), (lambda f: Q2 * f)
     for _ in range(12):
         f = random_poly(rng)
         assert commutator(laplacian, d_op, f).is_zero

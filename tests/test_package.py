@@ -67,3 +67,34 @@ def test_unknown_name_is_an_attribute_error():
         shsym.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         exec("from shsym import no_such_name", {})
+
+
+def test_readme_library_snippet_shows_its_values():
+    # The snippet runs one statement at a time.  A comment with a digit in
+    # it shows the value of its statement's last target, after an optional
+    # "label: "; a decomposition shows as the tuple of its slots.
+    import ast
+    import re
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        code = fh.read().split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = code.splitlines()
+    body = ast.parse(code).body
+    scope = {}
+    shown = 0
+    for stmt, nxt in zip(body, body[1:] + [None]):
+        exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+        span = lines[stmt.lineno - 1 : nxt.lineno - 1 if nxt else len(lines)]
+        comment = " ".join(line.split("#", 1)[1].strip() for line in span if "#" in line)
+        if not re.search(r"\d", comment):
+            continue
+        target = stmt.targets[0]
+        value = scope[(target.elts[-1] if isinstance(target, ast.Tuple) else target).id]
+        if isinstance(value, shsym.Decomposition):
+            text = "(" + ", ".join(map(str, value.components)) + ")"
+        else:
+            text = str(value)
+        assert text == comment.rsplit(": ", 1)[-1], stmt.lineno
+        shown += 1
+    assert shown == 4

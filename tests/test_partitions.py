@@ -1,7 +1,7 @@
 from shsym.partitions import (
     c_set,
+    _conjugate,
     check_partition,
-    conjugate,
     count_partitions,
     enumerate_min_part,
     enumerate_partitions,
@@ -169,7 +169,7 @@ def test_c_set_structure():
 def test_conjugate_is_involution():
     for n in range(12):
         for lam in enumerate_partitions(n):
-            assert conjugate(conjugate(lam)) == lam
+            assert _conjugate(_conjugate(lam)) == lam
 
 
 def test_check_partition_rejects_bad_input():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from shsym.harmonic import basis_element, q_lambda
+from shsym.harmonic import basis_element
 from shsym.operators import e_hat, laplacian, q2_hat
 from shsym.partitions import enumerate_min_part, enumerate_partitions
 from shsym.qseries import (
@@ -190,13 +190,6 @@ def test_q_bracket_rejects_bad_exponents():
 
 def test_sl2_images_under_bracket_vanish_consistently():
     # odd-weight input: every bracket in sight vanishes
-    f = q_lambda((3,)) + q_lambda((2, 1))
+    f = parse_poly("Q3 + Q2*Q1")
     for g in (f, q2_hat(f).pr(), laplacian(f).pr(), e_hat(f).pr()):
         assert q_bracket(g.pr(), 15).is_zero
-
-
-def test_truncate():
-    s = partition_gf(10)
-    assert s.truncate(4) == partition_gf(4)
-    with pytest.raises(ValueError):
-        s.truncate(11)

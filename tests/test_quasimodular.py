@@ -157,7 +157,7 @@ def test_rank_deficient_columns_are_underdetermined(monkeypatch):
     # With E4 replaced by E2^2 the weight-4 columns P^2 and Q coincide
     e2 = eisenstein(2, 30)
     fake = {2: e2, 4: e2 * e2, 6: eisenstein(6, 30)}
-    caches = (quasimodular._int_power, quasimodular._elimination, quasimodular._gen_power)
+    caches = (quasimodular._elimination, quasimodular._gen_power)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(quasimodular, "eisenstein", lambda k, order: fake[k])

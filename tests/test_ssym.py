@@ -149,7 +149,7 @@ def test_monomial_rules():
     with pytest.raises(ValueError):
         Monomial.from_exponents({0: 1})
     m = Monomial.from_exponents({2: Fraction(-3, 2)})
-    assert m.exponent(2) == Fraction(-3, 2)
+    assert m.exponent2(2) == -3
     assert m.weight() == -3
     # shift and mul merge the exponents once and store them through the
     # constructor's checks, with the same messages
@@ -176,7 +176,7 @@ st_mono = st.dictionaries(
 )
 st_poly = st.builds(
     lambda pairs: sum(
-        (SSPoly.from_monomial(m, c) for m, c in pairs), SSPoly.zero()
+        (SSPoly({Monomial.from_exponents(m): c}) for m, c in pairs), SSPoly.zero()
     ),
     st.lists(st.tuples(st_mono, st_scalar), max_size=4),
 )
@@ -230,7 +230,7 @@ def test_weight_of_homogeneous():
 def test_parse_examples():
     h4 = parse_poly("27/4*Q2^2 + 27/2*Q4")
     assert h4 == Q2**2 * Fraction(27, 4) + Q4 * Fraction(27, 2)
-    assert parse_poly("Q2^(3/2)") == SSPoly.from_monomial({2: Fraction(3, 2)})
+    assert parse_poly("Q2^(3/2)") == SSPoly({Monomial(((2, 3),)): 1})
     with pytest.raises(ParseError):
         parse_poly("Q3^(1/2)")
 
@@ -255,7 +255,7 @@ def test_parse_accepts_grammar_variants():
     assert parse_poly("(Q2+Q3)^2") == (Q2 + Q3) ** 2
     assert parse_poly("2^-1*Q2") == Q2 * Fraction(1, 2)
     assert parse_poly("-Q3") == -Q3
-    assert parse_poly("Q2^-2") == SSPoly.from_monomial({2: -2})
+    assert parse_poly("Q2^-2") == SSPoly({Monomial(((2, -4),)): 1})
     assert parse_poly(" 27/4 * Q2 ^ 2 ") == Q2**2 * Fraction(27, 4)
 
 
@@ -293,7 +293,7 @@ def test_power_of_a_sum_is_bounded_at_each_successive_product():
 def test_parse_of_a_sum_equals_the_sum_of_its_terms():
     # few monomials, so terms repeat and cancel; one sum in four cancels out
     rng = random.Random(7)
-    monos = {"1": SSPoly.one(), "Q3": Q3, "Q2^2*Q4": Q2**2 * Q4, "Q2^(-1/2)": SSPoly.from_monomial({2: Fraction(-1, 2)})}
+    monos = {"1": SSPoly.one(), "Q3": Q3, "Q2^2*Q4": Q2**2 * Q4, "Q2^(-1/2)": SSPoly({Monomial(((2, -1),)): 1})}
     for trial in range(200):
         terms = []
         for _ in range(rng.randint(1, 12)):
