@@ -1,17 +1,18 @@
 """Truncated formal power series in q with exact rational coefficients.
 
 A series carries an explicit truncation order N and stores the
-coefficients of q^0 ... q^N exactly.  Arithmetic never claims precision
-beyond the smaller operand order, and equality is likewise defined up to
-the common truncation order.
+coefficients of q^0 ... q^N as integer numerators over one positive
+denominator, in lowest terms; a coefficient becomes a Fraction only when it
+is read out.  Arithmetic never claims precision beyond the smaller operand
+order, and equality is likewise defined up to the common truncation order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt, lcm, prod
-from operator import mul
+from math import comb, factorial, gcd, isqrt, lcm, prod
+from operator import add, mul, sub
 from typing import Iterable, Union
 
 from .partitions import count_partitions, pentagonal_terms
@@ -23,20 +24,24 @@ _ZERO = Fraction(0)
 
 
 class QSeries:
-    __slots__ = ("coeffs",)
+    """The series sum num[n] q^n / den over n <= order, kept in lowest
+    terms: den > 0 and gcd(den, *num) == 1."""
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+    __slots__ = ("num", "den")
+
+    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None, den: int = 1):
+        cs = list(coeffs)
         if order is not None:
             if order < 0:
                 raise ValueError("order must be non-negative")
-            if len(cs) < order + 1:
-                cs += [_ZERO] * (order + 1 - len(cs))
-            else:
-                cs = cs[: order + 1]
-        elif not cs:
-            cs = [_ZERO]
-        self.coeffs = tuple(cs)
+            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        scale = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (scale // c.denominator) for c in cs] or [0]
+        g = gcd(den * scale, *num)
+        self.num = tuple(n // g for n in num)
+        self.den = den * scale // g
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
@@ -48,68 +53,75 @@ class QSeries:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self.num[n], self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
+
+    def _common(self, other: "QSeries") -> tuple[list[int], list[int], int]:
+        """Both numerators to the smaller order, over the lcm of the two
+        denominators."""
+        den = lcm(self.den, other.den)
+        n = min(self.order, other.order) + 1
+        s, t = den // self.den, den // other.den
+        return [a * s for a in self.num[:n]], [b * t for b in other.num[:n]], den
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], n)
+        a, b, den = self._common(other)
+        return QSeries(map(add, a, b), den=den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return QSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], n)
+        a, b, den = self._common(other)
+        return QSeries(map(sub, a, b), den=den)
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs])
+        return QSeries([-n for n in self.num], den=self.den)
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, QSeries):
-            n = min(self.order, other.order)
-            out = [_ZERO] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return QSeries(out)
+            n = min(self.order, other.order) + 1
+            a, b = self.num[:n], other.num[:n]
+            out = [sum(map(mul, a[: m + 1], b[m::-1])) for m in range(n)]
+            return QSeries(out, den=self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return QSeries([a * c for a in self.coeffs])
+            c = other.numerator
+            return QSeries([a * c for a in self.num], den=self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; needs a nonzero constant term."""
-        a0 = self.coeffs[0]
+        cs = self.coeffs
+        a0 = cs[0]
         if not a0:
             raise ZeroDivisionError("series has no inverse: constant term is 0")
         n = self.order
         out = [_ZERO] * (n + 1)
         out[0] = 1 / a0
         for m in range(1, n + 1):
-            out[m] = -sum(self.coeffs[i] * out[m - i] for i in range(1, m + 1)) / a0
+            out[m] = -sum(cs[i] * out[m - i] for i in range(1, m + 1)) / a0
         return QSeries(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        a, b, _ = self._common(other)
+        return a == b
 
     __hash__ = None  # equality is order-relative
 
@@ -154,15 +166,12 @@ def eisenstein(k: int, order: int) -> QSeries:
     if k not in _EISENSTEIN_FACTOR:
         raise ValueError("weight must be one of 2, 4, 6")
     factor, power = _EISENSTEIN_FACTOR[k]
-    coeffs = [Fraction(1)] + [
-        Fraction(factor * sigma(power, n)) for n in range(1, order + 1)
-    ]
-    return QSeries(coeffs)
+    return QSeries([1] + [factor * sigma(power, n) for n in range(1, order + 1)])
 
 
 def d_series(a: QSeries) -> QSeries:
     """The derivation q d/dq: coefficient c_n goes to n c_n."""
-    return QSeries([n * c for n, c in enumerate(a.coeffs)])
+    return QSeries([n * c for n, c in enumerate(a.num)], den=a.den)
 
 
 # The bracket numerator is summed in integers over Frobenius coordinates.
@@ -333,6 +342,6 @@ def q_bracket(f: SSPoly, order: int) -> QSeries:
     # dividing by the generating function multiplies by Euler's product
     euler = list(pentagonal_terms(order))
     return QSeries(
-        Fraction(sum(sign * num[n - g] for g, sign in euler if g <= n), denom)
-        for n in range(order + 1)
+        [sum(sign * num[n - g] for g, sign in euler if g <= n) for n in range(order + 1)],
+        den=denom,
     )

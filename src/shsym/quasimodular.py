@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
-from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket, unpack_signed
+from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket
 from .ssym import InsufficientOrderError, LinearSolveError, RecognitionError, SSPoly, SparseTerms
 from .ssym import _latex_power, format_signed_sum
 
@@ -100,13 +99,17 @@ def _gen_power(name: str, e: int, order: int) -> QSeries:
     return _gen_power(name, e - 1, order) * base
 
 
+def _column(t: Triple, order: int) -> QSeries:
+    """P^a Q^b R^c to the given order."""
+    a, b, c = t
+    return _gen_power("P", a, order) * _gen_power("Q", b, order) * _gen_power("R", c, order)
+
+
 def expand(m: QMForm, order: int) -> QSeries:
     """Exact q-expansion of a form to the given order."""
     acc = QSeries.zero(order)
-    for (a, b, c), coeff in m.terms():
-        term = _gen_power("P", a, order) * _gen_power("Q", b, order)
-        term = term * _gen_power("R", c, order)
-        acc = acc + term * coeff
+    for t, coeff in m.terms():
+        acc = acc + _column(t, order) * coeff
     return acc
 
 
@@ -138,23 +141,11 @@ def _check_order(k: int, order: int) -> None:
 
 
 # Recognition works in integers: P, Q and R have integer coefficients, so
-# every column P^a Q^b R^c does, and a fraction-free elimination of the
-# columns (Bareiss, "Sylvester's identity and multistep integer-preserving
-# Gaussian elimination", Math. Comp. 22, 1968) is done once per (weight,
-# order).  `expand` and `_gen_power` stay in Fractions; verify keeps the
-# Fraction solve over their columns as the oracle.
-
-
-def _int_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two integer series of equal length, truncated to it: one
-    integer product of the two packed series, whose slot n holds a sum of
-    at most len(a) products, so that it fits the width below with a sign."""
-    width = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length() + 1
-    x = y = 0
-    for s, t in zip(reversed(a), reversed(b)):
-        x = (x << width) + s
-        y = (y << width) + t
-    return tuple(unpack_signed(x * y, width, len(a)))
+# every column P^a Q^b R^c is a series over the denominator 1, and a
+# fraction-free elimination of the columns (Bareiss, "Sylvester's identity
+# and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+# 1968) is done once per (weight, order).  verify keeps a Fraction solve
+# over columns of its own as the oracle.
 
 
 class _Elimination(NamedTuple):
@@ -187,16 +178,7 @@ def _elimination(k: int, order: int) -> _Elimination:
     Step j divides by the previous pivot; the quotient is exact by
     Sylvester's identity, so every entry stays an integer.
     """
-    def powers(weight: int) -> list[tuple[int, ...]]:
-        # the generator of this weight to the powers 0 .. k // weight
-        base = tuple(c.numerator for c in eisenstein(weight, order).coeffs)
-        out = [(1,) + (0,) * order]
-        for _ in range(k // weight):
-            out.append(_int_mul(out[-1], base))
-        return out
-
-    p, q, r = powers(2), powers(4), powers(6)
-    columns = [_int_mul(_int_mul(p[a], q[b]), r[c]) for a, b, c in monomials_of_weight(k)]
+    columns = [_column(t, order).num for t in monomials_of_weight(k)]
     n_rows, n_cols = order + 1, len(columns)
     rows = [
         [col[i] for col in columns] + [int(i == j) for j in range(n_rows)]
@@ -244,9 +226,7 @@ def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
         )
     check_recognizable(k, order)
     elim = _elimination(k, order)
-    rhs = s.coeffs[: order + 1]
-    den = lcm(*(c.denominator for c in rhs))
-    b = [c.numerator * (den // c.denominator) for c in rhs]
+    b, den = s.num[: order + 1], s.den
     for v in elim.null:
         if sum(x * b[i] for i, x in v):
             raise RecognitionError(f"not quasimodular of weight {k} at this order")

@@ -773,16 +773,58 @@ def suite_knapsack_oracle(rng, max_weight, order):
 
 def suite_expansion_at_100(rng, max_weight, order):
     """Brackets recognized at order 40 and compared with the expansion of
-    their form at order 100.  expand builds E2, E4 and E6 from divisor sums
-    and shares nothing with the knapsack, so this reaches the slot widths of
-    the knapsack at an order no enumerating oracle can afford."""
+    their form at order 100: four fixed expressions and one random basis
+    element at each weight 3..max_weight.  expand builds E2, E4 and E6 from
+    divisor sums and shares nothing with the knapsack, so this reaches the
+    slot widths of the knapsack at an order no enumerating oracle can
+    afford."""
     exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "Q12^2", "Q6*Q4^2*Q2")
-    for expr in exprs:
-        f = parse_poly(expr)
+    drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(3, max_weight + 1)]
+    cases = [(expr, parse_poly(expr)) for expr in exprs]
+    cases += [(lam, basis_element(lam)) for lam in drawn]
+    for label, f in cases:
         _, form = bracket_form(f, 40)
         if expand(form, 100) != q_bracket(f, 100):
-            return False, f"bracket of {expr} to order 100 differs from the form recognized at 40"
-    return True, f"{len(exprs)} brackets recognized at order 40, compared at 100"
+            return False, f"bracket of {label} to order 100 differs from the form recognized at 40"
+    detail = f"{len(exprs)} brackets"
+    if drawn:
+        detail += f" and one basis element at each weight 3..{max_weight}"
+    return True, f"{detail} recognized at order 40, compared at 100"
+
+
+def oracle_mul(a, b) -> list:
+    """Cauchy product of two coefficient sequences, truncated to the
+    shorter, by its definition."""
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)]
+
+
+def suite_product_oracle(rng, max_weight, order):
+    """QSeries *, +, - and scalar * against oracle_mul and termwise sums, on
+    series with mixed denominators and unequal orders."""
+
+    def draw():
+        dens = (1, 2, 3, 4, 6, 35)
+        return [
+            Fraction(rng.randint(-30, 30) * rng.randint(0, 1), rng.choice(dens))
+            for _ in range(rng.randint(1, order + 1))
+        ]
+
+    for trial in range(40):
+        a, b = draw(), draw()
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        s, t = QSeries(a), QSeries(b)
+        checks = (
+            (s * t, oracle_mul(a, b)),
+            (s + t, [x + y for x, y in zip(a, b)]),
+            (s - t, [x - y for x, y in zip(a, b)]),
+            (s * c, [x * c for x in a]),
+            (c * t, [c * y for y in b]),
+        )
+        for got, want in checks:
+            if list(got.coeffs) != want:
+                return False, f"series arithmetic differs from the oracle on {s} and {t}"
+    return True, f"40 pairs, orders <= {order}"
 
 
 # -- quasimodular forms ------------------------------------------------------------
@@ -799,8 +841,9 @@ def random_qmform(rng, weight: int) -> QMForm:
 
 def oracle_recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
     """recognize by Gaussian elimination in Fractions (linalg.solve) over
-    the columns that expand gives, independent of recognize's integer
-    columns and its cached elimination; the same errors with the same text."""
+    columns built by oracle_mul from the coefficients of E2, E4 and E6,
+    independent of recognize's series product, its caches and its integer
+    elimination; the same errors with the same text."""
     if order is None:
         order = s.order
     if order > s.order:
@@ -809,8 +852,16 @@ def oracle_recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
         )
     check_recognizable(k, order)
     triples = monomials_of_weight(k)
-    columns = [expand(QMForm({t: 1}), order).coeffs for t in triples]
-    matrix = [[col[n] for col in columns] for n in range(order + 1)]
+    # E2, E4 and E6 have integer coefficients
+    bases = [[int(x) for x in eisenstein(w, order).coeffs] for w in (2, 4, 6)]
+    columns = []
+    for t in triples:
+        col = [1] + [0] * order
+        for base, e in zip(bases, t):
+            for _ in range(e):
+                col = oracle_mul(col, base)
+        columns.append(col)
+    matrix = [[Fraction(col[n]) for col in columns] for n in range(order + 1)]
     try:
         solution = linalg.solve(matrix, list(s.coeffs[: order + 1]))
     except linalg.LinearSolveError as exc:
@@ -964,6 +1015,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("series.bracket_oracle", suite_bracket_oracle),
     ("series.knapsack_oracle", suite_knapsack_oracle),
     ("series.expansion_at_100", suite_expansion_at_100),
+    ("series.product_oracle", suite_product_oracle),
     ("forms.sl2_triple", suite_qm_sl2),
     ("forms.equivariance", suite_equivariance),
     ("forms.depth_bound", suite_depth_bound),

@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,6 +15,7 @@ from shsym.qseries import (
     partition_gf,
     q_bracket,
     sigma,
+    unpack_signed,
 )
 from shsym.ssym import Monomial, SSPoly, parse_poly
 from shsym.qseries import _moment_knapsack
@@ -33,6 +36,61 @@ def test_series_arithmetic_examples():
 def test_series_equality_uses_common_order():
     assert QSeries([1, 1], 3) == QSeries([1, 1], 9)
     assert QSeries([1, 1], 3) != QSeries([1, 2], 9)
+
+
+def test_series_equality_across_orders_that_reduce_differently():
+    half = QSeries([Fraction(1, 2)])
+    assert half == QSeries([Fraction(1, 2), Fraction(1, 3)])  # denominators 2 and 6
+    assert half == QSeries([Fraction(1, 2), 5])
+    assert QSeries([Fraction(1, 2), Fraction(1, 3)]) != QSeries([Fraction(1, 2), 5])
+    assert QSeries([Fraction(1, 2), Fraction(1, 3)], 0) == QSeries([Fraction(1, 2), 5], 0)
+
+
+def test_series_stay_in_lowest_terms():
+    rng = random.Random(3)
+
+    def draw():
+        return QSeries(
+            Fraction(rng.randint(-9, 9) * rng.randint(0, 1), rng.choice((1, 2, 3, 6, 35)))
+            for _ in range(rng.randint(1, 12))
+        )
+
+    for _ in range(40):
+        a, b = draw(), draw()
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        results = [a, -a, a + b, a - b, a * b, a * c, c * b, d_series(a)]
+        if a.num[0]:
+            results.append(a.inverse())
+        for s in results:
+            assert s.den > 0 and gcd(s.den, *s.num) == 1, s
+    assert (QSeries([Fraction(1, 2), Fraction(3, 2)]) * 2).den == 1
+    assert (QSeries([Fraction(1, 3), 1]) - QSeries([Fraction(1, 3), 0])).den == 1
+    assert QSeries.zero(3).den == 1
+    with pytest.raises(ValueError):
+        QSeries([1], den=0)
+
+
+def test_coeffs_read_out_the_same_fractions():
+    # the coefficient tuples, Fraction types included, pinned by a digest of
+    # their repr from when every coefficient was stored as a Fraction
+    exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "1 - 2/3*Q6 + Q2*Q4^2", "Q2")
+    got = [q_bracket(parse_poly(e), 30).coeffs for e in exprs]
+    got += [eisenstein(k, 40).coeffs for k in (2, 4, 6)]
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "b10dca6d152241930ac0cc0e77a49579b36ae9b7e6396cf5e217a0cd714aa5f3"
+
+
+def test_unpack_signed_reads_slots_that_need_the_sign_bit():
+    # slots of one sign as large as the width allows set the top bit of
+    # each slot, so only the sign convention tells them from their carries
+    for width in (2, 7, 13):
+        big = 2 ** (width - 1) - 1
+        for n in range(1, 20):
+            for cs in ([big] * n, [-big] * n, [big, -big] * n, [-1, 0] * n):
+                x = sum(c << width * i for i, c in enumerate(cs))
+                assert unpack_signed(x, width, len(cs)) == cs
+    # bits above the slots read are ignored
+    assert unpack_signed(3 + (-2 << 8) + (7 << 16), 8, 2) == [3, -2]
 
 
 def test_series_order_shrinks_to_smaller_operand():
