@@ -156,8 +156,7 @@ def cmd_decompose(args) -> int:
     f = parse_poly(_read_expr(args.expr))
     if f.in_lambda_star():  # anything else is rejected by decompose
         _check_limit("weight", max(f.weight_components(), default=0), MAX_WEIGHT)
-    # decompose raises unless every slot it peels is harmonic, and each
-    # component is a sum of such slots
+    # decompose raises unless every slot it returns is harmonic
     dec = decompose(f)
     if args.format == "json":
         payload = {
@@ -237,7 +236,8 @@ def cmd_recognize(args) -> int:
             raise ParseError(f"bad coefficient: {exc}", tok.start()) from None
     if not coeffs:
         raise ParseError("no coefficients given", 0)
-    series = QSeries(coeffs)
+    # only the recognized prefix goes over one common denominator
+    series = QSeries(coeffs[: args.order + 1])
     form = recognize(series, args.weight, min(args.order, series.order))
     if args.format == "json":
         _print_json({"q_bracket": _form_json(form)})

@@ -2,18 +2,18 @@
 
 A polynomial f in the Q1-free ring is harmonic when the projection of its
 laplacian vanishes.  Every weight-n element splits uniquely as
-f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `decompose`
-peels one slot at a time: the g with T(g) = pr laplacian(f), where
+f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `_peel`
+splits off one slot: the g with T(g) = pr laplacian(f), where
 T(g) = pr laplacian(Q2 g), solves a sparse lower-triangular integer system
-by forward substitution, and f - Q2 g is the harmonic slot, which
-`is_harmonic` checks once on the operator laplacian.
+by forward substitution, and f - Q2 g is the harmonic slot.  `decompose`
+peels slot by slot and checks each returned slot once with `is_harmonic`.
 
 The explicit basis of the weight-n harmonic space is indexed by partitions
 of n with all parts >= 3.  Its element h_lambda, the projected Kelvin image
 of delta_lambda applied to the Kelvin unit, is c_n Q_lambda modulo Q2 with
-c_n = n! (3/2)_n, so it is the harmonic slot of c_n Q_lambda: the same
-triangular solve builds it.  `verify` keeps the Kelvin/delta_lambda
-composition as the independent oracle of that identity.
+c_n = n! (3/2)_n, so it is the harmonic slot of c_n Q_lambda: the same peel
+builds it.  `verify` keeps the Kelvin/delta_lambda composition as the
+independent oracle of that identity.
 """
 
 from __future__ import annotations
@@ -126,24 +126,23 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
     return tuple(rows)
 
 
-def _solve_t(n: int, rhs: SSPoly) -> tuple[list[int], int]:
-    """The weight-n g with T(g) = rhs, by forward substitution in integers,
-    as numerators v_i over one denominator D: the coefficient of row i's
-    monomial in g is 8 v_i / D.  Terms of rhs outside the weight-n slice
-    are ignored.
+def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
+    """The split f = h + Q2 g of a weight-n element, with h the harmonic slot.
 
-    With rhs = N / den, the rows R = 8 T solve R y = N and g = 8 y / den.
-    y is kept as integer numerators over one running denominator, which
-    grows only when a division by a diagonal entry is inexact.
+    g solves T(g) = pr laplacian(f) on the weight-(n - 2) rows by forward
+    substitution in integers: with pr laplacian(f) = N / den, the rows
+    R = 8 T solve R y = N and g = 8 y / den, with y kept as integer
+    numerators over one running denominator, which grows only when a
+    division by a diagonal entry is inexact.  Q2 g is written by key.
     """
-    terms = rhs.terms()
-    den = lcm(*(c.denominator for _, c in terms))
-    numerators = {m: c.numerator * (den // c.denominator) for m, c in terms}
-    rows = _t_inverse(n)
+    rhs = pr_laplacian(f)._terms
+    den = lcm(*(c.denominator for c in rhs.values()))
+    rows = _t_inverse(n - 2)
     scale = 1  # y = values / scale
     values: list[int] = []
     for mono, _, diagonal, lower in rows:
-        s = numerators.get(mono, 0) * scale
+        c = rhs.get(mono)
+        s = c.numerator * (den // c.denominator) * scale if c else 0
         for j, entry in lower:
             s -= entry * values[j]
         q, r = divmod(s, diagonal)
@@ -153,20 +152,14 @@ def _solve_t(n: int, rhs: SSPoly) -> tuple[list[int], int]:
             values = [v * step for v in values]
             q = s * step // diagonal
         values.append(q)
-    return values, den * scale
-
-
-def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
-    """The split f = h + Q2 g of a weight-n element, with h the harmonic slot:
-    g solves T(g) = pr laplacian(f), and Q2 g is written on the rows'
-    Q2-shifted monomials."""
-    values, den = _solve_t(n - 2, pr_laplacian(f))
+    den *= scale
     g: dict[Monomial, Fraction] = {}
     h = dict(f._terms)
-    for (mono, q2_mono, _, _), v in zip(_t_inverse(n - 2), values):
+    for (mono, q2_mono, _, _), v in zip(rows, values):
         if v:
             c = g[mono] = Fraction(8 * v, den)
-            s = h.get(q2_mono, 0) - c
+            s = h.get(q2_mono)
+            s = -c if s is None else s - c  # a negation needs no gcd
             if s:
                 h[q2_mono] = s
             else:
@@ -174,31 +167,25 @@ def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
     return SSPoly._wrap(h), SSPoly._wrap(g)
 
 
-def _decompose_homogeneous(f: SSPoly, n: int) -> list[SSPoly]:
-    slots = n // 2 + 1
-    if f.is_zero:
-        return [SSPoly.zero()] * slots
-    if n < 2:
-        return [f]
-    h0, g = _peel(f, n)
-    if not is_harmonic(h0):
-        raise LinearSolveError("inconsistent")  # impossible unless buggy
-    return [h0] + _decompose_homogeneous(g, n - 2)
-
-
 def decompose(f: SSPoly) -> Decomposition:
-    """Split f into harmonic slots; non-homogeneous input is decomposed per
-    weight component and the slots are summed."""
+    """Split f into harmonic slots.  Each weight component w is peeled one
+    slot at a time: slot r gets the harmonic part of the weight-(w - 2r)
+    remainder, and the last slot keeps what is left."""
     _require_lambda_star(f, "decomposition")
-    merged: list[SSPoly] = [SSPoly.zero()]
-    for w, fw in f.weight_components().items():
-        part = _decompose_homogeneous(fw, w)
-        while len(merged) < len(part):
-            merged.append(SSPoly.zero())
-        for i, h in enumerate(part):
-            merged[i] = merged[i] + h
-    dec = Decomposition(tuple(merged))
-    if dec.reconstruct() != f:
+    parts = f.weight_components()
+    slots = [SSPoly.zero()] * (max(parts, default=0) // 2 + 1)
+    for w, rest in parts.items():
+        for r in range(w // 2):
+            if rest.is_zero:
+                break
+            h, rest = _peel(rest, w - 2 * r)
+            slots[r] = slots[r] + h
+        slots[w // 2] = slots[w // 2] + rest
+    dec = Decomposition(tuple(slots))
+    # A slot holds at most one part per weight component, and the laplacian
+    # keeps weights apart, so a slot is harmonic exactly when each part is:
+    # one check per returned slot certifies every peel.
+    if dec.reconstruct() != f or not all(map(is_harmonic, dec.components)):
         raise LinearSolveError("inconsistent")  # impossible unless buggy
     return dec
 
@@ -207,11 +194,11 @@ def basis_element(lam: Partition) -> SSPoly:
     """The harmonic element attached to a partition: the projected,
     Kelvin-conjugated image of delta_lambda applied to the Kelvin unit.
 
-    It is c_n (Q_lambda - Q2 g) with c_n = n! (3/2)_n, where g solves
-    T(g) = pr laplacian(Q_lambda): the harmonic slot of c_n Q_lambda, since
-    the element is c_n Q_lambda modulo Q2 and harmonic elements are fixed by
-    their Q2-free part.  A part 1 or 2 gives zero, since delta_1 vanishes
-    and the projection of delta_2 on the Kelvin unit Q2^(3/2) does.
+    It is the harmonic slot of c_n Q_lambda, c_n = n! (3/2)_n, that `_peel`
+    splits off, since the element is c_n Q_lambda modulo Q2 and harmonic
+    elements are fixed by their Q2-free part.  A part 1 or 2 gives zero,
+    since delta_1 vanishes and the projection of delta_2 on the Kelvin unit
+    Q2^(3/2) does.
     """
     lam = check_partition(lam)
     if not lam:
@@ -219,17 +206,7 @@ def basis_element(lam: Partition) -> SSPoly:
     if lam[-1] <= 2:
         return SSPoly.zero()
     n = sum(lam)
-    mono = Monomial.from_partition(lam)
-    values, den = _solve_t(n - 2, pr_laplacian(SSPoly({mono: 1})))
-    # c_n Q_lambda, and -c_n * 8 v / den on each Q2-shifted row; Q_lambda
-    # has no Q2, so no two terms share a monomial
-    c = leading_term_scale(n)
-    num, den = -8 * c.numerator, den * c.denominator
-    terms = {mono: c}
-    for row, v in zip(_t_inverse(n - 2), values):
-        if v:
-            terms[row[1]] = Fraction(num * v, den)
-    return SSPoly._wrap(terms)
+    return _peel(SSPoly({Monomial.from_partition(lam): leading_term_scale(n)}), n)[0]
 
 
 def harmonic_basis(n: int) -> HarmonicBasis:

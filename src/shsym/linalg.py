@@ -1,9 +1,10 @@
 """Exact linear algebra over rationals: elimination, solving, rank, inverse.
 
-Matrices are lists of row lists of Fraction.  Sizes here stay at desk
-scale, so plain Gaussian elimination is both fast enough and exact.  No
-production path solves through this module; `verify` and the tests use it
-as the independent oracle of the integer eliminations.
+Matrices are lists of row lists of ints or Fractions, and every result is
+in Fractions.  Sizes here stay at desk scale, so plain Gaussian
+elimination is both fast enough and exact.  No production path solves
+through this module; `verify` and the tests use it as the independent
+oracle of the integer eliminations.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def _echelon(rows: list[list[Fraction]]) -> list[int]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
+        inv = 1 / Fraction(rows[r][c])  # exact on an int pivot too
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:

@@ -554,8 +554,10 @@ MAX_EXPONENT = 100
 MAX_TERMS = 10_000
 
 # Most decimal digits in a numerator or denominator of a constant, written
-# or reached by multiplying.  Nested powers such as ((2^100)^100)^100 would
-# otherwise build numbers far past what can be printed.
+# or reached by multiplying, and in the lcm of the denominators of a sum or
+# product.  Nested powers such as ((2^100)^100)^100 would otherwise build
+# numbers far past what can be printed, and products and operators put all
+# coefficients over that lcm, whose length grows with the term count.
 MAX_CONSTANT_DIGITS = 1000
 _CONSTANT_BOUND = 10**MAX_CONSTANT_DIGITS
 
@@ -628,11 +630,14 @@ class _Parser:
         if self.at_op("-"):
             self.next()
             negate = True
+        _, _, pos = self.peek()
         first = self.term()
         acc = dict((-first if negate else first)._terms)
+        den = self.common_denominator(1, first, pos)
         while self.at_op("+", "-"):
             _, op, pos = self.next()
             t = self.term()
+            den = self.common_denominator(den, t, pos)
             _add_into(acc, (t if op == "+" else -t)._terms)
             if len(acc) > MAX_TERMS:
                 raise ParseError(f"expansion larger than {MAX_TERMS} terms", pos)
@@ -652,15 +657,29 @@ class _Parser:
         return self.bounded(a * b, pos)
 
     def bounded(self, f: SSPoly, pos: int) -> SSPoly:
-        """f, unless a product made one of its exponents or constants too
-        large; nested powers reach either one step at a time."""
+        """f, unless a product made one of its exponents, its constants or
+        their common denominator too large; nested powers reach each one
+        step at a time."""
         for mono, c in f._terms.items():
             for k, e2 in mono.items2():
                 if abs(e2) > 2 * MAX_EXPONENT:
                     raise ParseError(f"product exponent of Q{k} larger than {MAX_EXPONENT} in magnitude", pos)
             if abs(c.numerator) >= _CONSTANT_BOUND or c.denominator >= _CONSTANT_BOUND:
                 raise ParseError(f"constant longer than {MAX_CONSTANT_DIGITS} digits", pos)
+        self.common_denominator(1, f, pos)
         return f
+
+    def common_denominator(self, den: int, f: SSPoly, pos: int) -> int:
+        """The lcm of den and the denominators of f, built one term at a
+        time and refused at the first step past MAX_CONSTANT_DIGITS digits.
+        A denominator that divides den, 1 among them, takes no step."""
+        for c in f._terms.values():
+            d = c.denominator
+            if den % d:
+                den = lcm(den, d)
+                if den >= _CONSTANT_BOUND:
+                    raise ParseError(f"common denominator longer than {MAX_CONSTANT_DIGITS} digits", pos)
+        return den
 
     # factor := atom ('^' exponent)?
     def factor(self) -> SSPoly:

@@ -861,7 +861,7 @@ def oracle_recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
             for _ in range(e):
                 col = oracle_mul(col, base)
         columns.append(col)
-    matrix = [[Fraction(col[n]) for col in columns] for n in range(order + 1)]
+    matrix = [[col[n] for col in columns] for n in range(order + 1)]
     try:
         solution = linalg.solve(matrix, list(s.coeffs[: order + 1]))
     except linalg.LinearSolveError as exc:

@@ -139,8 +139,8 @@ def test_decompose_checks_each_slot_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "decompose", "Q4^2 + Q2*Q3^2 - 2*Q2^4", "--format", "json")
     assert code == 0
     assert json.loads(out)["harmonic"] == [True] * 5
-    # one harmonicity check per peeled slot, at weights 8, 6, 4 and 2
-    assert len(calls) == 4
+    # one harmonicity check per returned slot, at weights 8, 6, 4, 2 and 0
+    assert len(calls) == 5
 
 
 def test_decompose_stdin(capsys, monkeypatch):
@@ -506,11 +506,66 @@ def test_huge_recognition_weight_is_refused_at_once(capsys):
         assert err.startswith("recognition error: insufficient order") and err.count("\n") == 1
 
 
-def _run_cli_within(seconds, *argv):
-    """Run the CLI in a fresh interpreter; TimeoutExpired fails the test."""
+def _run_cli_within(seconds, *argv, stdin=None):
+    """Run the CLI in a fresh interpreter, with stdin as its standard input;
+    TimeoutExpired fails the test."""
     return subprocess.run(
-        [sys.executable, "-m", "shsym.cli", *argv], capture_output=True, text=True, env=ENV, timeout=seconds
+        [sys.executable, "-m", "shsym.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=ENV,
+        timeout=seconds,
     )
+
+
+def _distinct_long_denominators(count, digits):
+    # odd numbers of the given length less than 2 * count apart; the gcd of
+    # any two divides their difference, so their lcm is almost twice as long
+    # as either
+    return [10 ** (digits - 1) + 2 * i + 1 for i in range(count)]
+
+
+def test_recognize_converts_only_the_recognized_prefix():
+    # over one lcm, 200 of them took 30.8 s and 400 more than 70 s
+    junk = " ".join(f"1/{d}" for d in _distinct_long_denominators(800, 999))
+    proc = _run_cli_within(10, "recognize", "--weight", "2", stdin=junk)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "recognition error: not quasimodular of weight 2 at this order\n"
+    e2 = "1 -24 -72 -96 -168 -144 -288 -192 -360 -312 -432 -288 -672"
+    proc = _run_cli_within(10, "recognize", "--weight", "2", "-N", "12", stdin=f"{e2} {junk}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "P\n", "")
+
+
+def test_sum_over_a_long_common_denominator_is_parse_error_before_multiplying():
+    # the 400-term sum times (Q1+Q2) took 22.8 s over its 400,000-digit lcm
+    from shsym.ssym import MAX_CONSTANT_DIGITS
+
+    dens = _distinct_long_denominators(400, MAX_CONSTANT_DIGITS)
+    total = " + ".join(f"1/{d}*Q3^{i // 20}*Q4^{i % 20}" for i, d in enumerate(dens))
+    proc = _run_cli_within(10, "eval", "-", "(3)", stdin=f"({total})*(Q1+Q2)")
+    assert proc.returncode == 2 and proc.stdout == ""
+    # refused at the second summand
+    second = total.index(" + ") + 1
+    assert proc.stderr == (
+        f"parse error: common denominator longer than {MAX_CONSTANT_DIGITS} digits (at position {second + 1})\n"
+    )
+
+
+def test_decompose_over_a_long_common_denominator_is_parse_error():
+    # weight 20 ran for more than 70 s; weight 14 ended after 4.5 s with
+    # the interpreter's limit on integer string conversion
+    from shsym.partitions import enumerate_min_part
+    from shsym.ssym import MAX_CONSTANT_DIGITS
+
+    for w in (14, 20):
+        lams = enumerate_min_part(w, 2)
+        dens = _distinct_long_denominators(len(lams), MAX_CONSTANT_DIGITS)
+        f = " + ".join(f"1/{d}*" + "*".join(f"Q{p}" for p in lam) for lam, d in zip(lams, dens))
+        proc = _run_cli_within(10, "decompose", stdin=f)
+        assert proc.returncode == 2 and proc.stdout == "", w
+        assert proc.stderr.startswith(f"parse error: common denominator longer than {MAX_CONSTANT_DIGITS} digits"), w
+        assert proc.stderr.count("\n") == 1, w
 
 
 def test_bracket_of_too_many_monomials_is_refused_before_summing():

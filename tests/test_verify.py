@@ -38,3 +38,18 @@ def test_knapsack_oracle_reaches_above_the_table(monkeypatch):
     ok, detail = verify.suite_knapsack_oracle(random.Random(verify.DEFAULT_SEED), 12, 20)
     assert not ok
     assert detail.startswith("knapsack differs from the row sums at (")
+
+
+def test_linalg_is_exact_on_int_input():
+    from fractions import Fraction
+
+    from shsym import linalg
+
+    x = linalg.solve([[2, 1], [1, 3]], [1, 2])
+    assert x == [Fraction(1, 5), Fraction(3, 5)] and all(type(v) is Fraction for v in x)
+    inverse = linalg.invert([[2, 1], [1, 3]])
+    assert inverse == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
+    assert all(type(v) is Fraction for row in inverse for v in row)
+    # the third row is twice the sum of the others; in floats it keeps a
+    # rounding residue and counts as a third pivot
+    assert linalg.matrix_rank([[2, 10, 1], [10, 1, 3], [24, 22, 8]]) == 2
