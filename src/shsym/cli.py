@@ -7,10 +7,11 @@ failure, 2 usage or parse error.
 
 Each process runs one subcommand, so this module imports only the ring
 (`ssym`) and the partitions at its top, and each subcommand imports the
-layers it runs: eval nothing more, basis and decompose the operators and
-the harmonic layer, qbracket and recognize the series and recognition,
-tables all four, and verify its suites and oracles as well.  Only a
-request for JSON output loads `json`.
+layers it runs: eval nothing more, basis the harmonic layer, decompose the
+harmonic layer and the operators that certify its slots, qbracket and
+recognize the series and recognition, tables the harmonic layer, the
+series and recognition, and verify its suites and oracles as well.  JSON
+is written here, so no subcommand loads `json`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ MAX_BRACKET_MONOMIALS = 300  # distinct Q2-free monomials of a qbracket input
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative")
     if value > limit:
         raise ValueError(f"{what} {value} is above the limit of {limit}")
 
@@ -66,6 +69,14 @@ def _read_expr(arg: str | None) -> str:
     return arg
 
 
+def _json_string(text: str) -> str:
+    """A JSON string of text that needs no escaping: every string the CLI
+    writes is one of its own key names or the text of a number."""
+    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
+        raise TypeError(f"cannot write {text!r} as JSON without escaping it")
+    return f'"{text}"'
+
+
 def _write_json(value, pad: str, out: list[str]) -> None:
     """Append the text of json.dumps(value, indent=2) at the indentation pad.
 
@@ -74,14 +85,11 @@ def _write_json(value, pad: str, out: list[str]) -> None:
     terms.  Python's C encoder ignores `indent`, so json.dumps would
     encode every indented payload in pure Python instead.
     """
-    import json  # loaded only by the requests that print JSON
-
-    string = json.encoder.encode_basestring_ascii
     inner = pad + "  "
     if isinstance(value, str):
-        out.append(string(value))
+        out.append(_json_string(value))
     elif value is True or value is False or value is None:
-        out.append(json.dumps(value))
+        out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif not isinstance(value, (SSPoly, dict, list, tuple)):
@@ -100,7 +108,7 @@ def _write_json(value, pad: str, out: list[str]) -> None:
     elif isinstance(value, dict):
         sep = "{\n" + inner
         for key, item in value.items():
-            out.append(f"{sep}{string(key)}: ")
+            out.append(f"{sep}{_json_string(key)}: ")
             _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
@@ -224,8 +232,6 @@ def cmd_recognize(args) -> int:
     from .qseries import QSeries
     from .quasimodular import format_qmform, format_qmform_latex, recognize
 
-    if args.order < 0:
-        raise ValueError("order must be non-negative")
     _check_limit("order", args.order, MAX_ORDER)
     text = _read_expr(args.coefficients)
     coeffs = []
@@ -259,9 +265,7 @@ def cmd_eval(args) -> int:
             f" longer than {MAX_CONSTANT_DIGITS} digits"
         )
     if args.format == "json":
-        import json
-
-        print(json.dumps({"value": str(value)}))
+        print(f'{{"value": {_json_string(str(value))}}}')
     else:
         print(value)
     return EXIT_OK

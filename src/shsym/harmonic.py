@@ -5,8 +5,13 @@ laplacian vanishes.  Every weight-n element splits uniquely as
 f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `_peel`
 splits off one slot: the g with T(g) = pr laplacian(f), where
 T(g) = pr laplacian(Q2 g), solves a sparse lower-triangular integer system
-by forward substitution, and f - Q2 g is the harmonic slot.  `decompose`
-peels slot by slot and checks each returned slot once with `is_harmonic`.
+by forward substitution, and f - Q2 g is the harmonic slot.  The
+projected laplacian it solves with is a closed form in integers over the
+denominator 8, `_pr_laplacian_image`, which builds both the rows of T and
+the right-hand side.  `decompose` peels slot by slot and checks each
+returned slot once with `is_harmonic`, on the operator laplacian of
+`operators`, which shares nothing with the closed form: this module loads
+the operator algebra only to certify a result.
 
 The explicit basis of the weight-n harmonic space is indexed by partitions
 of n with all parts >= 3.  Its element h_lambda, the projected Kelvin image
@@ -20,23 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, NamedTuple
 
-from .operators import (
-    _pr_laplacian_image,
-    dualize_apply,
-    kelvin,
-    laplacian,
-    multinomial,
-    pr_laplacian,
-)
-from .partitions import (
-    Partition,
-    check_partition,
-    count_partitions,
-    enumerate_min_part,
-)
+from .partitions import Partition, check_partition, count_partitions, enumerate_min_part
 from .ssym import LinearSolveError, Monomial, SSPoly
 
 
@@ -56,11 +48,7 @@ class Decomposition(NamedTuple):
 
     @property
     def depth(self) -> int:
-        top = 0
-        for r, h in enumerate(self.components):
-            if not h.is_zero:
-                top = r
-        return top
+        return max((r for r, h in enumerate(self.components) if not h.is_zero), default=0)
 
 
 class HarmonicBasis(NamedTuple):
@@ -74,7 +62,10 @@ def _require_lambda_star(f: SSPoly, what: str) -> None:
 
 
 def is_harmonic(f: SSPoly) -> bool:
-    """True when the projected laplacian of f vanishes exactly."""
+    """True when the projected laplacian of f vanishes exactly, on the
+    operator laplacian, which shares nothing with the closed form."""
+    from .operators import laplacian  # a certificate; the solve needs none
+
     _require_lambda_star(f, "harmonicity test")
     return laplacian(f).pr().is_zero
 
@@ -84,9 +75,64 @@ def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     with all parts >= 2, in the deterministic enumeration order."""
     if n < 0:
         return ()
-    return tuple(
-        SSPoly({Monomial.from_partition(lam): 1}) for lam in enumerate_min_part(n, 2)
-    )
+    return tuple(SSPoly({Monomial.from_partition(lam): 1}) for lam in enumerate_min_part(n, 2))
+
+
+def _pr_laplacian_image(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """pr laplacian(mono) of a Q1-free monomial, as (monomial, numerator)
+    pairs over the denominator 8.
+
+    The laplacian is half of d_op_n(2) - d_op^2.  Every Q1 it emits is a
+    factor of its own, so on the Q1-free ring, with d_k the formal
+    derivative in Q_k and ordered pairs k, l >= 2,
+
+        2 pr laplacian = sum (C(k+l-2, k-1) Q_(k+l-2) - [k, l >= 3] Q_(k-1) Q_(l-1)) d_k d_l
+                         - d_2 - sum_(k >= 4) Q_(k-2) d_k.
+
+    On doubled exponents e, d_k d_l gives e_k e_l / 4 (e_k (e_k - 2) / 4 for
+    k = l) and d_k gives e_k / 2; an unordered pair k < l counts twice.
+    """
+    acc: dict[Monomial, int] = {}
+    support = mono.items2()
+
+    def add(num: int, *changes: tuple[int, int]):
+        m = Monomial(support + changes)
+        acc[m] = acc.get(m, 0) + num
+
+    for a, (k, ek) in enumerate(support):
+        if k == 2:
+            add(-2 * ek, (2, -2))
+        elif k >= 4:
+            add(-2 * ek, (k, -2), (k - 2, 2))
+        for l, el in support[a:]:
+            num = ek * (ek - 2) if l == k else 2 * ek * el
+            if not num:
+                continue
+            add(comb(k + l - 2, k - 1) * num, (k, -2), (l, -2), (k + l - 2, 2))
+            if k >= 3:
+                add(-num, (k, -2), (l, -2), (k - 1, 2), (l - 1, 2))
+    return tuple((m, s) for m, s in acc.items() if s)
+
+
+def _pr_laplacian_numerators(f: SSPoly) -> tuple[dict[Monomial, int], int]:
+    """pr laplacian(f) of a Q1-free f as integer numerators over one
+    denominator, 8 times the common denominator of f's coefficients."""
+    terms = f._terms.items()
+    den = lcm(*(c.denominator for _, c in terms))
+    acc: dict[Monomial, int] = {}
+    for mono, coeff in terms:
+        scale = coeff.numerator * (den // coeff.denominator)
+        for m, num in _pr_laplacian_image(mono):
+            acc[m] = acc.get(m, 0) + scale * num
+    return acc, 8 * den
+
+
+def pr_laplacian(f: SSPoly) -> SSPoly:
+    """pr laplacian(f), the Q1-free part of the laplacian, from its closed
+    form.  The laplacian commutes with multiplication by Q1, so the Q1 terms
+    of f are dropped first."""
+    acc, den = _pr_laplacian_numerators(f.pr())
+    return SSPoly._wrap({m: Fraction(s, den) for m, s in acc.items() if s})
 
 
 _TRow = tuple[Monomial, Monomial, int, tuple[tuple[int, int], ...]]
@@ -98,7 +144,7 @@ _TRow = tuple[Monomial, Monomial, int, tuple[tuple[int, int], ...]]
 def _t_inverse(n: int) -> tuple[_TRow, ...]:
     """The map T(g) = pr laplacian(Q2 g) on the weight-n slice, as sparse
     lower-triangular integer rows, numerators over the denominator 8 of
-    `pr_laplacian`, in solve order, one per unknown.
+    `_pr_laplacian_image`, in solve order, one per unknown.
 
     Unknowns Q_mu are ordered by (len(mu), mu).  Every term of T(Q_mu) other
     than Q_mu itself has more parts, or as many parts and a lexicographically
@@ -126,23 +172,21 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
     return tuple(rows)
 
 
-def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
-    """The split f = h + Q2 g of a weight-n element, with h the harmonic slot.
+def _peel(f: SSPoly, n: int) -> SSPoly:
+    """The harmonic slot h of a weight-n element, f = h + Q2 g.
 
     g solves T(g) = pr laplacian(f) on the weight-(n - 2) rows by forward
     substitution in integers: with pr laplacian(f) = N / den, the rows
     R = 8 T solve R y = N and g = 8 y / den, with y kept as integer
     numerators over one running denominator, which grows only when a
-    division by a diagonal entry is inexact.  Q2 g is written by key.
+    division by a diagonal entry is inexact.  Q2 g is taken off f by key.
     """
-    rhs = pr_laplacian(f)._terms
-    den = lcm(*(c.denominator for c in rhs.values()))
+    rhs, den = _pr_laplacian_numerators(f)
     rows = _t_inverse(n - 2)
     scale = 1  # y = values / scale
     values: list[int] = []
     for mono, _, diagonal, lower in rows:
-        c = rhs.get(mono)
-        s = c.numerator * (den // c.denominator) * scale if c else 0
+        s = rhs.get(mono, 0) * scale
         for j, entry in lower:
             s -= entry * values[j]
         q, r = divmod(s, diagonal)
@@ -153,18 +197,17 @@ def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
             q = s * step // diagonal
         values.append(q)
     den *= scale
-    g: dict[Monomial, Fraction] = {}
     h = dict(f._terms)
-    for (mono, q2_mono, _, _), v in zip(rows, values):
+    for (_, q2_mono, _, _), v in zip(rows, values):
         if v:
-            c = g[mono] = Fraction(8 * v, den)
+            c = Fraction(8 * v, den)
             s = h.get(q2_mono)
             s = -c if s is None else s - c  # a negation needs no gcd
             if s:
                 h[q2_mono] = s
             else:
                 del h[q2_mono]
-    return SSPoly._wrap(h), SSPoly._wrap(g)
+    return SSPoly._wrap(h)
 
 
 def decompose(f: SSPoly) -> Decomposition:
@@ -178,8 +221,10 @@ def decompose(f: SSPoly) -> Decomposition:
         for r in range(w // 2):
             if rest.is_zero:
                 break
-            h, rest = _peel(rest, w - 2 * r)
+            h = _peel(rest, w - 2 * r)
             slots[r] = slots[r] + h
+            # the peel changes only Q2-divisible terms, so rest - h is Q2 g
+            rest = SSPoly._wrap({m.shift({2: -2}): c for m, c in (rest - h)._terms.items()})
         slots[w // 2] = slots[w // 2] + rest
     dec = Decomposition(tuple(slots))
     # A slot holds at most one part per weight component, and the laplacian
@@ -206,7 +251,7 @@ def basis_element(lam: Partition) -> SSPoly:
     if lam[-1] <= 2:
         return SSPoly.zero()
     n = sum(lam)
-    return _peel(SSPoly({Monomial.from_partition(lam): leading_term_scale(n)}), n)[0]
+    return _peel(SSPoly({Monomial.from_partition(lam): leading_term_scale(n)}), n)
 
 
 def harmonic_basis(n: int) -> HarmonicBasis:
@@ -219,15 +264,10 @@ def harmonic_basis(n: int) -> HarmonicBasis:
 
 
 def dim_h(n: int) -> int:
-    """Dimension of the weight-n harmonic space via the partition counts."""
-    if n < 0:
-        return 0
-    return (
-        count_partitions(n)
-        - count_partitions(n - 1)
-        - count_partitions(n - 2)
-        + count_partitions(n - 3)
-    )
+    """Dimension of the weight-n harmonic space via the partition counts,
+    which are zero at negative sizes."""
+    p = count_partitions
+    return p(n) - p(n - 1) - p(n - 2) + p(n - 3)
 
 
 def depth_ss(f: SSPoly) -> int:
@@ -262,6 +302,8 @@ def leading_term_check(lam: Iterable[int]) -> bool:
 def unusual_identity_check(h: SSPoly, n: int) -> bool:
     """Reproduction identity: a weight-n harmonic element equals its own
     dualized action on the Kelvin unit, up to the leading normalization."""
+    from .operators import dualize_apply, kelvin, multinomial
+
     if n < 1:
         raise ValueError("n must be positive")
     if not is_harmonic(h):

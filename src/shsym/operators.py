@@ -13,10 +13,10 @@ Images are cached per (order, monomial) in bounded LRU caches, since the
 Kelvin/delta_lambda composition expands the same monomials many times; a
 call combines them in integers and divides once per output monomial.
 
-`pr_laplacian`, the Q1-free part of the laplacian, has a closed form of
-its own in integers over the denominator 8, which builds the harmonic
-projection behind the basis and the decomposition.  It shares nothing
-with the images, so `laplacian(f).pr()` stays an independent check of it.
+This is the operator algebra by definition.  The closed form of the
+projected laplacian that the harmonic layer solves with lives in
+`harmonic`; it shares nothing with the images, so `laplacian(f).pr()`
+stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -153,46 +153,6 @@ def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     return tuple((m, s) for m, s in acc.items() if s)
 
 
-def _pr_laplacian_image(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """pr laplacian(mono) of a Q1-free monomial, as (monomial, numerator)
-    pairs over the denominator 8.
-
-    The laplacian is half of d_op_n(2) - d_op^2.  Every Q1 it emits is a
-    factor of its own, so on the Q1-free ring, with d_k the formal
-    derivative in Q_k and ordered pairs k, l >= 2,
-
-        2 pr laplacian = sum (C(k+l-2, k-1) Q_(k+l-2) - [k, l >= 3] Q_(k-1) Q_(l-1)) d_k d_l
-                         - d_2 - sum_(k >= 4) Q_(k-2) d_k.
-
-    On doubled exponents e, d_k d_l gives e_k e_l / 4 (e_k (e_k - 2) / 4 for
-    k = l) and d_k gives e_k / 2; an unordered pair k < l counts twice.
-    """
-    acc: dict[Monomial, int] = {}
-    support = mono.items2()
-
-    def add(num: int, *changes: tuple[int, int]):
-        m = Monomial(support + changes)
-        s = acc.get(m, 0) + num
-        if s:
-            acc[m] = s
-        else:
-            acc.pop(m, None)
-
-    for a, (k, ek) in enumerate(support):
-        if k == 2:
-            add(-2 * ek, (2, -2))
-        elif k >= 4:
-            add(-2 * ek, (k, -2), (k - 2, 2))
-        for l, el in support[a:]:
-            num = ek * (ek - 2) if l == k else 2 * ek * el
-            if not num:
-                continue
-            add(comb(k + l - 2, k - 1) * num, (k, -2), (l, -2), (k + l - 2, 2))
-            if k >= 3:
-                add(-num, (k, -2), (l, -2), (k - 1, 2), (l - 1, 2))
-    return tuple(acc.items())
-
-
 def _apply_images(image, shift: int, f: SSPoly) -> SSPoly:
     """Extend a per-monomial image with numerators over 2^shift linearly to f.
 
@@ -238,13 +198,6 @@ def delta_n(n: int, f: SSPoly) -> SSPoly:
     delta_n(2) is twice the laplacian.
     """
     return _apply_order_n(_delta_n_image, n, f)
-
-
-def pr_laplacian(f: SSPoly) -> SSPoly:
-    """pr laplacian(f), the Q1-free part of the laplacian, from its closed
-    form.  The laplacian commutes with multiplication by Q1, so the Q1 terms
-    of f are dropped first."""
-    return _apply_images(_pr_laplacian_image, 3, f.pr())
 
 
 def laplacian(f: SSPoly) -> SSPoly:

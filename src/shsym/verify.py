@@ -27,6 +27,7 @@ from .harmonic import (
     is_harmonic,
     lambda_star_basis,
     leading_term_check,
+    pr_laplacian,
     unusual_identity_check,
 )
 from .operators import (
@@ -39,7 +40,6 @@ from .operators import (
     euler_op,
     kelvin,
     laplacian,
-    pr_laplacian,
     q2_hat,
 )
 from .partitions import (
@@ -347,8 +347,11 @@ def suite_kelvin(rng, max_weight, order):
 
 
 def suite_weight_drop(rng, max_weight, order):
+    top = min(max_weight, 10)
+    if top < 2:
+        return True, f"nothing to draw: max weight {max_weight} is below 2"
     for trial in range(10):
-        w = rng.randint(2, min(max_weight, 10))
+        w = rng.randint(2, top)
         f = random_homogeneous(rng, w)
         for n in range(6):
             g = d_op_n(n, f)
@@ -549,8 +552,11 @@ def suite_basis_oracle(rng, max_weight, order):
 
 
 def suite_q2_multiples_not_harmonic(rng, max_weight, order):
+    top = min(max_weight, 10)
+    if top < 2:
+        return True, f"nothing to draw: max weight {max_weight} is below 2"
     for trial in range(15):
-        w = rng.randint(0, min(max_weight, 10) - 2)
+        w = rng.randint(0, top - 2)
         g = random_homogeneous(rng, w, min_part=2)
         if g.is_zero:
             continue

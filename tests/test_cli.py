@@ -126,16 +126,17 @@ def test_decompose_text(capsys):
 
 
 def test_decompose_checks_each_slot_once(capsys, monkeypatch):
-    from shsym import harmonic
+    from shsym import operators
 
     calls = []
-    laplacian = harmonic.laplacian
+    laplacian = operators.laplacian
 
     def counted(f):
         calls.append(f)
         return laplacian(f)
 
-    monkeypatch.setattr(harmonic, "laplacian", counted)
+    # is_harmonic reads the operator laplacian from its module at each call
+    monkeypatch.setattr(operators, "laplacian", counted)
     code, out, _ = run(capsys, "decompose", "Q4^2 + Q2*Q3^2 - 2*Q2^4", "--format", "json")
     assert code == 0
     assert json.loads(out)["harmonic"] == [True] * 5
@@ -474,6 +475,8 @@ def test_order_over_limit_is_usage_error(capsys):
     _assert_one_line_usage_error(capsys, "qbracket", "Q2", "-N", too_high)
     _assert_one_line_usage_error(capsys, "recognize", "1 2 3", "--weight", "2", "-N", too_high)
     _assert_one_line_usage_error(capsys, "tables", "-N", too_high)
+    for command in ("tables", "verify"):
+        _assert_one_line_usage_error(capsys, command, "-N", "-1")
 
 
 def test_verify_order_over_limit_is_usage_error(capsys):
@@ -496,6 +499,8 @@ def test_max_weight_over_limit_is_usage_error(capsys):
     too_high = str(MAX_TABLE_WEIGHT + 1)
     _assert_one_line_usage_error(capsys, "tables", "--max-weight", too_high)
     _assert_one_line_usage_error(capsys, "verify", "--max-weight", too_high)
+    for command in ("tables", "verify"):
+        _assert_one_line_usage_error(capsys, command, "--max-weight", "-1")
 
 
 def test_huge_recognition_weight_is_refused_at_once(capsys):
@@ -642,15 +647,16 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
         "print(*loaded, sep='\\n')\n"
     )
     base = ["shsym", "shsym.cli", "shsym.partitions", "shsym.ssym"]
-    harmonic = ["shsym.harmonic", "shsym.operators"]
+    harmonic = ["shsym.harmonic"]
     forms = ["shsym.qseries", "shsym.quasimodular"]
     for argv, want in (
         ((), ["shsym"]),  # the bare package loads no module
-        (("eval", "Q3*Q2", "(2,1)"), base),
+        (("eval", "Q3*Q2", "(2,1)", "--format", "json"), base),
         (("qbracket", "Q4", "-N", "12", "--format", "json"), base + forms),
         (("recognize", "1" + " 0" * 10, "--weight", "0"), base + forms),
         (("basis", "8", "--format", "latex"), base + harmonic),
-        (("decompose", "Q2*Q4"), base + harmonic),
+        # only the certificate of each returned slot loads the operators
+        (("decompose", "Q2*Q4", "--format", "json"), base + harmonic + ["shsym.operators"]),
         (("tables", "--max-weight", "4", "-N", "14"), base + harmonic + forms),
     ):
         proc = subprocess.run(
@@ -660,8 +666,8 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
         loaded = proc.stdout.split()
         assert [m for m in loaded if m.split(".")[0] == "shsym"] == sorted(want), argv
         assert "dataclasses" not in loaded and "inspect" not in loaded, argv
-        # only a request for JSON output loads json
-        assert ("json" in loaded) == ("json" in argv), argv
+        # JSON is written by the CLI itself
+        assert "json" not in loaded, argv
 
 
 def test_runaway_expansion_is_parse_error():
@@ -765,7 +771,7 @@ def test_json_writer_equals_json_dumps():
     from shsym.cli import _write_json
 
     values = [
-        0, -7, 10**40, True, False, None, "", "a\"b\\c\n\t\x01é☃", [], {}, (),
+        0, -7, 10**40, True, False, None, "", "-3/4*Q2 (x)~", [], {}, (),
         [[]], [{}], {"": []}, {"k": {"n": [1, [2, {}]], "s": "x"}}, (1, (2, "3")),
         [True, None, {"deep": [[[0]]]}],
     ]
@@ -775,6 +781,10 @@ def test_json_writer_equals_json_dumps():
         assert "".join(out) == json.dumps(value, indent=2), value
     with pytest.raises(TypeError):
         _write_json(0.5, "", [])
+    # a string that would need escaping is refused, not escaped
+    for text in ('"', "\\", "\n", "\x7f", "é"):
+        with pytest.raises(TypeError):
+            _write_json({"k": text}, "", [])
 
 
 def test_basis_json_equals_json_dumps(capsys):

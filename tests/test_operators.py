@@ -15,9 +15,9 @@ from shsym.operators import (
     falling_factorial,
     kelvin,
     laplacian,
-    pr_laplacian,
     q2_hat,
 )
+from shsym.harmonic import pr_laplacian
 from shsym.ssym import Monomial, SSPoly, format_poly, parse_poly
 from shsym.verify import (
     oracle_d_op,

@@ -53,3 +53,11 @@ def test_linalg_is_exact_on_int_input():
     # the third row is twice the sum of the others; in floats it keeps a
     # rounding residue and counts as a third pivot
     assert linalg.matrix_rank([[2, 10, 1], [10, 1, 3], [24, 22, 8]]) == 2
+
+
+@pytest.mark.parametrize("max_weight", [0, 1])
+def test_weighted_draws_pass_when_nothing_is_drawable(max_weight):
+    # both suites draw weights from 2 up; below that they pass and say so
+    for suite in (verify.suite_weight_drop, verify.suite_q2_multiples_not_harmonic):
+        ok, detail = suite(random.Random(verify.DEFAULT_SEED), max_weight, 20)
+        assert ok and detail == f"nothing to draw: max weight {max_weight} is below 2"
