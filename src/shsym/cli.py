@@ -7,11 +7,12 @@ failure, 2 usage or parse error.
 
 Each process runs one subcommand, so this module imports only the ring
 (`ssym`) and the partitions at its top, and each subcommand imports the
-layers it runs: eval nothing more, basis the harmonic layer, decompose the
-harmonic layer and the operators that certify its slots, qbracket and
+layers it runs: eval nothing more, basis and decompose the harmonic layer,
+which certifies its slots with its own closed-form laplacian, qbracket and
 recognize the series and recognition, tables the harmonic layer, the
-series and recognition, and verify its suites and oracles as well.  JSON
-is written here, so no subcommand loads `json`.
+series and recognition, and verify its suites and oracles as well, the
+operator algebra among them.  JSON is written here, so no subcommand loads
+`json`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ EXIT_USAGE = 2
 # Q2-free monomial, so qbracket also bounds their count: at -N 40 its
 # slowest admitted input, the 300 dearest of the Q1-free monomials with
 # parts >= 3 and weights 3 to 32, takes 12 s (all 2,744 knapsacks: 45 s).
+# decompose certifies its slots with the closed-form laplacian, which
+# verify's pr_laplacian oracle proves on every monomial up to MAX_WEIGHT.
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
@@ -61,6 +64,11 @@ def _check_limit(what: str, value: int, limit: int) -> None:
         raise ValueError(f"{what} must be non-negative")
     if value > limit:
         raise ValueError(f"{what} {value} is above the limit of {limit}")
+
+
+def _check_min_part(value: int) -> None:
+    if value < 1:
+        raise ValueError(f"--min-part must be at least 1, got {value}")
 
 
 def _read_expr(arg: str | None) -> str:
@@ -143,6 +151,7 @@ def cmd_basis(args) -> int:
     from .harmonic import basis_element
 
     _check_limit("weight", args.n, MAX_WEIGHT)
+    _check_min_part(args.min_part)
     rows = [(lam, basis_element(lam)) for lam in enumerate_min_part(args.n, args.min_part)]
     if args.format == "json":
         _print_json([{"lambda": list(lam), "h": h} for lam, h in rows])
@@ -286,6 +295,7 @@ def cmd_tables(args) -> int:
 
     _check_limit("order", args.order, MAX_ORDER)
     _check_limit("max weight", args.max_weight, MAX_TABLE_WEIGHT)
+    _check_min_part(args.min_part)
     rows = []
     for n in range(args.max_weight + 1):
         for lam in enumerate_min_part(n, args.min_part):

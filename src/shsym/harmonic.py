@@ -5,13 +5,15 @@ laplacian vanishes.  Every weight-n element splits uniquely as
 f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `_peel`
 splits off one slot: the g with T(g) = pr laplacian(f), where
 T(g) = pr laplacian(Q2 g), solves a sparse lower-triangular integer system
-by forward substitution, and f - Q2 g is the harmonic slot.  The
-projected laplacian it solves with is a closed form in integers over the
-denominator 8, `_pr_laplacian_image`, which builds both the rows of T and
-the right-hand side.  `decompose` peels slot by slot and checks each
-returned slot once with `is_harmonic`, on the operator laplacian of
-`operators`, which shares nothing with the closed form: this module loads
-the operator algebra only to certify a result.
+by forward substitution, f - Q2 g is the harmonic slot, and g is the
+remainder the next slot is peeled from.  The projected laplacian is a
+closed form in integers over the denominator 8, `_pr_laplacian_image`,
+which builds the rows of T and the right-hand side, and with which
+`decompose` checks each returned slot once.  The operator laplacian is its
+independent reference: `verify.suite_pr_laplacian_oracle` proves the two
+equal on every Q1-free monomial of weight <= `cli.MAX_WEIGHT`, so on every
+input the CLI admits.  Above that weight a caller checks slots with
+`is_harmonic`; it and the reproduction identity alone load `operators`.
 
 The explicit basis of the weight-n harmonic space is indexed by partitions
 of n with all parts >= 3.  Its element h_lambda, the projected Kelvin image
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from typing import Iterable, NamedTuple
 
 from .partitions import Partition, check_partition, count_partitions, enumerate_min_part
-from .ssym import LinearSolveError, Monomial, SSPoly
+from .ssym import LinearSolveError, Monomial, SSPoly, _linear_numerators
 
 
 class Decomposition(NamedTuple):
@@ -114,24 +116,12 @@ def _pr_laplacian_image(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     return tuple((m, s) for m, s in acc.items() if s)
 
 
-def _pr_laplacian_numerators(f: SSPoly) -> tuple[dict[Monomial, int], int]:
-    """pr laplacian(f) of a Q1-free f as integer numerators over one
-    denominator, 8 times the common denominator of f's coefficients."""
-    terms = f._terms.items()
-    den = lcm(*(c.denominator for _, c in terms))
-    acc: dict[Monomial, int] = {}
-    for mono, coeff in terms:
-        scale = coeff.numerator * (den // coeff.denominator)
-        for m, num in _pr_laplacian_image(mono):
-            acc[m] = acc.get(m, 0) + scale * num
-    return acc, 8 * den
-
-
 def pr_laplacian(f: SSPoly) -> SSPoly:
     """pr laplacian(f), the Q1-free part of the laplacian, from its closed
     form.  The laplacian commutes with multiplication by Q1, so the Q1 terms
     of f are dropped first."""
-    acc, den = _pr_laplacian_numerators(f.pr())
+    acc, den = _linear_numerators(_pr_laplacian_image, f.pr())
+    den *= 8
     return SSPoly._wrap({m: Fraction(s, den) for m, s in acc.items() if s})
 
 
@@ -172,16 +162,17 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
     return tuple(rows)
 
 
-def _peel(f: SSPoly, n: int) -> SSPoly:
-    """The harmonic slot h of a weight-n element, f = h + Q2 g.
+def _peel(f: SSPoly, n: int) -> tuple[SSPoly, dict[Monomial, int], int]:
+    """(h, g, den): a weight-n element split as f = h + Q2 g, with h the
+    harmonic slot and g as integer numerators over den.
 
     g solves T(g) = pr laplacian(f) on the weight-(n - 2) rows by forward
-    substitution in integers: with pr laplacian(f) = N / den, the rows
-    R = 8 T solve R y = N and g = 8 y / den, with y kept as integer
-    numerators over one running denominator, which grows only when a
-    division by a diagonal entry is inexact.  Q2 g is taken off f by key.
+    substitution in integers: with pr laplacian(f) = N / (8 d), the rows
+    R = 8 T solve R y = N and g = y / d, with y kept as integer numerators
+    over one running denominator, which grows only when a division by a
+    diagonal entry is inexact.  Q2 g is taken off f by key.
     """
-    rhs, den = _pr_laplacian_numerators(f)
+    rhs, den = _linear_numerators(_pr_laplacian_image, f)
     rows = _t_inverse(n - 2)
     scale = 1  # y = values / scale
     values: list[int] = []
@@ -198,22 +189,25 @@ def _peel(f: SSPoly, n: int) -> SSPoly:
         values.append(q)
     den *= scale
     h = dict(f._terms)
-    for (_, q2_mono, _, _), v in zip(rows, values):
+    g = {}
+    for (mono, q2_mono, _, _), v in zip(rows, values):
         if v:
-            c = Fraction(8 * v, den)
+            g[mono] = v
+            c = Fraction(v, den)
             s = h.get(q2_mono)
             s = -c if s is None else s - c  # a negation needs no gcd
             if s:
                 h[q2_mono] = s
             else:
                 del h[q2_mono]
-    return SSPoly._wrap(h)
+    return SSPoly._wrap(h), g, den
 
 
 def decompose(f: SSPoly) -> Decomposition:
     """Split f into harmonic slots.  Each weight component w is peeled one
     slot at a time: slot r gets the harmonic part of the weight-(w - 2r)
-    remainder, and the last slot keeps what is left."""
+    remainder, the peel's g is the next remainder, and the last slot keeps
+    what is left."""
     _require_lambda_star(f, "decomposition")
     parts = f.weight_components()
     slots = [SSPoly.zero()] * (max(parts, default=0) // 2 + 1)
@@ -221,16 +215,17 @@ def decompose(f: SSPoly) -> Decomposition:
         for r in range(w // 2):
             if rest.is_zero:
                 break
-            h = _peel(rest, w - 2 * r)
+            h, g, den = _peel(rest, w - 2 * r)
             slots[r] = slots[r] + h
-            # the peel changes only Q2-divisible terms, so rest - h is Q2 g
-            rest = SSPoly._wrap({m.shift({2: -2}): c for m, c in (rest - h)._terms.items()})
+            rest = SSPoly._wrap({m: Fraction(v, den) for m, v in g.items()})
         slots[w // 2] = slots[w // 2] + rest
     dec = Decomposition(tuple(slots))
     # A slot holds at most one part per weight component, and the laplacian
     # keeps weights apart, so a slot is harmonic exactly when each part is:
-    # one check per returned slot certifies every peel.
-    if dec.reconstruct() != f or not all(map(is_harmonic, dec.components)):
+    # one check per returned slot certifies every peel.  verify's
+    # pr_laplacian oracle proves the closed form equal to the operator
+    # laplacian on every monomial of weight <= cli.MAX_WEIGHT.
+    if dec.reconstruct() != f or not all(pr_laplacian(h).is_zero for h in dec.components):
         raise LinearSolveError("inconsistent")  # impossible unless buggy
     return dec
 
@@ -251,7 +246,7 @@ def basis_element(lam: Partition) -> SSPoly:
     if lam[-1] <= 2:
         return SSPoly.zero()
     n = sum(lam)
-    return _peel(SSPoly({Monomial.from_partition(lam): leading_term_scale(n)}), n)
+    return _peel(SSPoly({Monomial.from_partition(lam): leading_term_scale(n)}), n)[0]
 
 
 def harmonic_basis(n: int) -> HarmonicBasis:

@@ -11,23 +11,25 @@ fixed denominator 2^n.  The lowering operator `d_op` is its order-1 case.
 from the `d_op_n` images, and the laplacian is half of `delta_n(2)`.
 Images are cached per (order, monomial) in bounded LRU caches, since the
 Kelvin/delta_lambda composition expands the same monomials many times; a
-call combines them in integers and divides once per output monomial.
+call combines them in integers (`ssym._linear_numerators`) and divides
+once per output monomial.
 
-This is the operator algebra by definition.  The closed form of the
-projected laplacian that the harmonic layer solves with lives in
-`harmonic`; it shares nothing with the images, so `laplacian(f).pr()`
-stays an independent check of it.
+This is the operator algebra by definition, and no CLI job but `verify`
+runs it.  The harmonic layer solves and certifies with its own closed form
+of the projected laplacian, which shares nothing with the images;
+`laplacian(f).pr()` is its independent reference, which `verify` compares
+with it on every Q1-free monomial of weight <= `cli.MAX_WEIGHT`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable, Iterable
 
 from .partitions import check_partition
-from .ssym import Monomial, SSPoly
+from .ssym import Monomial, SSPoly, _linear_numerators
 
 Operator = Callable[[SSPoly], SSPoly]
 
@@ -62,7 +64,7 @@ def euler_op(f: SSPoly) -> SSPoly:
 
 # Entries kept by each of the two caches below; the Kelvin/delta_lambda
 # composition of every partition of 18 with parts >= 3 (the oracle of
-# `shsym basis 18`) and a weight-18 decomposition fit without an eviction.
+# `shsym basis 18`) fits without an eviction, as does a default `verify`.
 _IMAGE_CACHE_SIZE = 1 << 14
 
 
@@ -154,18 +156,9 @@ def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
 
 
 def _apply_images(image, shift: int, f: SSPoly) -> SSPoly:
-    """Extend a per-monomial image with numerators over 2^shift linearly to f.
-
-    The coefficients of f are brought to one common denominator, so the
-    images combine in integers and each output coefficient is divided once.
-    """
-    terms = f._terms.items()
-    den = lcm(*(c.denominator for _, c in terms))
-    acc: dict[Monomial, int] = {}
-    for mono, coeff in terms:
-        scale = coeff.numerator * (den // coeff.denominator)
-        for m, num in image(mono):
-            acc[m] = acc.get(m, 0) + scale * num
+    """Extend a per-monomial image with numerators over 2^shift linearly to
+    f, dividing each output coefficient once."""
+    acc, den = _linear_numerators(image, f)
     den <<= shift
     return SSPoly._wrap({m: Fraction(s, den) for m, s in acc.items() if s})
 

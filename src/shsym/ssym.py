@@ -147,6 +147,20 @@ def _add_into(out: dict, terms: Mapping) -> None:
             out.pop(key, None)
 
 
+def _linear_numerators(image, f: "SparseTerms") -> tuple[dict, int]:
+    """Extend a per-key image of (key, integer numerator) pairs linearly to
+    f: (numerators, den), over den times the image's own denominator, with
+    den the lcm of f's denominators.  A sum that cancels stays in as 0."""
+    terms = f._terms.items()
+    den = lcm(*(c.denominator for _, c in terms))
+    acc: dict = {}
+    for key, coeff in terms:
+        scale = coeff.numerator * (den // coeff.denominator)
+        for k, num in image(key):
+            acc[k] = acc.get(k, 0) + scale * num
+    return acc, den
+
+
 class SparseTerms:
     """Sparse map from hashable keys to nonzero exact rationals, with the
     ring operations of its sum of terms.

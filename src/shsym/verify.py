@@ -16,7 +16,7 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Callable
 
-from . import linalg
+from . import cli, linalg
 from .harmonic import (
     Decomposition,
     basis_element,
@@ -49,7 +49,7 @@ from .partitions import (
     enumerate_partitions,
     frobenius,
 )
-from .qseries import QSeries, _moment_knapsack, d_series, eisenstein, partition_gf, q_bracket
+from .qseries import QSeries, _moment_knapsack, _without_q2, d_series, eisenstein, partition_gf, q_bracket
 from .quasimodular import (
     RECOGNITION_MARGIN,
     InsufficientOrderError,
@@ -469,11 +469,15 @@ def suite_delta_n_oracle(rng, max_weight, order):
 
 
 def suite_pr_laplacian_oracle(rng, max_weight, order):
+    """The closed form against the operator laplacian on Laurent samples
+    and, at any --max-weight, on every Q1-free monomial of weight <=
+    cli.MAX_WEIGHT: by linearity, a proof on every input the CLI admits,
+    on which `decompose` certifies its slots with the closed form."""
     samples = [SSPoly.zero(), kelvin(SSPoly.one())]
     samples.append(parse_poly("Q1^2*Q2^(-3/2)*Q3 - 2/3*Q1*Q2^(5/2) + Q4"))
     # rational coefficients, Q1 terms, extra Q2 powers in {-3, -5/2, ..., 3}
     samples += [random_laurent(rng, min(max_weight, 8)) for _ in range(40)]
-    top = max(max_weight, 16)
+    top = cli.MAX_WEIGHT
     monomials = [b for w in range(top + 1) for b in lambda_star_basis(w)]
     for f in samples + monomials:
         if pr_laplacian(f) != laplacian(f).pr():
@@ -765,7 +769,7 @@ def suite_knapsack_oracle(rng, max_weight, order):
     seen = set()
     for lam in [lam for lam, _, _ in rows] + drawn:
         for mono, _ in basis_element(lam).pr().terms():
-            q2_free = Monomial(t for t in mono.items2() if t[0] != 2)
+            q2_free = _without_q2(mono)
             if q2_free in seen:
                 continue
             seen.add(q2_free)

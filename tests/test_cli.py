@@ -126,17 +126,17 @@ def test_decompose_text(capsys):
 
 
 def test_decompose_checks_each_slot_once(capsys, monkeypatch):
-    from shsym import operators
+    from shsym import harmonic
 
     calls = []
-    laplacian = operators.laplacian
+    pr_laplacian = harmonic.pr_laplacian
 
     def counted(f):
         calls.append(f)
-        return laplacian(f)
+        return pr_laplacian(f)
 
-    # is_harmonic reads the operator laplacian from its module at each call
-    monkeypatch.setattr(operators, "laplacian", counted)
+    # decompose reads the closed-form laplacian from its module at each call
+    monkeypatch.setattr(harmonic, "pr_laplacian", counted)
     code, out, _ = run(capsys, "decompose", "Q4^2 + Q2*Q3^2 - 2*Q2^4", "--format", "json")
     assert code == 0
     assert json.loads(out)["harmonic"] == [True] * 5
@@ -493,6 +493,13 @@ def test_weight_over_limit_is_usage_error(capsys):
     _assert_one_line_usage_error(capsys, "decompose", f"Q3 + Q{too_high}")
 
 
+def test_min_part_below_one_is_usage_error(capsys):
+    for argv in (("basis", "0", "--min-part", "0"), ("tables", "--min-part", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --min-part must be at least 1, got {argv[-1]}\n", argv
+
+
 def test_max_weight_over_limit_is_usage_error(capsys):
     from shsym.cli import MAX_TABLE_WEIGHT
 
@@ -655,8 +662,8 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
         (("qbracket", "Q4", "-N", "12", "--format", "json"), base + forms),
         (("recognize", "1" + " 0" * 10, "--weight", "0"), base + forms),
         (("basis", "8", "--format", "latex"), base + harmonic),
-        # only the certificate of each returned slot loads the operators
-        (("decompose", "Q2*Q4", "--format", "json"), base + harmonic + ["shsym.operators"]),
+        # the closed form certifies each returned slot, so no operators
+        (("decompose", "Q2*Q4", "--format", "json"), base + harmonic),
         (("tables", "--max-weight", "4", "-N", "14"), base + harmonic + forms),
     ):
         proc = subprocess.run(

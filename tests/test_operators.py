@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from shsym import cli
 from shsym.operators import (
     commutator,
     d_op,
@@ -18,6 +19,7 @@ from shsym.operators import (
     q2_hat,
 )
 from shsym.harmonic import pr_laplacian
+from shsym.partitions import count_partitions
 from shsym.ssym import Monomial, SSPoly, format_poly, parse_poly
 from shsym.verify import (
     oracle_d_op,
@@ -299,11 +301,33 @@ def test_pr_laplacian_is_the_projected_laplacian():
     assert pr_laplacian(Q3).is_zero
     assert pr_laplacian(Q1 * Q4 + Q1**2).is_zero  # the laplacian commutes with Q1
     assert pr_laplacian(parse_poly("Q2^(3/2)")).is_zero  # the Kelvin unit is harmonic
-    # against the projected operator on Laurent samples with Q1 powers and
-    # on every monomial of weight <= 18
-    for seed in (1, 2):
-        ok, detail = suite_pr_laplacian_oracle(random.Random(seed), 18, 30)
-        assert ok, detail
+    # against the projected operator on Laurent samples with Q1 powers and,
+    # at every --max-weight, on all p(MAX_WEIGHT) Q1-free monomials of weight
+    # <= MAX_WEIGHT: a proof for every input the CLI admits, which a raised
+    # cap must extend
+    proof = f"{count_partitions(cli.MAX_WEIGHT)} monomials of weight <= {cli.MAX_WEIGHT}"
+    for seed, max_weight in ((1, 18), (2, 0)):
+        ok, detail = suite_pr_laplacian_oracle(random.Random(seed), max_weight, 30)
+        assert ok and detail.endswith(proof), detail
+
+
+def test_pr_laplacian_oracle_catches_one_broken_coefficient(monkeypatch):
+    from shsym import harmonic
+
+    broken = Monomial.from_partition((7, 5, 4, 2, 2))
+    image = harmonic._pr_laplacian_image
+
+    def mutated(mono):
+        pairs = image(mono)
+        if mono == broken:
+            (m, num), *rest = pairs
+            return ((m, num + 1), *rest)
+        return pairs
+
+    monkeypatch.setattr(harmonic, "_pr_laplacian_image", mutated)
+    for max_weight in (0, 10, 16):
+        ok, detail = suite_pr_laplacian_oracle(random.Random(1), max_weight, 30)
+        assert not ok and detail.endswith(format_poly(SSPoly({broken: 1}))), detail
 
 
 def test_delta_lambda_examples():
