@@ -306,7 +306,7 @@ def test_pr_laplacian_is_the_projected_laplacian():
     # <= MAX_WEIGHT: a proof for every input the CLI admits, which a raised
     # cap must extend
     proof = f"{count_partitions(cli.MAX_WEIGHT)} monomials of weight <= {cli.MAX_WEIGHT}"
-    for seed, max_weight in ((1, 18), (2, 0)):
+    for seed, max_weight in ((1, 18), (2, 18), (1, 0)):
         ok, detail = suite_pr_laplacian_oracle(random.Random(seed), max_weight, 30)
         assert ok and detail.endswith(proof), detail
 
