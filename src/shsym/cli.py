@@ -253,7 +253,7 @@ def cmd_recognize(args) -> int:
         raise ParseError("no coefficients given", 0)
     # only the recognized prefix goes over one common denominator
     series = QSeries(coeffs[: args.order + 1])
-    form = recognize(series, args.weight, min(args.order, series.order))
+    form = recognize(series, args.weight)
     if args.format == "json":
         _print_json({"q_bracket": _form_json(form)})
     else:

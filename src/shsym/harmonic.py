@@ -41,12 +41,10 @@ class Decomposition(NamedTuple):
 
     def reconstruct(self) -> SSPoly:
         # multiplying by Q2^r shifts each exponent of Q2 by r
-        acc: dict[Monomial, Fraction] = {}
+        acc = SSPoly.zero()
         for r, h in enumerate(self.components):
-            for m, c in h._terms.items():
-                key = m.shift({2: 2 * r})
-                acc[key] = acc.get(key, 0) + c
-        return SSPoly(acc)
+            acc = acc + SSPoly._make({m.shift({2: 2 * r}): n for m, n in h.num.items()}, h.den)
+        return acc
 
     @property
     def depth(self) -> int:
@@ -120,9 +118,7 @@ def pr_laplacian(f: SSPoly) -> SSPoly:
     """pr laplacian(f), the Q1-free part of the laplacian, from its closed
     form.  The laplacian commutes with multiplication by Q1, so the Q1 terms
     of f are dropped first."""
-    acc, den = _linear_numerators(_pr_laplacian_image, f.pr())
-    den *= 8
-    return SSPoly._wrap({m: Fraction(s, den) for m, s in acc.items() if s})
+    return _linear_numerators(_pr_laplacian_image, f.pr(), 8)
 
 
 _TRow = tuple[Monomial, Monomial, int, tuple[tuple[int, int], ...]]
@@ -162,45 +158,36 @@ def _t_inverse(n: int) -> tuple[_TRow, ...]:
     return tuple(rows)
 
 
-def _peel(f: SSPoly, n: int) -> tuple[SSPoly, dict[Monomial, int], int]:
-    """(h, g, den): a weight-n element split as f = h + Q2 g, with h the
-    harmonic slot and g as integer numerators over den.
+def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
+    """(h, g): a weight-n element split as f = h + Q2 g, with h the
+    harmonic slot, both as elements.
 
     g solves T(g) = pr laplacian(f) on the weight-(n - 2) rows by forward
-    substitution in integers: with pr laplacian(f) = N / (8 d), the rows
+    substitution in integers: with 8 pr laplacian(f) = N / d, the rows
     R = 8 T solve R y = N and g = y / d, with y kept as integer numerators
     over one running denominator, which grows only when a division by a
-    diagonal entry is inexact.  Q2 g is taken off f by key.
+    diagonal entry is inexact.  Each row carries its monomial times Q2, so
+    -Q2 g is built from the same numerators and added to f.
     """
-    rhs, den = _linear_numerators(_pr_laplacian_image, f)
+    rhs = _linear_numerators(_pr_laplacian_image, f, 1)
     rows = _t_inverse(n - 2)
     scale = 1  # y = values / scale
     values: list[int] = []
     for mono, _, diagonal, lower in rows:
-        s = rhs.get(mono, 0) * scale
+        s = rhs.num.get(mono, 0) * scale
         for j, entry in lower:
             s -= entry * values[j]
         q, r = divmod(s, diagonal)
         if r:
-            step = diagonal // gcd(s, diagonal)
+            step = abs(diagonal) // gcd(s, diagonal)
             scale *= step
             values = [v * step for v in values]
             q = s * step // diagonal
         values.append(q)
-    den *= scale
-    h = dict(f._terms)
-    g = {}
-    for (mono, q2_mono, _, _), v in zip(rows, values):
-        if v:
-            g[mono] = v
-            c = Fraction(v, den)
-            s = h.get(q2_mono)
-            s = -c if s is None else s - c  # a negation needs no gcd
-            if s:
-                h[q2_mono] = s
-            else:
-                del h[q2_mono]
-    return SSPoly._wrap(h), g, den
+    den = rhs.den * scale
+    g = SSPoly._make({mono: v for (mono, *_), v in zip(rows, values)}, den)
+    minus_q2g = SSPoly._make({q2_mono: -v for (_, q2_mono, *_), v in zip(rows, values)}, den)
+    return f + minus_q2g, g
 
 
 def decompose(f: SSPoly) -> Decomposition:
@@ -215,9 +202,8 @@ def decompose(f: SSPoly) -> Decomposition:
         for r in range(w // 2):
             if rest.is_zero:
                 break
-            h, g, den = _peel(rest, w - 2 * r)
+            h, rest = _peel(rest, w - 2 * r)
             slots[r] = slots[r] + h
-            rest = SSPoly._wrap({m: Fraction(v, den) for m, v in g.items()})
         slots[w // 2] = slots[w // 2] + rest
     dec = Decomposition(tuple(slots))
     # A slot holds at most one part per weight component, and the laplacian
@@ -307,6 +293,6 @@ def unusual_identity_check(h: SSPoly, n: int) -> bool:
         raise ValueError(f"input is not weight-{n} homogeneous")
     # each monomial Q_lambda of h acts as delta_lambda, which is
     # multinomial(lambda) times the composition that dualize_apply applies
-    dual = SSPoly({m: c * multinomial(m.partition()) for m, c in h.terms()})
+    dual = SSPoly._make({m: n * multinomial(m.partition()) for m, n in h.num.items()}, h.den)
     rhs = kelvin(dualize_apply(dual, kelvin(SSPoly.one())).pr())
     return h * leading_term_scale(n) == rhs

@@ -10,9 +10,10 @@ fixed denominator 2^n.  The lowering operator `d_op` is its order-1 case.
 `delta_n` is linear over images of the same kind, each built in integers
 from the `d_op_n` images, and the laplacian is half of `delta_n(2)`.
 Images are cached per (order, monomial) in bounded LRU caches, since the
-Kelvin/delta_lambda composition expands the same monomials many times; a
-call combines them in integers (`ssym._linear_numerators`) and divides
-once per output monomial.
+Kelvin/delta_lambda composition expands the same monomials many times.
+A call combines them with the input's integer numerators
+(`ssym._linear_numerators`): the result is an element over the input's
+denominator times the image's, reduced to lowest terms once.
 
 This is the operator algebra by definition, and no CLI job but `verify`
 runs it.  The harmonic layer solves and certifies with its own closed form
@@ -33,7 +34,6 @@ from .ssym import Monomial, SSPoly, _linear_numerators
 
 Operator = Callable[[SSPoly], SSPoly]
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
@@ -59,7 +59,7 @@ def multinomial(parts: Iterable[int]) -> int:
 
 def euler_op(f: SSPoly) -> SSPoly:
     """Multiply each weight-homogeneous component by its weight."""
-    return SSPoly({m: c * m.weight() for m, c in f.terms()})
+    return f._make({m: n * m.weight() for m, n in f.num.items()}, f.den)
 
 
 # Entries kept by each of the two caches below; the Kelvin/delta_lambda
@@ -155,21 +155,13 @@ def _delta_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     return tuple((m, s) for m, s in acc.items() if s)
 
 
-def _apply_images(image, shift: int, f: SSPoly) -> SSPoly:
-    """Extend a per-monomial image with numerators over 2^shift linearly to
-    f, dividing each output coefficient once."""
-    acc, den = _linear_numerators(image, f)
-    den <<= shift
-    return SSPoly._wrap({m: Fraction(s, den) for m, s in acc.items() if s})
-
-
 def _apply_order_n(image, n: int, f: SSPoly) -> SSPoly:
     """An order-n image, over 2^n, applied to f; order 0 is the identity."""
     if n < 0:
         raise ValueError("order must be non-negative")
     if n == 0:
         return f
-    return _apply_images(lambda mono: image(n, mono), n, f)
+    return _linear_numerators(lambda mono: image(n, mono), f, 1 << n)
 
 
 def d_op_n(n: int, f: SSPoly) -> SSPoly:
@@ -196,7 +188,7 @@ def delta_n(n: int, f: SSPoly) -> SSPoly:
 def laplacian(f: SSPoly) -> SSPoly:
     """Half of delta_n(2): half the difference of the order-2 operator and
     the squared lowering, as the delta_n(2) images over 2^3."""
-    return _apply_images(lambda mono: _delta_n_image(2, mono), 3, f)
+    return _linear_numerators(lambda mono: _delta_n_image(2, mono), f, 8)
 
 
 def delta_lambda(lam: Iterable[int], f: SSPoly) -> SSPoly:
@@ -220,11 +212,11 @@ def kelvin(f: SSPoly) -> SSPoly:
     """
     if f.has_q1():
         raise ValueError("Kelvin transform requires input free of Q1")
-    acc: dict[Monomial, Fraction] = {}
-    for mono, c in f.terms():
+    acc: dict[Monomial, int] = {}
+    for mono, n in f.num.items():
         m = mono.shift({2: 3 - 2 * mono.weight()})
-        acc[m] = acc.get(m, _ZERO) + c
-    return SSPoly(acc)
+        acc[m] = acc.get(m, 0) + n
+    return f._make(acc, f.den)
 
 
 def dualize_apply(f: SSPoly, g: SSPoly) -> SSPoly:

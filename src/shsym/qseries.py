@@ -305,7 +305,7 @@ def _without_q2(mono: Monomial) -> Monomial:
 def knapsack_count(f: SSPoly) -> int:
     """How many distinct Q2-free monomials q_bracket(f, order) sums, one
     moment knapsack each."""
-    return len({_without_q2(mono) for mono in f.pr()._terms})
+    return len({_without_q2(mono) for mono in f.pr().num})
 
 
 def _monomial_series(mono: Monomial, order: int) -> tuple[int, list[int]]:
@@ -331,17 +331,18 @@ def q_bracket(f: SSPoly, order: int) -> QSeries:
     The projection killing Q1 is applied first.
     """
     check_bracket_input(f, order)
-    terms = [(c, _monomial_series(mono, order)) for mono, c in f.pr().terms()]
+    f = f.pr()
+    terms = [(c, _monomial_series(mono, order)) for mono, c in f.num.items()]
     # one integer numerator over a common denominator
-    denom = lcm(*(c.denominator * d for c, (d, _) in terms))
+    denom = lcm(*(d for _, (d, _) in terms))
     num = [0] * (order + 1)
     for c, (d, totals) in terms:
-        scale = c.numerator * (denom // (c.denominator * d))
+        scale = c * (denom // d)
         for n, t in enumerate(totals):
             num[n] += scale * t
     # dividing by the generating function multiplies by Euler's product
     euler = list(pentagonal_terms(order))
     return QSeries(
         [sum(sign * num[n - g] for g, sign in euler if g <= n) for n in range(order + 1)],
-        den=denom,
+        den=denom * f.den,
     )

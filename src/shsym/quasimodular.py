@@ -32,9 +32,8 @@ class CrossCheckError(RuntimeError):
 
 
 class QMForm(SparseTerms):
-    """Map from exponent triples (a, b, c) to nonzero rational coefficients,
-    representing the sum of c_abc * P^a Q^b R^c, ordered by descending
-    (a, b, c)."""
+    """The sum of c_abc * P^a Q^b R^c, keyed by exponent triples (a, b, c),
+    its terms ordered by descending (a, b, c)."""
 
     __slots__ = ()
 
@@ -71,7 +70,7 @@ class QMForm(SparseTerms):
 
 def depth(m: QMForm) -> int:
     """Degree in the weight-2 generator; the zero form has depth 0."""
-    return max((a for (a, _, _) in m._terms), default=0)
+    return max((a for (a, _, _) in m.num), default=0)
 
 
 def monomials_of_weight(k: int) -> list[Triple]:
@@ -233,12 +232,10 @@ def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
     triples = monomials_of_weight(k)
     if len(elim.pivots) < len(triples):
         raise LinearSolveError("underdetermined")
-    scale = elim.det * den
-    return QMForm(
-        {
-            triples[c]: Fraction(sum(x * b[i] for i, x in u), scale)
-            for c, u in zip(elim.pivots, elim.solve)
-        }
+    sign = 1 if elim.det > 0 else -1
+    return QMForm._make(
+        {triples[c]: sign * sum(x * b[i] for i, x in u) for c, u in zip(elim.pivots, elim.solve)},
+        abs(elim.det) * den,
     )
 
 
@@ -251,26 +248,26 @@ _D_OF_GEN = {
 }
 
 
+def _partial(m: QMForm, i: int) -> QMForm:
+    """The partial derivative in generator i (0, 1, 2 for P, Q, R)."""
+    return QMForm._make(
+        {t[:i] + (t[i] - 1,) + t[i + 1 :]: t[i] * n for t, n in m.num.items() if t[i]}, m.den
+    )
+
+
 def ramanujan_d(m: QMForm) -> QMForm:
     """The derivation q d/dq expressed on the generators, extended by the
     Leibniz rule; raises weight by 2."""
     acc = QMForm.zero()
-    for (a, b, c), coeff in m.terms():
-        if a:
-            acc = acc + QMForm({(a - 1, b, c): coeff * a}) * _D_OF_GEN["P"]
-        if b:
-            acc = acc + QMForm({(a, b - 1, c): coeff * b}) * _D_OF_GEN["Q"]
-        if c:
-            acc = acc + QMForm({(a, b, c - 1): coeff * c}) * _D_OF_GEN["R"]
+    for i, name in enumerate(_GEN_NAMES):
+        acc = acc + _partial(m, i) * _D_OF_GEN[name]
     return acc
 
 
 def frak_d(m: QMForm) -> QMForm:
     """Twelve times the partial derivative in the weight-2 generator;
     lowers weight by 2 and depth by 1."""
-    return QMForm(
-        {(a - 1, b, c): 12 * a * coeff for (a, b, c), coeff in m._terms.items() if a}
-    )
+    return _partial(m, 0) * 12
 
 
 def d_hat(m: QMForm) -> QMForm:
@@ -296,8 +293,11 @@ def bracket_form(
     Without `weight`, each weight component is bracketed once and
     recognized at its own weight; the series is the sum of the component
     series.  With `weight`, the whole bracket is recognized at that weight.
-    An odd weight must give the zero series.
+    An odd weight must give the zero series, and a negative one is refused
+    whatever its parity.
     """
+    if weight is not None and weight < 0:
+        raise ValueError("recognition weight must be non-negative")
     components = f.weight_components()
     parts = components if weight is None else {weight: f}
     # Check every part before bracketing any: input q_bracket rejects is

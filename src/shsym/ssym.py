@@ -3,7 +3,9 @@
 The ring carries a weight grading (Q_k has weight k).  Q2 alone may carry
 half-integer and negative exponents; every other generator is restricted
 to non-negative integer exponents, which keeps all weights integral.
-Coefficients are exact rationals throughout.
+Coefficients are exact rationals throughout.  An element stores them as
+integer numerators over one denominator, in lowest terms, as a series
+does; a coefficient becomes a Fraction only when it is read out.
 """
 
 from __future__ import annotations
@@ -136,58 +138,67 @@ class Monomial:
 MONO_ONE = Monomial(())
 
 
-def _add_into(out: dict, terms: Mapping) -> None:
-    """Add the terms of one sparse map into another, in place, dropping
-    every key whose sum cancels to zero."""
-    for key, c in terms.items():
-        s = out.get(key, _ZERO) + c
+def _add_into(out: dict, f: "SparseTerms", sign: int = 1) -> None:
+    """Add sign * f into a map of Fractions, in place, dropping every key
+    whose sum cancels to zero."""
+    den = f.den
+    for key, n in f.num.items():
+        s = out.get(key, _ZERO) + Fraction(sign * n, den)
         if s:
             out[key] = s
         else:
             out.pop(key, None)
 
 
-def _linear_numerators(image, f: "SparseTerms") -> tuple[dict, int]:
-    """Extend a per-key image of (key, integer numerator) pairs linearly to
-    f: (numerators, den), over den times the image's own denominator, with
-    den the lcm of f's denominators.  A sum that cancels stays in as 0."""
-    terms = f._terms.items()
-    den = lcm(*(c.denominator for _, c in terms))
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """Integer numerators over den > 0 in lowest terms: zero numerators
+    dropped, and num and den divided by their gcd."""
+    if not all(num.values()):
+        num = {key: n for key, n in num.items() if n}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {key: n // g for key, n in num.items()}
+        den //= g
+    return num, den
+
+
+def _linear_numerators(image, f: "SparseTerms", den: int):
+    """Extend a per-key image of (key, integer numerator) pairs, numerators
+    over den, linearly to f: the element over f.den * den."""
     acc: dict = {}
-    for key, coeff in terms:
-        scale = coeff.numerator * (den // coeff.denominator)
-        for k, num in image(key):
-            acc[k] = acc.get(k, 0) + scale * num
-    return acc, den
+    for key, scale in f.num.items():
+        for k, n in image(key):
+            acc[k] = acc.get(k, 0) + scale * n
+    return f._make(acc, f.den * den)
 
 
 class SparseTerms:
-    """Sparse map from hashable keys to nonzero exact rationals, with the
-    ring operations of its sum of terms.
+    """Sparse sum of terms with exact rational coefficients, with its ring
+    operations.  It stores `num`, a map from hashable keys to nonzero
+    integer numerators, over one denominator `den`, in lowest terms:
+    den > 0 and gcd(den, *num.values()) == 1, the format of a QSeries.  A
+    coefficient becomes a Fraction only when it is read out, by `terms` or
+    `coeff`.
 
     A subclass names the key of the constant term (`_UNIT`) and supplies
     three key hooks: how two keys multiply (`_key_mul`), a key's weight
     (`_key_weight`) and the canonical term order (`_key_order`).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("num", "den")
 
     _UNIT: object
 
     def __init__(self, terms: Mapping | None = None):
-        clean: dict = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[key] = c
-        self._terms = clean
+        coeffs = [(key, Fraction(c)) for key, c in terms.items()] if terms else []
+        den = lcm(*(c.denominator for _, c in coeffs))
+        self.num, self.den = _lowest({key: c.numerator * (den // c.denominator) for key, c in coeffs}, den)
 
     @classmethod
-    def _wrap(cls, terms: dict):
-        # terms already holds nonzero Fractions under valid keys
+    def _make(cls, num: dict, den: int):
+        """The element num / den of integer numerators over den > 0."""
         res = cls.__new__(cls)
-        res._terms = terms
+        res.num, res.den = _lowest(num, den)
         return res
 
     @classmethod
@@ -200,57 +211,54 @@ class SparseTerms:
 
     @classmethod
     def constant(cls, c: Scalar):
-        return cls({cls._UNIT: c})
+        c = Fraction(c)
+        return cls._make({cls._UNIT: c.numerator}, c.denominator)
 
     def terms(self) -> list:
-        """Terms in the canonical order of the subclass."""
-        order = self._key_order
-        return sorted(self._terms.items(), key=lambda kv: order(kv[0]))
+        """(key, Fraction) terms in the canonical order of the subclass."""
+        order, den = self._key_order, self.den
+        return sorted(((key, Fraction(n, den)) for key, n in self.num.items()), key=lambda kv: order(kv[0]))
 
     def coeff(self, key) -> Fraction:
-        return self._terms.get(key, _ZERO)
+        return Fraction(self.num.get(key, 0), self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.num
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.num)
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self._terms)
-        _add_into(out, other._terms)
-        return self._wrap(out)
-
-    def __neg__(self):
-        return self._wrap({key: -c for key, c in self._terms.items()})
+        # self + sign * other, over the lcm of the two denominators
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if s == 1 else {key: n * s for key, n in self.num.items()}
+        for key, n in other.num.items():
+            out[key] = out.get(key, 0) + n * t
+        return self._make(out, den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self._make({key: -n for key, n in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            # integer numerators over each factor's common denominator, so
-            # that each output term divides once
             key_mul = self._key_mul
-            den1 = lcm(*(c.denominator for c in self._terms.values()))
-            den2 = lcm(*(c.denominator for c in other._terms.values()))
-            right = [(k2, c2.numerator * (den2 // c2.denominator)) for k2, c2 in other._terms.items()]
+            right = list(other.num.items())
             acc: dict = {}
-            for k1, c1 in self._terms.items():
-                n1 = c1.numerator * (den1 // c1.denominator)
+            for k1, n1 in self.num.items():
                 for k2, n2 in right:
                     key = key_mul(k1, k2)
                     acc[key] = acc.get(key, 0) + n1 * n2
-            den = den1 * den2
-            return self._wrap({key: Fraction(s, den) for key, s in acc.items() if s})
+            return self._make(acc, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return self.zero()
-            return self._wrap({key: v * c for key, v in self._terms.items()})
+            c = other.numerator
+            return self._make({key: n * c for key, n in self.num.items()}, self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -271,10 +279,10 @@ class SparseTerms:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and self._terms == other._terms
+        return isinstance(other, type(self)) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -283,24 +291,24 @@ class SparseTerms:
         """Split into weight-homogeneous parts, keyed by weight, ascending."""
         key_weight = self._key_weight
         buckets: dict[int, dict] = {}
-        for key, c in self._terms.items():
-            buckets.setdefault(key_weight(key), {})[key] = c
-        return {w: self._wrap(buckets[w]) for w in sorted(buckets)}
+        for key, n in self.num.items():
+            buckets.setdefault(key_weight(key), {})[key] = n
+        return {w: self._make(buckets[w], self.den) for w in sorted(buckets)}
 
     def weight(self) -> int:
         """Weight of a homogeneous element; 0 for zero."""
-        weights = {self._key_weight(key) for key in self._terms}
+        weights = {self._key_weight(key) for key in self.num}
         if len(weights) > 1:
             raise ValueError(f"polynomial is not weight-homogeneous: {self}")
         return weights.pop() if weights else 0
 
     def is_homogeneous(self) -> bool:
-        return len({self._key_weight(key) for key in self._terms}) <= 1
+        return len({self._key_weight(key) for key in self.num}) <= 1
 
 
 class SSPoly(SparseTerms):
-    """Sparse polynomial: a map from Monomial to nonzero exact rationals,
-    ordered weight-major, then exponent-lexicographically."""
+    """Sparse polynomial keyed by Monomial, its terms ordered weight-major,
+    then exponent-lexicographically."""
 
     __slots__ = ()
 
@@ -314,23 +322,23 @@ class SSPoly(SparseTerms):
         """The generator Q_k; Q0 is the constant 1."""
         if k == 0:
             return cls.one()
-        return cls({Monomial(((k, 2),)): _ONE})
+        return cls._make({Monomial(((k, 2),)): 1}, 1)
 
     def __str__(self) -> str:
         return format_poly(self)
 
     def pr(self) -> "SSPoly":
         """Projection killing every monomial divisible by Q1."""
-        return self._wrap({m: c for m, c in self._terms.items() if not m.has_q1()})
+        return self._make({m: n for m, n in self.num.items() if not m.has_q1()}, self.den)
 
     def in_r(self) -> bool:
-        return all(m.in_r() for m in self._terms)
+        return all(m.in_r() for m in self.num)
 
     def in_lambda_star(self) -> bool:
-        return all(m.in_lambda_star() for m in self._terms)
+        return all(m.in_lambda_star() for m in self.num)
 
     def has_q1(self) -> bool:
-        return any(m.has_q1() for m in self._terms)
+        return any(m.has_q1() for m in self.num)
 
 
 # -- evaluation on partitions ------------------------------------------------
@@ -395,7 +403,8 @@ def eval_at(f: SSPoly, lam: Iterable[int]) -> Fraction:
     lam = check_partition(lam)
     if not f.in_r():
         raise ValueError("evaluation requires non-negative integer exponents")
-    terms = [(mono, coeff) for mono, coeff in f._terms.items() if not mono.has_q1()]
+    f = f.pr()
+    terms = [(mono, Fraction(n, f.den)) for mono, n in f.num.items()]
     values: dict[int, Fraction] = {}
     top: dict[int, int] = {}  # largest exponent of each generator
     num_bits = work_bits = 0
@@ -420,7 +429,7 @@ def eval_at(f: SSPoly, lam: Iterable[int]) -> Fraction:
     # generator's denominator to its largest exponent; the running
     # numerator is at most the number of terms times that times the
     # longest monomial numerator.
-    den_bits = lcm(*{coeff.denominator for _, coeff in terms}).bit_length() + sum(
+    den_bits = f.den.bit_length() + sum(
         e * values[k].denominator.bit_length() for k, e in top.items()
     )
     if den_bits + num_bits + len(terms).bit_length() > _EVAL_BITS:
@@ -646,16 +655,22 @@ class _Parser:
             negate = True
         _, _, pos = self.peek()
         first = self.term()
-        acc = dict((-first if negate else first)._terms)
         den = self.common_denominator(1, first, pos)
+        if not self.at_op("+", "-"):
+            return -first if negate else first
+        # The sum adds Fractions: over one growing denominator every step
+        # would rescale every term.  den is a multiple of each of their
+        # denominators.
+        acc: dict = {}
+        _add_into(acc, first, -1 if negate else 1)
         while self.at_op("+", "-"):
             _, op, pos = self.next()
             t = self.term()
             den = self.common_denominator(den, t, pos)
-            _add_into(acc, (t if op == "+" else -t)._terms)
+            _add_into(acc, t, 1 if op == "+" else -1)
             if len(acc) > MAX_TERMS:
                 raise ParseError(f"expansion larger than {MAX_TERMS} terms", pos)
-        return SSPoly._wrap(acc)
+        return SSPoly._make({key: c.numerator * (den // c.denominator) for key, c in acc.items()}, den)
 
     # term := factor ('*' factor)*
     def term(self) -> SSPoly:
@@ -674,25 +689,26 @@ class _Parser:
         """f, unless a product made one of its exponents, its constants or
         their common denominator too large; nested powers reach each one
         step at a time."""
-        for mono, c in f._terms.items():
+        den = f.den
+        for mono, n in f.num.items():
             for k, e2 in mono.items2():
                 if abs(e2) > 2 * MAX_EXPONENT:
                     raise ParseError(f"product exponent of Q{k} larger than {MAX_EXPONENT} in magnitude", pos)
-            if abs(c.numerator) >= _CONSTANT_BOUND or c.denominator >= _CONSTANT_BOUND:
-                raise ParseError(f"constant longer than {MAX_CONSTANT_DIGITS} digits", pos)
+            # a constant in lowest terms is no longer than n / den
+            if abs(n) >= _CONSTANT_BOUND or den >= _CONSTANT_BOUND:
+                g = gcd(n, den)
+                if abs(n) // g >= _CONSTANT_BOUND or den // g >= _CONSTANT_BOUND:
+                    raise ParseError(f"constant longer than {MAX_CONSTANT_DIGITS} digits", pos)
         self.common_denominator(1, f, pos)
         return f
 
     def common_denominator(self, den: int, f: SSPoly, pos: int) -> int:
-        """The lcm of den and the denominators of f, built one term at a
-        time and refused at the first step past MAX_CONSTANT_DIGITS digits.
-        A denominator that divides den, 1 among them, takes no step."""
-        for c in f._terms.values():
-            d = c.denominator
-            if den % d:
-                den = lcm(den, d)
-                if den >= _CONSTANT_BOUND:
-                    raise ParseError(f"common denominator longer than {MAX_CONSTANT_DIGITS} digits", pos)
+        """The lcm of den and the denominators of f, refused past
+        MAX_CONSTANT_DIGITS digits.  f.den, in lowest terms, is the lcm of
+        its reduced coefficients' denominators."""
+        den = lcm(den, f.den)
+        if den >= _CONSTANT_BOUND:
+            raise ParseError(f"common denominator longer than {MAX_CONSTANT_DIGITS} digits", pos)
         return den
 
     # factor := atom ('^' exponent)?
@@ -716,7 +732,7 @@ class _Parser:
                     )
                 if e2 == 0:
                     return SSPoly.one()
-                return SSPoly({Monomial(((k, e2),)): _ONE})
+                return SSPoly._make({Monomial(((k, e2),)): 1}, 1)
             return SSPoly.gen(k)
         base = self.atom()
         if self.at_op("^"):

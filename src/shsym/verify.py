@@ -299,8 +299,8 @@ def suite_higher_operators_commute(rng, max_weight, order):
                     return False, f"orders {n},{m} do not commute on {format_poly(f)}"
     for trial in range(10):
         f = random_element(rng, 8)
-        if d_op(f) != oracle_d_op(f):
-            return False, f"order-1 operator differs from the term walk on {format_poly(f)}"
+        if d_op(f) != oracle_d_op_n(1, f):
+            return False, f"order-1 operator differs from the tuple sum on {format_poly(f)}"
     return True, "n, m <= 5, 6 samples"
 
 
@@ -391,30 +391,15 @@ def oracle_d_op_n(n: int, f: SSPoly) -> SSPoly:
     return SSPoly(acc)
 
 
-def oracle_d_op(f: SSPoly) -> SSPoly:
-    """The lowering operator term by term in Fractions: each Q_k factor is
-    differentiated once and replaced by Q_{k-1}; independent of the integer
-    images behind operators.d_op."""
-    acc: dict[Monomial, Fraction] = {}
-    for mono, coeff in f.terms():
-        for k, e2 in mono.items2():
-            changes = {k: -2}
-            if k > 1:
-                changes[k - 1] = 2
-            m = mono.shift(changes)
-            acc[m] = acc.get(m, Fraction(0)) + coeff * Fraction(e2, 2)
-    return SSPoly(acc)
-
-
 def oracle_delta_n(n: int, f: SSPoly) -> SSPoly:
     """delta_n(n, f) as the defining binomial sum
-    sum_i (-1)^i C(n, i) d_op_n(n - i, d_op^i f), over oracle_d_op_n and
-    oracle_d_op, independent of the images behind operators.delta_n."""
+    sum_i (-1)^i C(n, i) d_op_n(n - i, d_op^i f), over oracle_d_op_n alone,
+    independent of the images behind operators.delta_n."""
     acc = SSPoly.zero()
     power = f
     for i in range(n + 1):
         if i:
-            power = oracle_d_op(power)
+            power = oracle_d_op_n(1, power)
         acc = acc + oracle_d_op_n(n - i, power) * ((-1) ** i * comb(n, i))
     return acc
 

@@ -375,6 +375,14 @@ def test_recognize_negative_weight_is_usage_error(capsys):
     assert err == "error: recognition weight must be non-negative\n"
 
 
+def test_qbracket_negative_weight_is_usage_error(capsys):
+    # an odd one too: Q3 at -3 printed the form 0, Q4 at -3 failed recognition
+    for expr, weight in (("Q3", "-3"), ("Q4", "-3"), ("Q4", "-2")):
+        code, out, err = run(capsys, "qbracket", expr, "--weight", weight)
+        assert code == 2 and out == "", (expr, weight)
+        assert err == "error: recognition weight must be non-negative\n", (expr, weight)
+
+
 def test_recognize_negative_order_is_usage_error(capsys):
     code, out, err = run(capsys, "recognize", "1 2 3", "--weight", "2", "-N", "-1")
     assert code == 2 and out == ""

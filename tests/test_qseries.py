@@ -70,6 +70,59 @@ def test_series_stay_in_lowest_terms():
         QSeries([1], den=0)
 
 
+def _in_lowest_terms(f):
+    return f.den > 0 and all(f.num.values()) and gcd(f.den, *f.num.values()) == 1
+
+
+def test_polynomials_stay_in_lowest_terms():
+    from shsym.harmonic import _peel, pr_laplacian
+    from shsym.quasimodular import QMForm, frak_d, recognize
+    from shsym.verify import random_homogeneous, random_qmform
+
+    rng = random.Random(4)
+
+    def scalar():
+        return Fraction(rng.choice((-6, -3, -2, 1, 2, 4, 35)), rng.choice((1, 2, 3, 6, 35)))
+
+    def draw(make, weights):
+        # over denominators that share factors, so that sums and products reduce
+        parts = [make(rng, w) * scalar() for w in weights]
+        return sum(parts[1:], parts[0])
+
+    for _ in range(20):
+        n = 2 * rng.randint(2, 5)
+        a = draw(random_homogeneous, (n, rng.randint(0, 6)))
+        b = draw(random_homogeneous, (n, rng.randint(0, 6)))
+        f = draw(lambda r, w: random_homogeneous(r, w, 2), (n, n))
+        x = draw(random_qmform, (2 * rng.randint(0, 4), 2 * rng.randint(0, 4)))
+        y = draw(random_qmform, (2 * rng.randint(0, 4),))
+        c = scalar()
+        results = [a + b, a - b, a - a, -a, a * b, a * c, c * b, a * 6, a / c, a.pr(), pr_laplacian(a)]
+        results += [x + y, x - y, x - x, -x, x * y, x * c, c * y, x * 6, x / c, frak_d(x)]
+        results += [*a.weight_components().values(), *x.weight_components().values(), *_peel(f, n)]
+        results += _peel(Q2 * c, 2)  # the one negative diagonal entry, -4 at weight 0
+        results.append(recognize(q_bracket(f, 30), n))
+        for g in results:
+            assert _in_lowest_terms(g), repr(g)
+    half = SSPoly.constant(Fraction(1, 2))
+    assert (half * 2).den == 1 and (half - half).den == 1 and SSPoly.zero().den == 1
+    assert (QMForm.gen("P") * Fraction(5, 6) * Fraction(6, 5)).den == 1
+
+
+def test_polynomials_read_out_the_same_fractions():
+    # the terms, Fraction types included, pinned by a digest of their repr
+    # from when every coefficient was stored as a Fraction
+    from shsym.harmonic import decompose, harmonic_basis
+    from shsym.quasimodular import bracket_form
+
+    got = [(lam, h.terms()) for lam, h in harmonic_basis(12).elements.items()]
+    got += [h.terms() for h in decompose(parse_poly("5/3*Q4*Q12 + 4/5*Q2^2*Q3^2*Q6 + 4/3*Q16 - 1*Q2^8")).components]
+    for e in ("Q4^2", "Q3^2 - 1/2*Q2*Q4", "Q6 + 1/3*Q2^3 - 5/7*Q3^2"):
+        got.append(bracket_form(parse_poly(e), 30)[1].terms())
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "064bd04a3b7ab7d619cb91c249fa41cfc29a409d401437d2268d8eef40375602"
+
+
 def test_coeffs_read_out_the_same_fractions():
     # the coefficient tuples, Fraction types included, pinned by a digest of
     # their repr from when every coefficient was stored as a Fraction

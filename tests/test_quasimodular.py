@@ -12,6 +12,7 @@ from shsym.quasimodular import (
     InsufficientOrderError,
     QMForm,
     RecognitionError,
+    bracket_form,
     d_hat,
     depth,
     expand,
@@ -299,6 +300,13 @@ def test_is_modular_bracket_rejects_bad_input():
         is_modular_bracket(SSPoly.gen(1), 30)
     with pytest.raises(ValueError):
         is_modular_bracket(SSPoly.gen(2) + SSPoly.gen(3), 30)
+
+
+def test_bracket_form_refuses_a_negative_weight_of_either_parity():
+    # refused before the other checks, here a negative order and one too short
+    for k, weight, order in ((3, -3, 30), (4, -3, 30), (4, -2, 30), (4, -1, -1), (5, -4, 2)):
+        with pytest.raises(ValueError, match="^recognition weight must be non-negative$"):
+            bracket_form(SSPoly.gen(k), order, weight)
 
 
 def test_modular_plus_kernel_shift_stays_modular():
