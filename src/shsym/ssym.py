@@ -138,7 +138,7 @@ class Monomial:
 MONO_ONE = Monomial(())
 
 
-def _add_into(out: dict, f: "SparseTerms", sign: int = 1) -> None:
+def _add_into(out: dict, f: "SparseTerms", sign: int) -> None:
     """Add sign * f into a map of Fractions, in place, dropping every key
     whose sum cancels to zero."""
     den = f.den
