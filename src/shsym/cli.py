@@ -26,7 +26,11 @@ from typing import TYPE_CHECKING
 
 from .partitions import enumerate_min_part, format_partition, parse_partition
 from .ssym import (
+    MAX_BRACKET_MONOMIALS,
     MAX_CONSTANT_DIGITS,
+    MAX_ORDER,
+    MAX_TABLE_WEIGHT,
+    MAX_WEIGHT,
     InsufficientOrderError,
     ParseError,
     RecognitionError,
@@ -44,19 +48,6 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-# Request-size limits; a request over one is a usage error.  At the largest
-# sizes they admit, the slowest request is verify --max-weight 16 -N 40, in
-# 30 s on a 2-vCPU host.  A bracket sums one moment knapsack per distinct
-# Q2-free monomial, so qbracket also bounds their count: at -N 40 its
-# slowest admitted input, the 300 dearest of the Q1-free monomials with
-# parts >= 3 and weights 3 to 32, takes 12 s (all 2,744 knapsacks: 45 s).
-# decompose certifies its slots with the closed-form laplacian, which
-# verify's pr_laplacian oracle proves on every monomial up to MAX_WEIGHT.
-MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
-MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
-MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
-MAX_BRACKET_MONOMIALS = 300  # distinct Q2-free monomials of a qbracket input
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
@@ -108,7 +99,7 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         term = inner + "  "
         sep = "[\n" + inner
         for mono, coeff in value.terms():
-            exponents = ",\n".join(f'{term}  "{k}": {e2 // 2}' for k, e2 in mono.items2())
+            exponents = ",\n".join(f'{term}  "{k}": {e2 // 2}' for k, e2 in mono)
             monomial = f"{{\n{exponents}\n{term}}}" if exponents else "{}"
             out.append(f'{sep}{{\n{term}"coeff": "{coeff!s}",\n{term}"monomial": {monomial}\n{inner}}}')
             sep = ",\n" + inner

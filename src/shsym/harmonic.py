@@ -11,7 +11,7 @@ closed form in integers over the denominator 8, `_pr_laplacian_image`,
 which builds the rows of T and the right-hand side, and with which
 `decompose` checks each returned slot once.  The operator laplacian is its
 independent reference: `verify.suite_pr_laplacian_oracle` proves the two
-equal on every Q1-free monomial of weight <= `cli.MAX_WEIGHT`, so on every
+equal on every Q1-free monomial of weight <= `ssym.MAX_WEIGHT`, so on every
 input the CLI admits.  Above that weight a caller checks slots with
 `is_harmonic`; it and the reproduction identity alone load `operators`.
 
@@ -93,18 +93,17 @@ def _pr_laplacian_image(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     k = l) and d_k gives e_k / 2; an unordered pair k < l counts twice.
     """
     acc: dict[Monomial, int] = {}
-    support = mono.items2()
 
     def add(num: int, *changes: tuple[int, int]):
-        m = Monomial(support + changes)
+        m = Monomial(mono + changes)
         acc[m] = acc.get(m, 0) + num
 
-    for a, (k, ek) in enumerate(support):
+    for a, (k, ek) in enumerate(mono):
         if k == 2:
             add(-2 * ek, (2, -2))
         elif k >= 4:
             add(-2 * ek, (k, -2), (k - 2, 2))
-        for l, el in support[a:]:
+        for l, el in mono[a:]:
             num = ek * (ek - 2) if l == k else 2 * ek * el
             if not num:
                 continue
@@ -210,7 +209,7 @@ def decompose(f: SSPoly) -> Decomposition:
     # keeps weights apart, so a slot is harmonic exactly when each part is:
     # one check per returned slot certifies every peel.  verify's
     # pr_laplacian oracle proves the closed form equal to the operator
-    # laplacian on every monomial of weight <= cli.MAX_WEIGHT.
+    # laplacian on every monomial of weight <= ssym.MAX_WEIGHT.
     if dec.reconstruct() != f or not all(pr_laplacian(h).is_zero for h in dec.components):
         raise LinearSolveError("inconsistent")  # impossible unless buggy
     return dec

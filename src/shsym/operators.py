@@ -19,7 +19,7 @@ This is the operator algebra by definition, and no CLI job but `verify`
 runs it.  The harmonic layer solves and certifies with its own closed form
 of the projected laplacian, which shares nothing with the images;
 `laplacian(f).pr()` is its independent reference, which `verify` compares
-with it on every Q1-free monomial of weight <= `cli.MAX_WEIGHT`.
+with it on every Q1-free monomial of weight <= `ssym.MAX_WEIGHT`.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     halved exponents, (e2/2)_t = prod_{i<t} (e2 - 2i) / 2^t.
     """
     acc: dict[Monomial, int] = {}
-    support = mono.items2()
     n_fact = factorial(n)
 
     def add_term(chosen: tuple[tuple[int, int, int], ...]):
@@ -110,9 +109,9 @@ def _d_op_n_image(n: int, mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
         if remaining == 0:
             add_term(chosen)
             return
-        if idx == len(support):
+        if idx == len(mono):
             return
-        k, e2 = support[idx]
+        k, e2 = mono[idx]
         if k == 2 and (e2 < 0 or e2 % 2):
             cap = remaining  # formal powers of Q2 never exhaust
         else:
@@ -231,7 +230,7 @@ def dualize_apply(f: SSPoly, g: SSPoly) -> SSPoly:
     acc = SSPoly.zero()
     for mono, c in f.terms():
         h = g
-        for k, e2 in mono.items2():
+        for k, e2 in mono:
             for _ in range(e2 // 2):
                 h = delta_n(k, h)
         acc = acc + h * c

@@ -233,7 +233,7 @@ def _moment_knapsack(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     expansion of prod_k (base_k + unit_k (A_k + (-1)^k B_k))^(e_k), one axis
     at a time, and one product per moment index convolves arm and leg sums.
     """
-    gens = [(k, e2 // 2) for k, e2 in mono.items2()]
+    gens = [(k, e2 // 2) for k, e2 in mono]
     strides = [prod(e + 1 for _, e in gens[:j]) for j in range(len(gens))]
     size = prod(e + 1 for _, e in gens)
     top = isqrt(order)
@@ -299,7 +299,7 @@ def _moment_knapsack(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _without_q2(mono: Monomial) -> Monomial:
-    return Monomial(t for t in mono.items2() if t[0] != 2)
+    return Monomial(t for t in mono if t[0] != 2)
 
 
 def knapsack_count(f: SSPoly) -> int:

@@ -208,24 +208,19 @@ def _elimination(k: int, order: int) -> _Elimination:
     )
 
 
-def recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
+def recognize(s: QSeries, k: int) -> QMForm:
     """Identify a truncated series as the unique weight-k form.
 
-    Requires order + 1 >= number of weight-k monomials + margin; the extra
-    rows turn the solve into an overdetermined consistency check.  Raises
-    RecognitionError when the coefficients to `order` are not those of a
-    weight-k form, and LinearSolveError("underdetermined") when they do not
-    pin one down.
+    Requires s.order + 1 >= number of weight-k monomials + margin; the
+    extra rows turn the solve into an overdetermined consistency check.
+    Raises RecognitionError when the coefficients to s.order are not those
+    of a weight-k form, and LinearSolveError("underdetermined") when they do
+    not pin one down.
     """
-    if order is None:
-        order = s.order
-    if order > s.order:
-        raise InsufficientOrderError(
-            f"series order {s.order} is below the requested order {order}"
-        )
+    order = s.order
     check_recognizable(k, order)
     elim = _elimination(k, order)
-    b, den = s.num[: order + 1], s.den
+    b, den = s.num, s.den
     for v in elim.null:
         if sum(x * b[i] for i, x in v):
             raise RecognitionError(f"not quasimodular of weight {k} at this order")

@@ -2,10 +2,12 @@
 
 The ring carries a weight grading (Q_k has weight k).  Q2 alone may carry
 half-integer and negative exponents; every other generator is restricted
-to non-negative integer exponents, which keeps all weights integral.
-Coefficients are exact rationals throughout.  An element stores them as
-integer numerators over one denominator, in lowest terms, as a series
-does; a coefficient becomes a Fraction only when it is read out.
+to non-negative integer exponents, which keeps all weights integral.  A
+monomial is the sorted tuple of its (generator, doubled exponent) pairs,
+compared and hashed as that tuple.  Coefficients are exact rationals
+throughout.  An element stores them as integer numerators over one
+denominator, in lowest terms, as a series does; a coefficient becomes a
+Fraction only when it is read out.
 """
 
 from __future__ import annotations
@@ -34,31 +36,26 @@ def _as_exponent2(k: int, e: ExponentLike) -> int:
     return int(e2)
 
 
-class Monomial:
-    """A product of generator powers such as Q2^2*Q4.
+class Monomial(tuple):
+    """A product of generator powers such as Q2^2*Q4: the tuple of its
+    (generator, doubled exponent) pairs, sorted by generator, compared and
+    hashed as that tuple.
 
     Exponents are stored doubled so that half-integer powers of Q2 stay in
     exact integer arithmetic; generators other than Q2 must carry positive
-    even stored exponents (i.e. positive integer powers).
+    even stored exponents (i.e. positive integer powers).  The unit
+    MONO_ONE is the empty tuple, so it is falsy.
     """
 
-    __slots__ = ("_e2", "_hash")
+    __slots__ = ()
 
-    def __init__(self, e2_items: Iterable[tuple[int, int]]):
+    def __new__(cls, pairs: Iterable[tuple[int, int]]) -> "Monomial":
+        """The product of the given powers: the pairs of one generator are
+        merged, zero exponents dropped and the rest sorted."""
         merged: dict[int, int] = {}
-        for k, e2 in e2_items:
+        for k, e2 in pairs:
             merged[k] = merged.get(k, 0) + e2
-        self._store(merged)
-
-    @classmethod
-    def _from_merged(cls, merged: dict[int, int]) -> "Monomial":
-        """The monomial of a map with one doubled exponent per generator."""
-        mono = cls.__new__(cls)
-        mono._store(merged)
-        return mono
-
-    def _store(self, merged: dict[int, int]) -> None:
-        items = tuple(sorted((k, e2) for k, e2 in merged.items() if e2))
+        items = sorted((k, e2) for k, e2 in merged.items() if e2)
         for k, e2 in items:
             if k < 1:
                 raise ValueError(f"generator index must be >= 1, got Q{k}")
@@ -66,8 +63,7 @@ class Monomial:
                 raise ValueError(
                     f"only Q2 may carry negative or half-integer exponents (Q{k}^({e2}/2))"
                 )
-        self._e2 = items
-        self._hash = hash(items)
+        return tuple.__new__(cls, items)
 
     @classmethod
     def from_exponents(cls, exponents: Mapping[int, ExponentLike]) -> "Monomial":
@@ -81,55 +77,39 @@ class Monomial:
     def partition(self) -> Partition:
         """Inverse of from_partition: each generator repeated by its integer
         exponent, largest first."""
-        return tuple(k for k, e2 in reversed(self._e2) for _ in range(e2 // 2))
-
-    def items2(self) -> tuple[tuple[int, int], ...]:
-        """The (generator, doubled exponent) pairs, sorted by generator."""
-        return self._e2
+        return tuple(k for k, e2 in reversed(self) for _ in range(e2 // 2))
 
     def exponent2(self, k: int) -> int:
-        for gen, e2 in self._e2:
+        for gen, e2 in self:
             if gen == k:
                 return e2
         return 0
 
     def shift(self, changes: Mapping[int, int]) -> "Monomial":
         """New monomial with doubled exponents adjusted by `changes`."""
-        merged = dict(self._e2)
-        for k, delta in changes.items():
-            merged[k] = merged.get(k, 0) + delta
-        return Monomial._from_merged(merged)
+        return Monomial((*self, *changes.items()))
 
     def mul(self, other: "Monomial") -> "Monomial":
-        merged = dict(self._e2)
-        for k, e2 in other._e2:
-            merged[k] = merged.get(k, 0) + e2
-        return Monomial._from_merged(merged)
+        return Monomial(self + other)
 
     def weight(self) -> int:
-        w2 = sum(k * e2 for k, e2 in self._e2)
+        w2 = sum(k * e2 for k, e2 in self)
         if w2 % 2:
             raise ValueError(f"monomial {self} has non-integer weight")
         return w2 // 2
 
     def has_q1(self) -> bool:
-        return bool(self._e2) and self._e2[0][0] == 1
+        return bool(self) and self[0][0] == 1
 
     def in_r(self) -> bool:
         """Non-negative integer exponents only (Q1 allowed)."""
-        return all(e2 >= 0 and e2 % 2 == 0 for _, e2 in self._e2)
+        return all(e2 >= 0 and e2 % 2 == 0 for _, e2 in self)
 
     def in_lambda_star(self) -> bool:
         return self.in_r() and not self.has_q1()
 
     def sort_key(self) -> tuple:
-        return (self.weight(), self._e2)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._e2 == other._e2
-
-    def __hash__(self) -> int:
-        return self._hash
+        return (self.weight(), self)
 
     def __repr__(self) -> str:
         return f"Monomial({format_monomial(self) or '1'})"
@@ -410,7 +390,7 @@ def eval_at(f: SSPoly, lam: Iterable[int]) -> Fraction:
     num_bits = work_bits = 0
     for mono, coeff in terms:
         n_bits, d_bits = coeff.numerator.bit_length(), coeff.denominator.bit_length()
-        for k, e2 in mono.items2():
+        for k, e2 in mono:
             q = values.get(k)
             if q is None:
                 q = values[k] = eval_qk(k, lam)
@@ -440,7 +420,7 @@ def eval_at(f: SSPoly, lam: Iterable[int]) -> Fraction:
     total_num, total_den = 0, 1
     for mono, coeff in terms:
         num, den = coeff.numerator, coeff.denominator
-        for k, e2 in mono.items2():
+        for k, e2 in mono:
             q = values[k]
             num *= q.numerator ** (e2 // 2)
             den *= q.denominator ** (e2 // 2)
@@ -467,13 +447,13 @@ def _latex_power(base: str, e: str) -> str:
 def format_monomial(mono: Monomial) -> str:
     return "*".join(
         f"Q{k}" if e2 == 2 else f"Q{k}^{_format_exponent(e2)}"
-        for k, e2 in mono.items2()
+        for k, e2 in mono
     )
 
 
 def format_monomial_latex(mono: Monomial) -> str:
     factors = []
-    for k, e2 in mono.items2():
+    for k, e2 in mono:
         base = f"Q_{k}" if k < 10 else f"Q_{{{k}}}"
         e = str(e2 // 2) if e2 % 2 == 0 else f"{e2}/2"
         factors.append(base if e2 == 2 else _latex_power(base, e))
@@ -596,6 +576,20 @@ MAX_EVAL_WORK_DIGITS = 10_000_000
 _EVAL_BITS = int(MAX_EVAL_DIGITS / 0.30103)
 _EVAL_WORK_BITS = int(MAX_EVAL_WORK_DIGITS / 0.30103)
 
+# Request-size limits of the command line, which imports them; a request
+# over one is a usage error.  At the largest sizes they admit, the slowest
+# request is verify --max-weight 16 -N 40, in 30 s on a 2-vCPU host.  A
+# bracket sums one moment knapsack per distinct Q2-free monomial, so
+# qbracket also bounds their count: at -N 40 its slowest admitted input,
+# the 300 dearest of the Q1-free monomials with parts >= 3 and weights 3 to
+# 32, takes 12 s (all 2,744 knapsacks: 45 s).  decompose certifies its
+# slots with the closed-form laplacian, which verify's pr_laplacian oracle
+# proves on every monomial up to MAX_WEIGHT.
+MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
+MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
+MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
+MAX_BRACKET_MONOMIALS = 300  # distinct Q2-free monomials of a qbracket input
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -691,7 +685,7 @@ class _Parser:
         step at a time."""
         den = f.den
         for mono, n in f.num.items():
-            for k, e2 in mono.items2():
+            for k, e2 in mono:
                 if abs(e2) > 2 * MAX_EXPONENT:
                     raise ParseError(f"product exponent of Q{k} larger than {MAX_EXPONENT} in magnitude", pos)
             # a constant in lowest terms is no longer than n / den
@@ -745,7 +739,7 @@ class _Parser:
                 # negative powers only make sense for nonzero constants
                 if base.is_zero:
                     raise ParseError("zero has no negative powers", epos)
-                if len(base) == 1 and not base.terms()[0][0].items2():
+                if len(base) == 1 and base.terms()[0][0] == MONO_ONE:
                     c = base.terms()[0][1]
                     return self.bounded(SSPoly.constant(c**e), epos)
                 raise ParseError("negative exponent is only allowed on Q2", epos)

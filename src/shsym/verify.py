@@ -16,7 +16,7 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Callable
 
-from . import cli, linalg
+from . import linalg
 from .harmonic import (
     Decomposition,
     basis_element,
@@ -52,7 +52,6 @@ from .partitions import (
 from .qseries import QSeries, _moment_knapsack, _without_q2, d_series, eisenstein, partition_gf, q_bracket
 from .quasimodular import (
     RECOGNITION_MARGIN,
-    InsufficientOrderError,
     QMForm,
     RecognitionError,
     bracket_form,
@@ -67,7 +66,7 @@ from .quasimodular import (
     w_hat,
 )
 from .reference import even_rows, rows_up_to
-from .ssym import Monomial, SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
+from .ssym import MAX_WEIGHT, Monomial, SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
 
 DEFAULT_SEED = 1729
 
@@ -370,7 +369,7 @@ def oracle_d_op_n(n: int, f: SSPoly) -> SSPoly:
         return f
     acc: dict[Monomial, Fraction] = {}
     for mono, coeff in f.terms():
-        base = {k: Fraction(e2, 2) for k, e2 in mono.items2()}
+        base = {k: Fraction(e2, 2) for k, e2 in mono}
         for slots in itertools.product(base, repeat=n):
             exps, c = dict(base), coeff
             for k in slots:
@@ -456,13 +455,13 @@ def suite_delta_n_oracle(rng, max_weight, order):
 def suite_pr_laplacian_oracle(rng, max_weight, order):
     """The closed form against the operator laplacian on Laurent samples
     and, at any --max-weight, on every Q1-free monomial of weight <=
-    cli.MAX_WEIGHT: by linearity, a proof on every input the CLI admits,
+    ssym.MAX_WEIGHT: by linearity, a proof on every input the CLI admits,
     on which `decompose` certifies its slots with the closed form."""
     samples = [SSPoly.zero(), kelvin(SSPoly.one())]
     samples.append(parse_poly("Q1^2*Q2^(-3/2)*Q3 - 2/3*Q1*Q2^(5/2) + Q4"))
     # rational coefficients, Q1 terms, extra Q2 powers in {-3, -5/2, ..., 3}
     samples += [random_laurent(rng, min(max_weight, 8)) for _ in range(40)]
-    top = cli.MAX_WEIGHT
+    top = MAX_WEIGHT
     monomials = [b for w in range(top + 1) for b in lambda_star_basis(w)]
     for f in samples + monomials:
         if pr_laplacian(f) != laplacian(f).pr():
@@ -622,7 +621,7 @@ def oracle_row_sums(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     """(D, totals) for a Q2-free, Q1-free monomial as qseries._moment_knapsack
     defines them, by multiplying row-sum generator vectors over every
     partition: the fast oracle of the knapsack, which lists no partition."""
-    factors = [(_generator_values(k, order), e2 // 2) for k, e2 in mono.items2()]
+    factors = [(_generator_values(k, order), e2 // 2) for k, e2 in mono]
     denom = prod(d**e for (d, _), e in factors)
     totals = []
     for n in range(order + 1):
@@ -646,7 +645,7 @@ def oracle_brackets(polys: list[SSPoly], order: int) -> list[QSeries]:
             raise ValueError("evaluation requires non-negative integer exponents")
         projected.append(f.pr())
     monos = sorted({m for f in projected for m, _ in f.terms()}, key=Monomial.sort_key)
-    gens = sorted({k for m in monos for k, _ in m.items2()})
+    gens = sorted({k for m in monos for k, _ in m})
     # D_k Q_k(lambda) = base_k + unit_k sum over c in c_set of sgn(c) c^(k-1)
     scaled = {}
     for k in gens:
@@ -654,7 +653,7 @@ def oracle_brackets(polys: list[SSPoly], order: int) -> list[QSeries]:
         scale = 2 ** (k - 1) * factorial(k - 1)
         d_k = lcm(b.denominator, scale)
         scaled[k] = (d_k, b.numerator * (d_k // b.denominator), d_k // scale)
-    exps = [[(k, e2 // 2) for k, e2 in m.items2()] for m in monos]
+    exps = [[(k, e2 // 2) for k, e2 in m] for m in monos]
     sums = [[0] * (order + 1) for _ in monos]
     for n in range(order + 1):
         for lam in enumerate_partitions(n):
@@ -834,17 +833,12 @@ def random_qmform(rng, weight: int) -> QMForm:
     return QMForm(terms)
 
 
-def oracle_recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
+def oracle_recognize(s: QSeries, k: int) -> QMForm:
     """recognize by Gaussian elimination in Fractions (linalg.solve) over
     columns built by oracle_mul from the coefficients of E2, E4 and E6,
     independent of recognize's series product, its caches and its integer
     elimination; the same errors with the same text."""
-    if order is None:
-        order = s.order
-    if order > s.order:
-        raise InsufficientOrderError(
-            f"series order {s.order} is below the requested order {order}"
-        )
+    order = s.order
     check_recognizable(k, order)
     triples = monomials_of_weight(k)
     # E2, E4 and E6 have integer coefficients
@@ -858,7 +852,7 @@ def oracle_recognize(s: QSeries, k: int, order: int | None = None) -> QMForm:
         columns.append(col)
     matrix = [[col[n] for col in columns] for n in range(order + 1)]
     try:
-        solution = linalg.solve(matrix, list(s.coeffs[: order + 1]))
+        solution = linalg.solve(matrix, list(s.coeffs))
     except linalg.LinearSolveError as exc:
         if exc.kind == "inconsistent":
             raise RecognitionError(f"not quasimodular of weight {k} at this order") from None

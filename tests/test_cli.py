@@ -685,6 +685,14 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
         assert "json" not in loaded, argv
 
 
+def test_verify_import_leaves_the_cli_unloaded():
+    # the request limits live in ssym, so the suites need no command line
+    script = "import sys, shsym.verify; print('shsym.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=ENV, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_runaway_expansion_is_parse_error():
     # C(108, 8) terms if expanded
     expr = "(" + "+".join(f"Q{k}" for k in range(1, 10)) + ")^100"
@@ -767,7 +775,7 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 def _terms_json(f):
     return [
-        {"coeff": str(c), "monomial": {str(k): e2 // 2 for k, e2 in m.items2()}}
+        {"coeff": str(c), "monomial": {str(k): e2 // 2 for k, e2 in m}}
         for m, c in f.terms()
     ]
 
@@ -858,5 +866,5 @@ def test_forms_json_equals_json_dumps(capsys):
         _assert_prints_json(capsys, payload, "qbracket", expr, "-N", "14", "--format", "json")
 
     coeffs = "1 -24 -72 -96 -168 -144 -288 -192 -360 -312 -432"  # E2
-    form = recognize(QSeries([Fraction(c) for c in coeffs.split()]), 2, 10)
+    form = recognize(QSeries([Fraction(c) for c in coeffs.split()]), 2)
     _assert_prints_json(capsys, {"q_bracket": _form_terms_json(form)}, "recognize", coeffs, "--weight", "2", "--format", "json")

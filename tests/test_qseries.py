@@ -252,7 +252,7 @@ def random_generator_product(rng):
 def test_knapsack_equals_row_sums(order):
     rng = random.Random(2000 + order)
     monos = {
-        Monomial(t for t in m.items2() if t[0] != 2)
+        Monomial(t for t in m if t[0] != 2)
         for lam, _, _ in rows_up_to(10)
         for m, _ in basis_element(lam).pr().terms()
     }
@@ -266,6 +266,19 @@ def test_knapsack_widest_slots_equal_row_sums(expr):
     # the monomials whose packed slots are widest at order 30
     [(m, _)] = parse_poly(expr).terms()
     assert _moment_knapsack(m, 30) == oracle_row_sums(m, 30)
+
+
+def test_knapsack_equals_row_sums_on_every_table_monomial_at_order_30():
+    # The bracket numerator is linear in the Q2-free monomials it sums, so
+    # agreeing on each one proves the knapsack sums behind every `tables`
+    # row at its default -N 30 (order 30 only; at -N 40 the verify suite
+    # samples).
+    from shsym.ssym import MAX_TABLE_WEIGHT
+
+    monos = [Monomial.from_partition(lam) for w in range(MAX_TABLE_WEIGHT + 1) for lam in enumerate_min_part(w, 3)]
+    assert len(monos) == 96
+    for m in monos:
+        assert _moment_knapsack(m, 30) == oracle_row_sums(m, 30), m
 
 
 def test_q_bracket_never_lists_partitions(monkeypatch):

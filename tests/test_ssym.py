@@ -85,7 +85,7 @@ def test_eval_sums_over_the_lcm_of_the_denominators():
         for lam in [(), (1,), (4, 2), (7, 3, 3, 1)]:
             want = Fraction(0)
             for mono, c in f.terms():
-                for k, e2 in mono.items2():
+                for k, e2 in mono:
                     c *= eval_qk(k, lam) ** (e2 // 2) if k != 1 else 0
                 want += c
             assert eval_at(f, lam) == want
@@ -166,6 +166,31 @@ def test_monomial_rules():
             make()
     assert q3.shift({3: -2, 2: -3}) == Monomial(((2, -3),))
     assert q3.mul(m).mul(q3) == Monomial(((3, 4), (2, -3)))
+
+
+def test_monomial_is_its_sorted_tuple_of_pairs():
+    import pickle
+
+    from shsym.ssym import MONO_ONE
+
+    assert issubclass(Monomial, tuple) and Monomial.__slots__ == ()
+    for name in ("_e2", "_hash", "_store", "_from_merged", "items2", "__init__"):
+        assert name not in vars(Monomial), name
+    assert "__eq__" not in vars(Monomial) and "__hash__" not in vars(Monomial)
+    pairs = ((4, 2), (2, -3), (3, 4), (7, 2))
+    m = Monomial(pairs)
+    assert tuple(m) == tuple(sorted(pairs)) and len(m) == 4
+    assert hash(m) == hash(tuple(m))
+    # pairs in any order, and split pairs of one generator, build one monomial
+    rng = random.Random(3)
+    for _ in range(10):
+        shuffled = list(pairs) + [(3, 0), (4, 2), (4, -2)]
+        rng.shuffle(shuffled)
+        assert Monomial(shuffled) == m and hash(Monomial(shuffled)) == hash(m)
+    assert Monomial(((5, 2), (5, -2))) == MONO_ONE == Monomial(()) and not MONO_ONE
+    copy = pickle.loads(pickle.dumps(m))
+    assert type(copy) is Monomial and copy == m
+    assert repr(m) == "Monomial(Q2^(-3/2)*Q3^2*Q4*Q7)"
 
 
 st_scalar = st.fractions(
