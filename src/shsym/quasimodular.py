@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket
 from .ssym import InsufficientOrderError, LinearSolveError, RecognitionError, SSPoly, SparseTerms
@@ -88,30 +88,6 @@ def monomials_of_weight(k: int) -> list[Triple]:
     return out
 
 
-# A recognition at weight k <= 32 (the most an order <= 40 admits) uses at
-# most 32 powers per order: P^0..P^16, Q^0..Q^8 and R^0..R^5.
-@lru_cache(maxsize=1024)
-def _gen_power(name: str, e: int, order: int) -> QSeries:
-    if e == 0:
-        return QSeries.one(order)
-    base = eisenstein({"P": 2, "Q": 4, "R": 6}[name], order)
-    return _gen_power(name, e - 1, order) * base
-
-
-def _column(t: Triple, order: int) -> QSeries:
-    """P^a Q^b R^c to the given order."""
-    a, b, c = t
-    return _gen_power("P", a, order) * _gen_power("Q", b, order) * _gen_power("R", c, order)
-
-
-def expand(m: QMForm, order: int) -> QSeries:
-    """Exact q-expansion of a form to the given order."""
-    acc = QSeries.zero(order)
-    for t, coeff in m.terms():
-        acc = acc + _column(t, order) * coeff
-    return acc
-
-
 def check_recognizable(k: int, order: int) -> None:
     """Raise unless a series to `order` can be recognized at weight k:
     ValueError for a negative or odd weight, InsufficientOrderError when
@@ -140,72 +116,37 @@ def _check_order(k: int, order: int) -> None:
 
 
 # Recognition works in integers: P, Q and R have integer coefficients, so
-# every column P^a Q^b R^c is a series over the denominator 1, and a
-# fraction-free elimination of the columns (Bareiss, "Sylvester's identity
-# and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-# 1968) is done once per (weight, order).  verify keeps a Fraction solve
-# over columns of its own as the oracle.
-
-
-class _Elimination(NamedTuple):
-    """A weight-k system A x = b with rows 0..order, eliminated for any b.
-
-    With `det` the last pivot, each row of `solve` is an integer vector u
-    with u A = det * e_c for its pivot column c, so x_c = u b / det.  Each
-    row of `null` is an integer vector v with v A = 0, one per row of A
-    outside the pivot rows; b is consistent exactly when every v b is 0.
-    Vectors are sparse, as (row index, value) pairs.
-    """
-
-    det: int
-    pivots: tuple[int, ...]
-    solve: tuple[tuple[tuple[int, int], ...], ...]
-    null: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _sparse(row: list[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((i, v) for i, v in enumerate(row) if v)
+# every column P^a Q^b R^c is a tuple of integers, and each series is
+# recognized by a fraction-free elimination of [A | b] (Bareiss,
+# "Sylvester's identity and multistep integer-preserving Gaussian
+# elimination", Math. Comp. 22, 1968).  verify keeps a Fraction solve over
+# columns of its own as the oracle.
 
 
 # A CLI request recognizes at one order, at the even weights <= 32 it admits
 # (17 at most); the bound holds every weight at three orders.
 @lru_cache(maxsize=64)
-def _elimination(k: int, order: int) -> _Elimination:
-    """Fraction-free Gauss-Jordan elimination of [A | I], where column
-    (a, b, c) of A is P^a Q^b R^c to `order`.
+def _columns(k: int, order: int) -> dict[Triple, tuple[int, ...]]:
+    """The integer coefficients of P^a Q^b R^c to `order`, keyed by the
+    triples of monomials_of_weight(k) in its order.  The dict is shared by
+    every caller and must not be changed."""
+    triples = monomials_of_weight(k)
+    powers = []
+    for i, w in enumerate((2, 4, 6)):
+        base, ps = eisenstein(w, order), [QSeries.one(order)]
+        for _ in range(max((t[i] for t in triples), default=0)):
+            ps.append(ps[-1] * base)
+        powers.append(ps)
+    return {(a, b, c): (powers[0][a] * powers[1][b] * powers[2][c]).num for a, b, c in triples}
 
-    Step j divides by the previous pivot; the quotient is exact by
-    Sylvester's identity, so every entry stays an integer.
-    """
-    columns = [_column(t, order).num for t in monomials_of_weight(k)]
-    n_rows, n_cols = order + 1, len(columns)
-    rows = [
-        [col[i] for col in columns] + [int(i == j) for j in range(n_rows)]
-        for i in range(n_rows)
-    ]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(n_cols):
-        r = len(pivots)
-        found = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if found is None:
-            continue
-        rows[r], rows[found] = rows[found], rows[r]
-        pivot_row = rows[r]
-        p = pivot_row[c]
-        for i in range(n_rows):
-            if i != r:
-                row, f = rows[i], rows[i][c]
-                rows[i] = [(p * v - f * w) // prev for v, w in zip(row, pivot_row)]
-        pivots.append(c)
-        prev = p
-    r = len(pivots)
-    return _Elimination(
-        det=prev,
-        pivots=tuple(pivots),
-        solve=tuple(_sparse(row[n_cols:]) for row in rows[:r]),
-        null=tuple(_sparse(row[n_cols:]) for row in rows[r:]),
-    )
+
+def expand(m: QMForm, order: int) -> QSeries:
+    """Exact q-expansion of a form to the given order."""
+    num = [0] * (order + 1)
+    for t, c in m.num.items():
+        column = _columns(QMForm._key_weight(t), order)[t]
+        num = [n + c * x for n, x in zip(num, column)]
+    return QSeries(num, order, den=m.den)
 
 
 def recognize(s: QSeries, k: int) -> QMForm:
@@ -219,18 +160,34 @@ def recognize(s: QSeries, k: int) -> QMForm:
     """
     order = s.order
     check_recognizable(k, order)
-    elim = _elimination(k, order)
-    b, den = s.num, s.den
-    for v in elim.null:
-        if sum(x * b[i] for i, x in v):
-            raise RecognitionError(f"not quasimodular of weight {k} at this order")
-    triples = monomials_of_weight(k)
-    if len(elim.pivots) < len(triples):
+    columns = _columns(k, order)
+    # Fraction-free Gauss-Jordan elimination of [A | b]: step j divides by
+    # the previous pivot, exactly by Sylvester's identity.
+    rows = [list(row) for row in zip(*columns.values(), s.num)]
+    n_rows, n_cols = order + 1, len(columns)
+    rank, prev = 0, 1
+    for c in range(n_cols):
+        found = next((i for i in range(rank, n_rows) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        pivot_row = rows[rank]
+        p = pivot_row[c]
+        for i in range(n_rows):
+            if i != rank:
+                row, f = rows[i], rows[i][c]
+                rows[i] = [(p * v - f * w) // prev for v, w in zip(row, pivot_row)]
+        rank += 1
+        prev = p
+    # b is consistent exactly when the rows outside the pivot rows end in 0
+    if any(row[-1] for row in rows[rank:]):
+        raise RecognitionError(f"not quasimodular of weight {k} at this order")
+    if rank < n_cols:
         raise LinearSolveError("underdetermined")
-    sign = 1 if elim.det > 0 else -1
+    # at full rank, the pivot row of column j ends in prev * x_j
+    sign = 1 if prev > 0 else -1
     return QMForm._make(
-        {triples[c]: sign * sum(x * b[i] for i, x in u) for c, u in zip(elim.pivots, elim.solve)},
-        abs(elim.det) * den,
+        {t: sign * row[-1] for t, row in zip(columns, rows)}, abs(prev) * s.den
     )
 
 
@@ -285,33 +242,31 @@ def bracket_form(
 ) -> tuple[QSeries, QMForm]:
     """Partition average of f and the form it is recognized as.
 
-    Without `weight`, each weight component is bracketed once and
-    recognized at its own weight; the series is the sum of the component
-    series.  With `weight`, the whole bracket is recognized at that weight.
-    An odd weight must give the zero series, and a negative one is refused
+    Conjugating partitions maps Q_k to (-1)^k Q_k, so an odd-weight
+    component of f brackets to the zero series and is not summed.  Without
+    `weight`, each even-weight component is bracketed once and recognized at
+    its own weight; the series is the sum of their series.  With `weight`,
+    the bracket of the even part of f is recognized at that weight.  An odd
+    weight must give the zero series, and a negative one is refused
     whatever its parity.
     """
     if weight is not None and weight < 0:
         raise ValueError("recognition weight must be non-negative")
-    components = f.weight_components()
-    parts = components if weight is None else {weight: f}
-    # Check every part before bracketing any: input q_bracket rejects is
+    # Check every weight before bracketing any: input q_bracket rejects is
     # reported as such rather than as a recognition failure, and a weight
     # too large for the order is refused before its series is summed.  An
-    # odd part is bounded as the even weight below it would be.  The real
-    # weights of f are bounded even when another weight is declared, since
-    # they, not the declared one, set the cost of the sum.
+    # odd weight is bounded as the even weight below it would be.  The
+    # weights of f are bounded even when another weight is declared, so
+    # that a refusal does not depend on which of them are summed.
     check_bracket_input(f, order)
-    for w in parts:
-        if w % 2 == 0:
-            check_recognizable(w, order)
-        else:
-            _check_order(w, order)
-    for w in components:
+    components = f.weight_components()
+    for w in ([] if weight is None else [weight]) + list(components):
         _check_order(w, order)
-    brackets = {w: q_bracket(fw, order) for w, fw in parts.items()}
+    even = {w: fw for w, fw in components.items() if w % 2 == 0}
+    parts = even if weight is None else {weight: sum(even.values(), SSPoly.zero())}
     series, form = QSeries.zero(order), QMForm.zero()
-    for w, s in brackets.items():
+    for w, fw in parts.items():
+        s = q_bracket(fw, order)
         if w % 2 == 0:
             form = form + recognize(s, w)
         elif not s.is_zero:

@@ -51,7 +51,7 @@ from .partitions import (
 )
 from .qseries import QSeries, _moment_knapsack, _without_q2, d_series, eisenstein, partition_gf, q_bracket
 from .quasimodular import (
-    RECOGNITION_MARGIN,
+    InsufficientOrderError,
     QMForm,
     RecognitionError,
     bracket_form,
@@ -875,12 +875,22 @@ def suite_qm_sl2(rng, max_weight, order):
     return True, "20 samples"
 
 
+def _recognizable(k: int, order: int) -> bool:
+    """Whether check_recognizable admits the even weight k at this order."""
+    try:
+        check_recognizable(k, order)
+    except InsufficientOrderError:
+        return False
+    return True
+
+
 def suite_equivariance(rng, max_weight, order):
+    top = max(max_weight - max_weight % 2, 2)
+    weights = [w for w in (2, 4, 6, 8) if _recognizable(min(w, top), order)]
+    if not weights:
+        return True, f"nothing to draw: order {order} admits no weight <= 8"
     for trial in range(20):
-        w = 2 * (trial % 4) + 2  # weights 2, 4, 6, 8
-        w = min(w, max_weight - max_weight % 2)
-        if w < 2:
-            w = 2
+        w = min(weights[trial % len(weights)], top)
         f = random_homogeneous(rng, w)
         bf = q_bracket(f, order)
         m = recognize(bf, f.weight())
@@ -890,12 +900,15 @@ def suite_equivariance(rng, max_weight, order):
             return False, f"lowering side fails on {format_poly(f)}"
         if q_bracket(e_hat(f).pr(), order) != expand(w_hat(m), order):
             return False, f"weight side fails on {format_poly(f)}"
-    return True, "20 samples, weights <= 8"
+    return True, f"20 samples, weights <= {weights[-1]}"
 
 
 def suite_depth_bound(rng, max_weight, order):
+    weights = [k for k in (6, 8, 10) if _recognizable(k, order)]
+    if not weights:
+        return True, f"nothing to draw: order {order} admits no weight of 6, 8, 10"
     for trial in range(6):
-        k = rng.choice([6, 8, 10])
+        k = rng.choice(weights)
         p = rng.randint(0, k // 2)
         f = SSPoly.zero()
         for r in range(p + 1):
@@ -906,24 +919,23 @@ def suite_depth_bound(rng, max_weight, order):
         form = recognize(q_bracket(f, order), k)
         if depth(form) > p:
             return False, f"depth bound violated at weight {k}, p={p}"
-    return True, "6 samples"
+    return True, "6 samples" if len(weights) == 3 else f"6 samples, weights <= {weights[-1]}"
 
 
 def suite_recognize_roundtrip(rng, max_weight, order):
+    weights = [w for w in range(0, 14, 2) if _recognizable(w, order)]
+    if not weights:
+        return True, f"nothing to draw: order {order} admits no weight <= 12"
     for trial in range(12):
-        w = rng.choice(range(0, 14, 2))
+        w = rng.choice(weights)
         m = random_qmform(rng, w)
         if recognize(expand(m, order), w) != m:
             return False, f"round trip fails on {m}"
-    return True, "12 samples, weights <= 12"
+    return True, f"12 samples, weights <= {weights[-1]}"
 
 
 def suite_recognize_oracle(rng, max_weight, order):
-    weights = [
-        w
-        for w in range(0, max_weight + 1, 2)
-        if order + 1 >= len(monomials_of_weight(w)) + RECOGNITION_MARGIN
-    ]
+    weights = [w for w in range(0, max_weight + 1, 2) if _recognizable(w, order)]
     series = [
         (lam, q_bracket(basis_element(lam), order), sum(lam))
         for lam, _, _ in even_rows(max_weight)
@@ -952,16 +964,23 @@ def suite_recognize_oracle(rng, max_weight, order):
 
 
 def suite_modularity_criterion(rng, max_weight, order):
+    weights = [w for w in (2, 4, 6, 8, 10) if _recognizable(w, order)]
+    if not weights:
+        return True, f"nothing to draw: order {order} admits no weight <= 10"
     for trial in range(8):
-        w = rng.choice([2, 4, 6, 8, 10])
+        w = rng.choice(weights)
         w = min(w, max_weight - max_weight % 2) or 2
         f = random_homogeneous(rng, w, min_part=2)
         is_modular_bracket(f, order)  # raises CrossCheckError on disagreement
-    return True, "8 samples (internal cross-check)"
+    covered = "" if len(weights) == 5 else f", weights <= {weights[-1]}"
+    return True, f"8 samples{covered} (internal cross-check)"
 
 
 def suite_golden_tables(rng, max_weight, order):
-    rows = rows_up_to(max_weight)
+    # an odd weight is admitted as the even weight below it
+    rows = [row for row in rows_up_to(max_weight) if _recognizable(sum(row[0]) // 2 * 2, order)]
+    if not rows:
+        return True, f"nothing to draw: order {order} admits no table row"
     for lam, expr, bracket in rows:
         n = sum(lam)
         h = basis_element(lam)
@@ -970,6 +989,8 @@ def suite_golden_tables(rng, max_weight, order):
         coeff, triple = bracket or (0, (0, 0, 0))
         if bracket_form(h, order, n)[1] != QMForm({triple: coeff}):
             return False, f"bracket mismatch at {lam}"
+    if len(rows) < len(rows_up_to(max_weight)):
+        return True, f"{len(rows)} table rows, weights <= {sum(rows[-1][0])}"
     return True, f"{len(rows)} table rows"
 
 

@@ -230,11 +230,15 @@ def test_verify_small(capsys, monkeypatch):
 
 
 def test_verify_insufficient_order_fails(capsys, monkeypatch):
-    from shsym.verify import suite_recognize_roundtrip
+    from shsym.quasimodular import check_recognizable
+
+    def recognizes_at_weight_12(rng, max_weight, order):
+        check_recognizable(12, order)  # refused below order 16
+        return True, "recognized"
 
     suites = (
         ("first", _passing),
-        ("forms.recognize_roundtrip", suite_recognize_roundtrip),
+        ("recognizes", recognizes_at_weight_12),
         ("counterexample", lambda rng, max_weight, order: (False, "fails on Q3")),
         ("last", _passing),
     )
@@ -243,8 +247,25 @@ def test_verify_insufficient_order_fails(capsys, monkeypatch):
     first, raised, failed, last = out.splitlines()
     assert first.startswith("[PASS] first") and last.startswith("[PASS] last")
     # an exception is the suite's failure line, not a crash
-    assert raised.startswith("[FAIL] forms.recognize_roundtrip: InsufficientOrderError: insufficient order")
+    assert raised.startswith("[FAIL] recognizes: InsufficientOrderError: insufficient order: weight 12")
     assert failed == "[FAIL] counterexample: fails on Q3"
+
+
+def test_declared_weight_decides_by_the_sum_not_by_its_parity(capsys):
+    # Odd components are left out of a bracket because they vanish, not
+    # because the declared weight is odd: the even part of f must still be
+    # summed and refused when it does not vanish.
+    from shsym.quasimodular import RecognitionError, bracket_form
+    from shsym.ssym import parse_poly
+
+    code, out, err = run(capsys, "qbracket", "Q4", "--weight", "3")
+    assert (code, out, err) == (1, "", "recognition error: odd weight 3 requires a vanishing series\n")
+    with pytest.raises(RecognitionError, match="odd weight 3 requires a vanishing series"):
+        bracket_form(parse_poly("Q4"), 30, 3)
+    code, out, err = run(capsys, "qbracket", "Q3+Q4", "--weight", "4")
+    assert code == 0 and err == ""
+    assert (code, out, err) == run(capsys, "qbracket", "Q4")
+    assert out.splitlines()[1] == "1/1152*P^2 + 1/2880*Q"
 
 
 def test_tables_latex_weight10_byte_golden(capsys):

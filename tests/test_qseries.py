@@ -279,6 +279,15 @@ def test_knapsack_equals_row_sums_on_every_table_monomial_at_order_30():
     assert len(monos) == 96
     for m in monos:
         assert _moment_knapsack(m, 30) == oracle_row_sums(m, 30), m
+    # Conjugating partitions maps Q_k to (-1)^k Q_k, so an odd-weight
+    # monomial sums to zero at every size.  With Q2 a factor and Q1 terms
+    # dropped, this proves that the bracket of every odd-weight input whose
+    # Q2-free monomials have parts >= 3 and weight <= 16 vanishes at order
+    # 30, which bracket_form relies on when it leaves odd components out.
+    odd = [m for m in monos if m.weight() % 2]
+    assert len(odd) == 41
+    for m in odd:
+        assert not any(_moment_knapsack(m, 30)[1]), m
 
 
 def test_q_bracket_never_lists_partitions(monkeypatch):

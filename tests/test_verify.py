@@ -61,3 +61,26 @@ def test_weighted_draws_pass_when_nothing_is_drawable(max_weight):
     for suite in (verify.suite_weight_drop, verify.suite_q2_multiples_not_harmonic):
         ok, detail = suite(random.Random(verify.DEFAULT_SEED), max_weight, 20)
         assert ok and detail == f"nothing to draw: max weight {max_weight} is below 2"
+
+
+# At the defaults (max weight 10) these suites recognize at weights up to 12;
+# below order 16 they check only the weights check_recognizable admits.
+AT_ORDER_15 = {
+    "forms.equivariance": "20 samples, weights <= 8",
+    "forms.depth_bound": "6 samples",
+    "forms.recognize_roundtrip": "12 samples, weights <= 10",
+    "forms.modularity_criterion": "8 samples (internal cross-check)",
+    "goldens.tables": "20 table rows",
+}
+
+
+@pytest.mark.parametrize("order", [0, 15])
+@pytest.mark.parametrize("name", sorted(AT_ORDER_15))
+def test_recognizing_suites_check_only_the_admitted_weights(name, order):
+    suite = dict(verify.SUITES)[name]
+    ok, detail = suite(random.Random(verify.DEFAULT_SEED), DEFAULTS.max_weight, order)
+    assert ok, detail
+    if order == 0:
+        assert detail.startswith("nothing to draw: order 0 admits no "), detail
+    else:
+        assert detail == AT_ORDER_15[name]
