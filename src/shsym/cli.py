@@ -282,7 +282,7 @@ def cmd_verify(args) -> int:
 
 def cmd_tables(args) -> int:
     from .harmonic import basis_element
-    from .quasimodular import bracket_form, format_qmform, format_qmform_latex
+    from .quasimodular import format_qmform, format_qmform_latex, slots_form
 
     _check_limit("order", args.order, MAX_ORDER)
     _check_limit("max weight", args.max_weight, MAX_TABLE_WEIGHT)
@@ -290,8 +290,9 @@ def cmd_tables(args) -> int:
     rows = []
     for n in range(args.max_weight + 1):
         for lam in enumerate_min_part(n, args.min_part):
+            # a basis element is harmonic: it is its own one slot
             h = basis_element(lam)
-            rows.append((lam, h, bracket_form(h, args.order, n)[1]))
+            rows.append((lam, h, slots_form((h,), n, args.order)))
     if args.format == "json":
         _print_json(
             [{"lambda": list(lam), "h": h, "q_bracket": _form_json(form)} for lam, h, form in rows]

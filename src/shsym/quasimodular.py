@@ -4,14 +4,17 @@ generators P (weight 2), Q (weight 4) and R (weight 6).
 Depth is the degree in P; the depth-0 elements are the modular ones.
 Recognition identifies a truncated q-series as the unique weight-k
 combination of generator monomials, with an overdetermination margin that
-certifies the result at the stated order.
+certifies the result at the stated order.  The bracket of a harmonic
+element is modular (the source paper's theorem), so `slots_form` solves
+each harmonic slot in the modular forms of its weight from the Sturm
+prefix of its bracket instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket
 from .ssym import InsufficientOrderError, LinearSolveError, RecognitionError, SSPoly, SparseTerms
@@ -24,11 +27,6 @@ Scalar = Union[int, Fraction]
 Triple = tuple[int, int, int]
 
 RECOGNITION_MARGIN = 10
-
-
-class CrossCheckError(RuntimeError):
-    """Internal disagreement between the recognized depth and the harmonic
-    slot brackets; indicates an implementation bug."""
 
 
 class QMForm(SparseTerms):
@@ -124,7 +122,10 @@ def _check_order(k: int, order: int) -> None:
 
 
 # A CLI request recognizes at one order, at the even weights <= 32 it admits
-# (17 at most); the bound holds every weight at three orders.
+# (17 at most), or, in `tables`, solves each even weight <= 16 at its own
+# Sturm order k // 12 + 1 (9 entries at most).  verify recognizes at the
+# run's order and at 40 and expands at 100, and solves at the Sturm orders:
+# at most 3 * 17 + 9 = 60 entries.
 @lru_cache(maxsize=64)
 def _columns(k: int, order: int) -> dict[Triple, tuple[int, ...]]:
     """The integer coefficients of P^a Q^b R^c to `order`, keyed by the
@@ -158,13 +159,21 @@ def recognize(s: QSeries, k: int) -> QMForm:
     of a weight-k form, and LinearSolveError("underdetermined") when they do
     not pin one down.
     """
-    order = s.order
-    check_recognizable(k, order)
-    columns = _columns(k, order)
-    # Fraction-free Gauss-Jordan elimination of [A | b]: step j divides by
-    # the previous pivot, exactly by Sylvester's identity.
+    check_recognizable(k, s.order)
+    return _solve(_columns(k, s.order), s, f"quasimodular of weight {k}")
+
+
+def _solve(columns: Mapping[Triple, tuple[int, ...]], s: QSeries, what: str) -> QMForm:
+    """The form sum x_t P^a Q^b R^c, t = (a, b, c), whose columns to s.order
+    sum to s, by fraction-free Gauss-Jordan elimination of [A | b]: step j
+    divides by the previous pivot, exactly by Sylvester's identity.
+
+    Raises RecognitionError ("not <what> at this order") unless every row
+    outside the pivot rows ends in 0, then LinearSolveError("underdetermined")
+    unless every column has a pivot.
+    """
     rows = [list(row) for row in zip(*columns.values(), s.num)]
-    n_rows, n_cols = order + 1, len(columns)
+    n_rows, n_cols = s.order + 1, len(columns)
     rank, prev = 0, 1
     for c in range(n_cols):
         found = next((i for i in range(rank, n_rows) if rows[i][c]), None)
@@ -181,7 +190,7 @@ def recognize(s: QSeries, k: int) -> QMForm:
         prev = p
     # b is consistent exactly when the rows outside the pivot rows end in 0
     if any(row[-1] for row in rows[rank:]):
-        raise RecognitionError(f"not quasimodular of weight {k} at this order")
+        raise RecognitionError(f"not {what} at this order")
     if rank < n_cols:
         raise LinearSolveError("underdetermined")
     # at full rank, the pivot row of column j ends in prev * x_j
@@ -275,15 +284,47 @@ def bracket_form(
     return series, form
 
 
+def slots_form(slots: Sequence[SSPoly], weight: int, order: int) -> QMForm:
+    """The form of the partition average of sum_r Q2^r h_r, from harmonic
+    slots h_r of weight `weight` - 2r (as `decompose` returns them), by the
+    source paper's theorem rather than the knapsack to `order`.
+
+    The bracket of a harmonic h of weight k is modular of weight k, and
+    <Q2 f>_q = d_hat(<f>_q), so the average is sum_r d_hat^r(m_r) with m_r
+    in M_(weight - 2r).  A form in M_k is fixed by its coefficients
+    0..k // 12 (the Sturm bound), on which the Q^b R^c columns have full
+    rank; m_r is solved from q_bracket(h_r, k // 12 + 1), and the spare
+    coefficient must agree, or RecognitionError is raised.  An odd-weight
+    slot brackets to zero by conjugation.  The slots and the weight are
+    admitted as `bracket_form` admits them at `order`, so that a refusal
+    does not depend on the path.
+    """
+    for h in slots:
+        check_bracket_input(h, order)
+    _check_order(weight, order)
+    form = QMForm.zero()
+    # Horner's rule: sum_r d_hat^r(m_r) = m_0 + d_hat(m_1 + d_hat(m_2 + ...))
+    for r in range(len(slots) - 1, -1, -1):
+        if not form.is_zero:
+            form = d_hat(form)
+        k = weight - 2 * r
+        if k % 2 == 0 and not slots[r].is_zero:
+            sturm = k // 12 + 1
+            modular = {t: col for t, col in _columns(k, sturm).items() if not t[0]}
+            form = form + _solve(modular, q_bracket(slots[r], sturm), f"modular of weight {k}")
+    return form
+
+
 def is_modular_bracket(
     f: SSPoly, order: int
 ) -> tuple[bool, QMForm, Decomposition]:
     """Decide whether the partition average of a weight-homogeneous Q1-free
-    element is modular (depth 0 once recognized).
+    element is modular (depth 0 once recognized), with its form and its
+    harmonic decomposition f = sum_r Q2^r h_r.
 
-    Also cross-checks the structural criterion: modularity must coincide
-    with the vanishing, to the stated order, of the bracket of every
-    harmonic slot beyond the first.
+    The form is slots_form of the slots, sum_r d_hat^r(m_r) with each m_r
+    modular; d_hat raises depth by exactly one, so the average is modular
+    exactly when every m_r with r >= 1 is zero.
     """
     if not f.in_lambda_star():
         raise ValueError("input must be Q1-free with integer exponents")
@@ -292,15 +333,12 @@ def is_modular_bracket(
     # imported here: recognition alone does not need the harmonic layer
     from .harmonic import decompose
 
-    _, form = bracket_form(f, order, f.weight())
-    modular = depth(form) == 0
+    # refused as bracket_form would, before the decomposition is solved
+    check_bracket_input(f, order)
+    _check_order(f.weight(), order)
     dec = decompose(f)
-    tail_vanishes = all(q_bracket(h, order).is_zero for h in dec.components[1:])
-    if tail_vanishes != modular:
-        raise CrossCheckError(
-            "recognized depth disagrees with the harmonic slot brackets"
-        )
-    return modular, form, dec
+    form = slots_form(dec.components, f.weight(), order)
+    return depth(form) == 0, form, dec
 
 
 # -- text form -----------------------------------------------------------------

@@ -63,6 +63,7 @@ from .quasimodular import (
     is_modular_bracket,
     monomials_of_weight,
     recognize,
+    slots_form,
     w_hat,
 )
 from .reference import even_rows, rows_up_to
@@ -771,15 +772,20 @@ def suite_expansion_at_100(rng, max_weight, order):
     element at each weight 3..max_weight.  expand builds E2, E4 and E6 from
     divisor sums and shares nothing with the knapsack, so this reaches the
     slot widths of the knapsack at an order no enumerating oracle can
-    afford."""
+    afford.  A basis element's form from its Sturm prefix (slots_form) is
+    compared at order 100 too."""
     exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "Q12^2", "Q6*Q4^2*Q2")
     drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(3, max_weight + 1)]
-    cases = [(expr, parse_poly(expr)) for expr in exprs]
-    cases += [(lam, basis_element(lam)) for lam in drawn]
-    for label, f in cases:
+    # (label, f, and the weight of f when it is a basis element, so harmonic)
+    cases = [(expr, parse_poly(expr), None) for expr in exprs]
+    cases += [(lam, basis_element(lam), sum(lam)) for lam in drawn]
+    for label, f, weight in cases:
         _, form = bracket_form(f, 40)
-        if expand(form, 100) != q_bracket(f, 100):
+        want = q_bracket(f, 100)
+        if expand(form, 100) != want:
             return False, f"bracket of {label} to order 100 differs from the form recognized at 40"
+        if weight is not None and expand(slots_form((f,), weight, 40), 100) != want:
+            return False, f"bracket of {label} to order 100 differs from the form of its Sturm prefix"
     detail = f"{len(exprs)} brackets"
     if drawn:
         detail += f" and one basis element at each weight 3..{max_weight}"
@@ -885,12 +891,14 @@ def _recognizable(k: int, order: int) -> bool:
 
 
 def suite_equivariance(rng, max_weight, order):
-    top = max(max_weight - max_weight % 2, 2)
-    weights = [w for w in (2, 4, 6, 8) if _recognizable(min(w, top), order)]
+    if max_weight < 2:
+        return True, f"nothing to draw: max weight {max_weight} is below 2"
+    top = min(max_weight, 8)
+    weights = [w for w in (2, 4, 6, 8) if w <= top and _recognizable(w, order)]
     if not weights:
-        return True, f"nothing to draw: order {order} admits no weight <= 8"
+        return True, f"nothing to draw: order {order} admits no weight <= {top}"
     for trial in range(20):
-        w = min(weights[trial % len(weights)], top)
+        w = weights[trial % len(weights)]
         f = random_homogeneous(rng, w)
         bf = q_bracket(f, order)
         m = recognize(bf, f.weight())
@@ -904,7 +912,9 @@ def suite_equivariance(rng, max_weight, order):
 
 
 def suite_depth_bound(rng, max_weight, order):
-    weights = [k for k in (6, 8, 10) if _recognizable(k, order)]
+    if max_weight < 6:
+        return True, f"nothing to draw: max weight {max_weight} is below 6"
+    weights = [k for k in (6, 8, 10) if k <= max_weight and _recognizable(k, order)]
     if not weights:
         return True, f"nothing to draw: order {order} admits no weight of 6, 8, 10"
     for trial in range(6):
@@ -942,6 +952,8 @@ def suite_recognize_oracle(rng, max_weight, order):
         if sum(lam) in weights
     ]
     series += [(w, expand(random_qmform(rng, w), order), w) for w in weights]
+    if not series:
+        return True, f"nothing to draw: order {order} admits no even weight <= {max_weight}"
     for label, s, w in series:
         if recognize(s, w) != oracle_recognize(s, w):
             return False, f"recognize differs from the oracle at {label}"
@@ -971,9 +983,39 @@ def suite_modularity_criterion(rng, max_weight, order):
         w = rng.choice(weights)
         w = min(w, max_weight - max_weight % 2) or 2
         f = random_homogeneous(rng, w, min_part=2)
-        is_modular_bracket(f, order)  # raises CrossCheckError on disagreement
+        modular, form, dec = is_modular_bracket(f, order)
+        # the theorem's decision against the knapsack and recognize
+        _, want = bracket_form(f, order, w)
+        if form != want or modular != (depth(want) == 0):
+            return False, f"form or depth differs from bracket_form on {format_poly(f)}"
+        if modular != all(q_bracket(h, order).is_zero for h in dec.components[1:]):
+            return False, f"modularity disagrees with the tail slot brackets on {format_poly(f)}"
     covered = "" if len(weights) == 5 else f", weights <= {weights[-1]}"
     return True, f"8 samples{covered} (internal cross-check)"
+
+
+def suite_theorem_path(rng, max_weight, order):
+    """slots_form, from the source paper's theorem and the Sturm bound,
+    against the knapsack to the run's order and recognize (bracket_form):
+    on every basis row of weight <= max_weight, each its own slot, and on
+    seeded Q1-free inputs of even weight split by decompose."""
+    # an odd weight is admitted as the even weight below it
+    weights = [w for w in range(max_weight + 1) if _recognizable(w // 2 * 2, order)]
+    if not weights:
+        return True, f"nothing to draw: order {order} admits no weight <= {max_weight}"
+    rows = [lam for w in weights for lam in enumerate_min_part(w, 3)]
+    for lam in rows:
+        h, n = basis_element(lam), sum(lam)
+        if slots_form((h,), n, order) != bracket_form(h, order, n)[1]:
+            return False, f"theorem path differs from the knapsack at basis row {lam}"
+    even = [w for w in weights if w % 2 == 0 and w >= 2]
+    samples = 12 if even else 0
+    for trial in range(samples):
+        w = rng.choice(even)
+        f = random_homogeneous(rng, w, min_part=2)
+        if slots_form(decompose(f).components, w, order) != bracket_form(f, order, w)[1]:
+            return False, f"theorem path differs from the knapsack on {format_poly(f)}"
+    return True, f"{len(rows)} basis rows and {samples} inputs, weights <= {weights[-1]}, order {order}"
 
 
 def suite_golden_tables(rng, max_weight, order):
@@ -1032,6 +1074,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("forms.recognize_roundtrip", suite_recognize_roundtrip),
     ("forms.recognize_oracle", suite_recognize_oracle),
     ("forms.modularity_criterion", suite_modularity_criterion),
+    ("forms.theorem_path", suite_theorem_path),
     ("goldens.tables", suite_golden_tables),
 )
 

@@ -28,10 +28,13 @@ def test_traced_job_runs_a_bracket(tmp_path):
     out, report = _traced(tmp_path, "qbracket", "Q4", "-N", "12")
     assert out.splitlines()[-1] == "1/1152*P^2 + 1/2880*Q"
     assert report["calls"]["qseries.q_bracket"] == 1
-    # a table reaches recognition; the oracle-only linalg names are rebound too
+    # a table brackets its two even rows, () and (4), each to its Sturm
+    # prefix through quasimodular's own reference to q_bracket, and solves
+    # them without recognize; the oracle-only linalg names are rebound too
     out, report = _traced(tmp_path, "tables", "--max-weight", "4", "-N", "14", "--format", "latex")
     assert out.splitlines()[-2] == r"(4) & \frac{27}{4} Q_2^2 + \frac{27}{2} Q_4 & \frac{9}{320} Q \\"
-    assert report["calls"]["quasimodular.recognize"] == 2
+    assert report["calls"]["qseries.q_bracket"] == 2
+    assert "quasimodular.recognize" not in report["calls"]
 
 
 def test_traced_job_runs_the_harmonic_jobs(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from shsym import linalg, quasimodular, verify
-from shsym.harmonic import basis_element
+from shsym.harmonic import basis_element, decompose
 from shsym.linalg import LinearSolveError
 from shsym.partitions import enumerate_min_part
 from shsym.qseries import QSeries, d_series, eisenstein, partition_gf, q_bracket
@@ -24,6 +24,7 @@ from shsym.quasimodular import (
     monomials_of_weight,
     ramanujan_d,
     recognize,
+    slots_form,
     w_hat,
 )
 from shsym.reference import ROWS
@@ -309,6 +310,53 @@ def test_is_modular_bracket_rejects_bad_input():
         is_modular_bracket(SSPoly.gen(1), 30)
     with pytest.raises(ValueError):
         is_modular_bracket(SSPoly.gen(2) + SSPoly.gen(3), 30)
+    # refused as bracket_form refuses, before the decomposition is solved
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        is_modular_bracket(SSPoly.gen(4), -1)
+    with pytest.raises(InsufficientOrderError, match="^insufficient order: weight 4 needs at least 12 coefficients, got 6$"):
+        is_modular_bracket(SSPoly.gen(4), 5)
+
+
+def test_slots_form_refuses_every_shifted_basis_element_as_one_slot():
+    # Q2^r h is not harmonic, and its bracket d_hat^r(<h>_q) is not modular;
+    # only the spare coefficient past the Sturm prefix can show it, so a
+    # solve that keeps no spare row returns a form here
+    q2 = SSPoly.gen(2)
+    refused = 0
+    for n in range(4, 15, 2):
+        for lam in enumerate_min_part(n, 3):
+            for r in (1, 2):
+                with pytest.raises(RecognitionError, match=f"^not modular of weight {n + 2 * r} at this order$"):
+                    slots_form((q2**r * basis_element(lam),), n + 2 * r, 40)
+                refused += 1
+    assert refused == 66
+
+
+def test_slots_form_raises_each_tail_slot_by_d_hat():
+    h4 = basis_element((4,))
+    zero = SSPoly.zero()
+    # <Q2 h_(4)>_q = d_hat(9/320 Q) = 21/2560 P Q - 3/320 R
+    assert slots_form((zero, h4), 6, 30) == QMForm({(1, 1, 0): Fraction(21, 2560), (0, 0, 1): Fraction(-3, 320)})
+    assert slots_form((zero, SSPoly.one()), 2, 30) == P * Fraction(-1, 24)
+    assert slots_form((zero, zero, h4), 8, 30) == d_hat(d_hat(Q * Fraction(9, 320)))
+    rng = random.Random(25)
+    for w in (2, 4, 6, 8, 10, 12, 14, 16):
+        f = verify.random_homogeneous(rng, w, min_part=2)
+        assert slots_form(decompose(f).components, w, 40) == bracket_form(f, 40, w)[1], w
+
+
+def test_slots_form_refuses_what_bracket_form_refuses():
+    def outcome(call):
+        try:
+            return call()
+        except (ValueError, InsufficientOrderError) as exc:
+            return type(exc), str(exc)
+
+    for lam in ((), (3,), (4,), (7,), (8,), (13, 3), (16,)):
+        h, n = basis_element(lam), sum(lam)
+        for order in (-1, 0, 9, 10, 13, 18, 19):
+            want = outcome(lambda: bracket_form(h, order, n)[1])
+            assert outcome(lambda: slots_form((h,), n, order)) == want, (lam, order)
 
 
 def test_bracket_form_refuses_a_negative_weight_of_either_parity():

@@ -69,7 +69,9 @@ AT_ORDER_15 = {
     "forms.equivariance": "20 samples, weights <= 8",
     "forms.depth_bound": "6 samples",
     "forms.recognize_roundtrip": "12 samples, weights <= 10",
+    "forms.recognize_oracle": "18 series at even weights <= 10, order 15",
     "forms.modularity_criterion": "8 samples (internal cross-check)",
+    "forms.theorem_path": "20 basis rows and 12 inputs, weights <= 10, order 15",
     "goldens.tables": "20 table rows",
 }
 
@@ -84,3 +86,27 @@ def test_recognizing_suites_check_only_the_admitted_weights(name, order):
         assert detail.startswith("nothing to draw: order 0 admits no "), detail
     else:
         assert detail == AT_ORDER_15[name]
+
+
+@pytest.mark.parametrize(
+    "name, draw, max_weight, detail",
+    [
+        ("forms.equivariance", "random_homogeneous", 4, "20 samples, weights <= 4"),
+        ("forms.equivariance", "random_homogeneous", 1, "nothing to draw: max weight 1 is below 2"),
+        ("forms.depth_bound", "random_harmonic", 8, "6 samples, weights <= 8"),
+        ("forms.depth_bound", "random_harmonic", 5, "nothing to draw: max weight 5 is below 6"),
+    ],
+)
+def test_recognizing_suites_draw_no_weight_above_the_max_weight(monkeypatch, name, draw, max_weight, detail):
+    weights = []
+    real = getattr(verify, draw)
+
+    def recording(rng, weight, *args, **kwargs):
+        weights.append(weight)
+        return real(rng, weight, *args, **kwargs)
+
+    monkeypatch.setattr(verify, draw, recording)
+    ok, got = dict(verify.SUITES)[name](random.Random(verify.DEFAULT_SEED), max_weight, 30)
+    assert ok and got == detail
+    assert max(weights, default=0) <= max_weight
+    assert bool(weights) == (not detail.startswith("nothing to draw"))
