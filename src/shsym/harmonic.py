@@ -3,17 +3,17 @@
 A polynomial f in the Q1-free ring is harmonic when the projection of its
 laplacian vanishes.  Every weight-n element splits uniquely as
 f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `_peel`
-splits off one slot: the g with T(g) = pr laplacian(f), where
-T(g) = pr laplacian(Q2 g), solves a sparse lower-triangular integer system
-by forward substitution, f - Q2 g is the harmonic slot, and g is the
-remainder the next slot is peeled from.  The projected laplacian is a
+splits off one slot: g = T^-1 pr laplacian(f), where
+T(g) = pr laplacian(Q2 g) is inverted in closed form from the sl2 relation
+of Q2 and the projected laplacian, f - Q2 g is the harmonic slot, and g is
+the remainder the next slot is peeled from.  The projected laplacian is a
 closed form in integers over the denominator 8, `_pr_laplacian_image`,
-which builds the rows of T and the right-hand side, and with which
-`decompose` checks each returned slot once.  The operator laplacian is its
-independent reference: `verify.suite_pr_laplacian_oracle` proves the two
-equal on every Q1-free monomial of weight <= `ssym.MAX_WEIGHT`, so on every
-input the CLI admits.  Above that weight a caller checks slots with
-`is_harmonic`; it and the reproduction identity alone load `operators`.
+whose powers build g, and with which `decompose` checks each returned slot
+once.  The operator laplacian is its independent reference:
+`verify.suite_pr_laplacian_oracle` proves the two equal on every Q1-free
+monomial of weight <= `ssym.MAX_WEIGHT`, so on every input the CLI admits.
+Above that weight a caller checks slots with `is_harmonic`; it and the
+reproduction identity alone load `operators`.
 
 The explicit basis of the weight-n harmonic space is indexed by partitions
 of n with all parts >= 3.  Its element h_lambda, the projected Kelvin image
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, lcm
 from typing import Iterable, NamedTuple
 
 from .partitions import Partition, check_partition, count_partitions, enumerate_min_part
@@ -78,6 +78,9 @@ def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     return tuple(SSPoly({Monomial.from_partition(lam): 1}) for lam in enumerate_min_part(n, 2))
 
 
+# Every Q1-free monomial of weight <= ssym.MAX_WEIGHT (627) fits, so a CLI
+# job computes each image it meets once.
+@lru_cache(maxsize=1024)
 def _pr_laplacian_image(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     """pr laplacian(mono) of a Q1-free monomial, as (monomial, numerator)
     pairs over the denominator 8.
@@ -120,73 +123,68 @@ def pr_laplacian(f: SSPoly) -> SSPoly:
     return _linear_numerators(_pr_laplacian_image, f.pr(), 8)
 
 
-_TRow = tuple[Monomial, Monomial, int, tuple[tuple[int, int], ...]]
+def _t_inverse(m: int) -> tuple[Fraction, ...]:
+    """The inverse of T(g) = pr laplacian(Q2 g) on the weight-m slice, in
+    closed form: the floor(m/2) + 1 rationals a_i with
+    T^-1 = sum_i a_i Q2^i Y^i, Y = pr laplacian.
 
-
-# Every weight up to the CLI's cap of 20: `decompose` at weight w solves on
-# each slice of weight <= w - 2, and `basis n` reuses the slice n - 2.
-@lru_cache(maxsize=32)
-def _t_inverse(n: int) -> tuple[_TRow, ...]:
-    """The map T(g) = pr laplacian(Q2 g) on the weight-n slice, as sparse
-    lower-triangular integer rows, numerators over the denominator 8 of
-    `_pr_laplacian_image`, in solve order, one per unknown.
-
-    Unknowns Q_mu are ordered by (len(mu), mu).  Every term of T(Q_mu) other
-    than Q_mu itself has more parts, or as many parts and a lexicographically
-    larger partition, so row i holds the unknown's monomial Q_mu, its
-    product Q2 Q_mu, its nonzero diagonal entry and the (j, entry) pairs of
-    earlier unknowns j < i.  Raises LinearSolveError if that structure fails.
+    On the Q1-free ring, with X the product by Q2 and H the weight minus
+    1/2, [Y, X] = H, as in the sl2 triple of the classical harmonic
+    polynomials.  So the harmonic part of a weight-(m + 2) element f is
+    sum_j c_j X^j Y^j f with c_0 = 1 and c_j = c_(j-1) (-2) / (j (2m + 1 - 2j)),
+    whose factor 2m + 1 - 2j is odd, never zero; f minus it is X T^-1 Y f,
+    and a_i = -c_(i+1).
     """
-    mus = sorted(enumerate_min_part(n, 2), key=lambda mu: (len(mu), mu))
-    monos = [Monomial.from_partition(mu) for mu in mus]
-    shifted = [m.shift({2: 2}) for m in monos]
-    index = {m: i for i, m in enumerate(monos)}
-    entries: list[dict[int, int]] = [{} for _ in monos]
-    for j, m in enumerate(shifted):
-        for mono, c in _pr_laplacian_image(m):
-            i = index[mono]
-            if i < j:
-                raise LinearSolveError("not lower-triangular")
-            entries[i][j] = c
-    rows = []
-    for i, m in enumerate(monos):
-        diagonal = entries[i].pop(i, None)
-        if diagonal is None:
-            raise LinearSolveError("singular")
-        rows.append((m, shifted[i], diagonal, tuple(entries[i].items())))  # j ascending
-    return tuple(rows)
+    coeffs = []
+    den = 1  # c_j = (-2)^j / den
+    for j in range(1, m // 2 + 2):
+        den *= j * (2 * m + 1 - 2 * j)
+        coeffs.append(Fraction(-((-2) ** j), den))
+    return tuple(coeffs)
+
+
+def _times_q2(mono: Monomial, e2: int) -> Monomial:
+    """mono * Q2^(e2/2), e2 > 0, for a Q1-free monomial with non-negative
+    exponents: Q2 is its first generator if it has one, and no exponent
+    check of the Monomial constructor can fail, so the tuple is built
+    directly."""
+    if mono and mono[0][0] == 2:
+        return tuple.__new__(Monomial, ((2, mono[0][1] + e2), *mono[1:]))
+    return tuple.__new__(Monomial, ((2, e2), *mono))
 
 
 def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
     """(h, g): a weight-n element split as f = h + Q2 g, with h the
     harmonic slot, both as elements.
 
-    g solves T(g) = pr laplacian(f) on the weight-(n - 2) rows by forward
-    substitution in integers: with 8 pr laplacian(f) = N / d, the rows
-    R = 8 T solve R y = N and g = y / d, with y kept as integer numerators
-    over one running denominator, which grows only when a division by a
-    diagonal entry is inexact.  Each row carries its monomial times Q2, so
-    -Q2 g is built from the same numerators and added to f.
+    g = T^-1 pr laplacian(f) = sum_i a_i Q2^i Y^(i+1) f, with the a_i of
+    `_t_inverse(n - 2)`.  Each power Y^(i+1) f is kept as integer numerators
+    over 8^(i+1) f.den; g is summed from them over one common denominator,
+    and h = f - Q2 g over the same one.
     """
-    rhs = _linear_numerators(_pr_laplacian_image, f, 1)
-    rows = _t_inverse(n - 2)
-    scale = 1  # y = values / scale
-    values: list[int] = []
-    for mono, _, diagonal, lower in rows:
-        s = rhs.num.get(mono, 0) * scale
-        for j, entry in lower:
-            s -= entry * values[j]
-        q, r = divmod(s, diagonal)
-        if r:
-            step = abs(diagonal) // gcd(s, diagonal)
-            scale *= step
-            values = [v * step for v in values]
-            q = s * step // diagonal
-        values.append(q)
-    den = rhs.den * scale
-    g = SSPoly._make({mono: v for (mono, *_), v in zip(rows, values)}, den)
-    minus_q2g = SSPoly._make({q2_mono: -v for (_, q2_mono, *_), v in zip(rows, values)}, den)
-    return f + minus_q2g, g
+    coeffs = _t_inverse(n - 2)
+    top = len(coeffs)
+    scale = lcm(*(a.denominator for a in coeffs)) << 3 * top  # den / f.den
+    g: dict[Monomial, int] = {}
+    power = f.num
+    for i, a in enumerate(coeffs):
+        nxt: dict[Monomial, int] = {}
+        for mono, s in power.items():
+            for key, c in _pr_laplacian_image(mono):
+                nxt[key] = nxt.get(key, 0) + s * c
+        power = {key: s for key, s in nxt.items() if s}
+        if not power:
+            break
+        weight = a.numerator * scale // (a.denominator << 3 * (i + 1))  # a_i / 8^(i+1)
+        for mono, s in power.items():
+            key = _times_q2(mono, 2 * i) if i else mono
+            g[key] = g.get(key, 0) + weight * s
+    h = {mono: s * scale for mono, s in f.num.items()}
+    for mono, s in g.items():
+        key = _times_q2(mono, 2)
+        h[key] = h.get(key, 0) - s
+    den = f.den * scale
+    return SSPoly._make(h, den), SSPoly._make(g, den)
 
 
 def decompose(f: SSPoly) -> Decomposition:

@@ -582,9 +582,11 @@ _EVAL_WORK_BITS = int(MAX_EVAL_WORK_DIGITS / 0.30103)
 # bracket sums one moment knapsack per distinct Q2-free monomial, so
 # qbracket also bounds their count: at -N 40 its slowest admitted input,
 # the 300 dearest of the Q1-free monomials with parts >= 3 and weights 3 to
-# 32, takes 12 s (all 2,744 knapsacks: 45 s).  decompose certifies its
-# slots with the closed-form laplacian, which verify's pr_laplacian oracle
-# proves on every monomial up to MAX_WEIGHT.
+# 32, takes 12 s (all 2,744 knapsacks: 45 s).  decompose peels its slots
+# with the closed-form inverse of T, which rests on the sl2 relation, and
+# certifies them with the closed-form laplacian; verify's sl2_relation
+# suite and pr_laplacian oracle check both on every monomial up to
+# MAX_WEIGHT.
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify

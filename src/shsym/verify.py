@@ -473,6 +473,21 @@ def suite_pr_laplacian_oracle(rng, max_weight, order):
 # -- harmonic decomposition -----------------------------------------------------
 
 
+def suite_sl2_relation(rng, max_weight, order):
+    """[Y, X] = H on the closed form, with X the product by Q2, Y the
+    projected laplacian and H the weight minus 1/2, on every Q1-free
+    monomial g of weight w <= ssym.MAX_WEIGHT: Y(Q2 g) - Q2 Y(g) = (w - 1/2) g.
+    `harmonic._t_inverse` inverts the peel's map in closed form from it."""
+    q2 = SSPoly.gen(2)
+    count = 0
+    for w in range(MAX_WEIGHT + 1):
+        for g in lambda_star_basis(w):
+            if pr_laplacian(q2 * g) - q2 * pr_laplacian(g) != g * Fraction(2 * w - 1, 2):
+                return False, f"[Y, X] differs from H on {format_poly(g)}"
+            count += 1
+    return True, f"{count} monomials of weight <= {MAX_WEIGHT}"
+
+
 def suite_direct_sum(rng, max_weight, order):
     for n in range(15):
         for b in lambda_star_basis(n):
@@ -497,8 +512,8 @@ def suite_direct_sum(rng, max_weight, order):
 def oracle_t_solve(n: int, rhs: SSPoly) -> SSPoly:
     """The weight-n g with pr laplacian(Q2 g) = rhs, from the dense inverse
     of that map's matrix in the lambda_star_basis(n) coordinates.  The
-    columns come from oracle_delta_n(2)/2, independent of the triangular
-    rows and the forward substitution behind decompose."""
+    columns come from oracle_delta_n(2)/2, independent of the closed-form
+    inverse and the projected laplacian behind decompose."""
     monos = [b.terms()[0][0] for b in lambda_star_basis(n)]
     q2 = SSPoly.gen(2)
     columns = [
@@ -527,7 +542,7 @@ def suite_t_solve_oracle(rng, max_weight, order):
 
 def suite_basis_oracle(rng, max_weight, order):
     """Each basis element equals the projected Kelvin image of delta_lambda
-    on the Kelvin unit, which shares nothing with the triangular solve that
+    on the Kelvin unit, which shares nothing with the closed-form peel that
     builds it; parts 1 and 2 included, where both are zero."""
     seed = kelvin(SSPoly.one())
     top = max(max_weight, 16)
@@ -933,9 +948,10 @@ def suite_depth_bound(rng, max_weight, order):
 
 
 def suite_recognize_roundtrip(rng, max_weight, order):
-    weights = [w for w in range(0, 14, 2) if _recognizable(w, order)]
+    top = min(max_weight, 12)
+    weights = [w for w in range(0, top + 1, 2) if _recognizable(w, order)]
     if not weights:
-        return True, f"nothing to draw: order {order} admits no weight <= 12"
+        return True, f"nothing to draw: order {order} admits no weight <= {top}"
     for trial in range(12):
         w = rng.choice(weights)
         m = random_qmform(rng, w)
@@ -976,12 +992,14 @@ def suite_recognize_oracle(rng, max_weight, order):
 
 
 def suite_modularity_criterion(rng, max_weight, order):
-    weights = [w for w in (2, 4, 6, 8, 10) if _recognizable(w, order)]
+    if max_weight < 2:
+        return True, f"nothing to draw: max weight {max_weight} is below 2"
+    top = min(max_weight, 10)
+    weights = [w for w in range(2, top + 1, 2) if _recognizable(w, order)]
     if not weights:
-        return True, f"nothing to draw: order {order} admits no weight <= 10"
+        return True, f"nothing to draw: order {order} admits no weight <= {top}"
     for trial in range(8):
         w = rng.choice(weights)
-        w = min(w, max_weight - max_weight % 2) or 2
         f = random_homogeneous(rng, w, min_part=2)
         modular, form, dec = is_modular_bracket(f, order)
         # the theorem's decision against the knapsack and recognize
@@ -1054,6 +1072,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("operators.d_op_n_oracle", suite_d_op_n_oracle),
     ("operators.delta_n_oracle", suite_delta_n_oracle),
     ("operators.pr_laplacian_oracle", suite_pr_laplacian_oracle),
+    ("harmonic.sl2_relation", suite_sl2_relation),
     ("harmonic.direct_sum", suite_direct_sum),
     ("harmonic.t_solve_oracle", suite_t_solve_oracle),
     ("harmonic.basis_oracle", suite_basis_oracle),
@@ -1079,20 +1098,15 @@ SUITES: tuple[tuple[str, Suite], ...] = (
 )
 
 
-def run_all(
-    max_weight: int = 10, order: int = 30, seed: int = DEFAULT_SEED, out=None
-) -> bool:
+def run_all(max_weight: int = 10, order: int = 30) -> bool:
     """Run every suite, print one line each, return overall success."""
-    import sys
-
-    out = out or sys.stdout
     all_ok = True
     for name, suite in SUITES:
-        rng = random.Random(seed)
+        rng = random.Random(DEFAULT_SEED)
         try:
             ok, detail = suite(rng, max_weight, order)
         except Exception as exc:  # surfaced as a failing suite, not a crash
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok &= ok
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}", file=out)
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

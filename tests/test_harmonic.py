@@ -189,41 +189,7 @@ def test_unusual_identity_on_random_harmonics():
         assert unusual_identity_check(h, n)
 
 
-def _solve_key(mono):
-    mu = mono.partition()
-    return (len(mu), mu)
-
-
-def test_t_is_lower_triangular_with_nonzero_diagonal():
-    from shsym.harmonic import _t_inverse
-
-    # every weight a decompose input of weight <= 20 (the CLI cap) needs
-    for n in range(19):
-        monos = [b.terms()[0][0] for b in lambda_star_basis(n)]
-        for m in monos:
-            image = laplacian(Q2 * SSPoly({m: 1})).pr()
-            assert image.coeff(m) != 0, (n, m)
-            assert all(_solve_key(t) > _solve_key(m) for t, _ in image.terms() if t != m), (n, m)
-        rows = _t_inverse(n)
-        assert len(rows) == len(monos) and {row[0] for row in rows} == set(monos)
-        keys = [_solve_key(row[0]) for row in rows]
-        assert keys == sorted(keys)
-        for i, (m, q2_m, diagonal, lower) in enumerate(rows):
-            assert q2_m == m.shift({2: 2})
-            assert diagonal != 0
-            assert all(j < i and c != 0 for j, c in lower)
-        # the integer rows are 8 T, column by column, against the operator
-        for j, (m, _, _, _) in enumerate(rows):
-            column = {
-                rows[i][0]: Fraction(c, 8)
-                for i, (_, _, diagonal, lower) in enumerate(rows)
-                for k, c in ((i, diagonal),) + lower
-                if k == j
-            }
-            assert laplacian(Q2 * SSPoly({m: 1})).pr() == SSPoly(column), (n, m)
-
-
-def test_triangular_solve_matches_dense_inverse():
+def test_closed_form_peel_matches_dense_inverse():
     from shsym.harmonic import _peel
     from shsym.verify import oracle_t_solve
 
@@ -245,9 +211,10 @@ def test_decompose_raises_on_a_perturbed_peel(monkeypatch):
     f = parse_poly("Q4^2 + Q2*Q3^2 - 2*Q2^4")
     t_inverse = harmonic._t_inverse
 
-    def perturbed(n):
-        # every diagonal entry off by one: each solved value is wrong
-        return tuple((m, q2_m, d + 1, lower) for m, q2_m, d, lower in t_inverse(n))
+    def perturbed(m):
+        # the coefficient of Y in T^-1 off by one: g is wrong
+        first, *rest = t_inverse(m)
+        return (first + 1, *rest)
 
     monkeypatch.setattr(harmonic, "_t_inverse", perturbed)
     h, g = harmonic._peel(f, 8)
@@ -270,7 +237,9 @@ def test_basis_element_equals_the_kelvin_composition():
 
 def test_harmonic_caches_are_bounded_and_cover_the_cli_caps():
     from shsym.cli import MAX_WEIGHT
-    from shsym.harmonic import _t_inverse
+    from shsym.harmonic import _pr_laplacian_image
 
-    # decompose at weight w solves on the slices of weight <= w - 2
-    assert _t_inverse.cache_info().maxsize > MAX_WEIGHT - 2
+    # a CLI job meets only Q1-free monomials of weight <= MAX_WEIGHT: every
+    # one of them fits, so no job computes an image twice
+    monomials = sum(len(lambda_star_basis(w)) for w in range(MAX_WEIGHT + 1))
+    assert monomials <= _pr_laplacian_image.cache_info().maxsize < 4 * monomials

@@ -100,7 +100,7 @@ def test_polynomials_stay_in_lowest_terms():
         results = [a + b, a - b, a - a, -a, a * b, a * c, c * b, a * 6, a / c, a.pr(), pr_laplacian(a)]
         results += [x + y, x - y, x - x, -x, x * y, x * c, c * y, x * 6, x / c, frak_d(x)]
         results += [*a.weight_components().values(), *x.weight_components().values(), *_peel(f, n)]
-        results += _peel(Q2 * c, 2)  # the one negative diagonal entry, -4 at weight 0
+        results += _peel(Q2 * c, 2)  # T^-1 = -2 at weight 0: pr laplacian(Q2) = -1/2
         results.append(recognize(q_bracket(f, 30), n))
         for g in results:
             assert _in_lowest_terms(g), repr(g)

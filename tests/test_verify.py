@@ -63,8 +63,9 @@ def test_weighted_draws_pass_when_nothing_is_drawable(max_weight):
         assert ok and detail == f"nothing to draw: max weight {max_weight} is below 2"
 
 
-# At the defaults (max weight 10) these suites recognize at weights up to 12;
-# below order 16 they check only the weights check_recognizable admits.
+# At the defaults (max weight 10) these suites recognize at weights up to 10,
+# which order 15 admits (weight 12 needs order 16); they check only the
+# weights check_recognizable admits, so none at order 0.
 AT_ORDER_15 = {
     "forms.equivariance": "20 samples, weights <= 8",
     "forms.depth_bound": "6 samples",
@@ -95,6 +96,11 @@ def test_recognizing_suites_check_only_the_admitted_weights(name, order):
         ("forms.equivariance", "random_homogeneous", 1, "nothing to draw: max weight 1 is below 2"),
         ("forms.depth_bound", "random_harmonic", 8, "6 samples, weights <= 8"),
         ("forms.depth_bound", "random_harmonic", 5, "nothing to draw: max weight 5 is below 6"),
+        ("forms.recognize_roundtrip", "random_qmform", 4, "12 samples, weights <= 4"),
+        ("forms.recognize_roundtrip", "random_qmform", 0, "12 samples, weights <= 0"),
+        ("forms.modularity_criterion", "random_homogeneous", 4,
+         "8 samples, weights <= 4 (internal cross-check)"),
+        ("forms.modularity_criterion", "random_homogeneous", 1, "nothing to draw: max weight 1 is below 2"),
     ],
 )
 def test_recognizing_suites_draw_no_weight_above_the_max_weight(monkeypatch, name, draw, max_weight, detail):
