@@ -8,11 +8,11 @@ failure, 2 usage or parse error.
 Each process runs one subcommand, so this module imports only the ring
 (`ssym`) and the partitions at its top, and each subcommand imports the
 layers it runs: eval nothing more, basis and decompose the harmonic layer,
-which certifies its slots with its own closed-form laplacian, qbracket and
-recognize the series and recognition, tables the harmonic layer, the
-series and recognition, and verify its suites and oracles as well, the
-operator algebra among them.  JSON is written here, so no subcommand loads
-`json`.
+which certifies its slots with its own closed-form laplacian, recognize
+the series and recognition, qbracket and tables the harmonic layer as well
+(qbracket for an even-weight component only), and verify its suites and
+oracles too, the operator algebra among them.  JSON is written here, so
+no subcommand loads `json`.
 """
 
 from __future__ import annotations

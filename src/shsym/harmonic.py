@@ -11,9 +11,9 @@ closed form in integers over the denominator 8, `_pr_laplacian_image`,
 whose powers build g, and with which `decompose` checks each returned slot
 once.  The operator laplacian is its independent reference:
 `verify.suite_pr_laplacian_oracle` proves the two equal on every Q1-free
-monomial of weight <= `ssym.MAX_WEIGHT`, so on every input the CLI admits.
-Above that weight a caller checks slots with `is_harmonic`; it and the
-reproduction identity alone load `operators`.
+monomial a CLI job can meet, so on every input the CLI admits.  Elsewhere
+a caller checks slots with `is_harmonic`; it and the reproduction
+identity alone load `operators`.
 
 The explicit basis of the weight-n harmonic space is indexed by partitions
 of n with all parts >= 3.  Its element h_lambda, the projected Kelvin image
@@ -78,9 +78,9 @@ def lambda_star_basis(n: int) -> tuple[SSPoly, ...]:
     return tuple(SSPoly({Monomial.from_partition(lam): 1}) for lam in enumerate_min_part(n, 2))
 
 
-# Every Q1-free monomial of weight <= ssym.MAX_WEIGHT (627) fits, so a CLI
-# job computes each image it meets once.
-@lru_cache(maxsize=1024)
+# All 4,889 Q1-free monomials a CLI job can meet (verify.proof_monomials)
+# fit, in about 18 MB, so a job computes each image once.
+@lru_cache(maxsize=5120)
 def _pr_laplacian_image(mono: Monomial) -> tuple[tuple[Monomial, int], ...]:
     """pr laplacian(mono) of a Q1-free monomial, as (monomial, numerator)
     pairs over the denominator 8.
@@ -207,7 +207,7 @@ def decompose(f: SSPoly) -> Decomposition:
     # keeps weights apart, so a slot is harmonic exactly when each part is:
     # one check per returned slot certifies every peel.  verify's
     # pr_laplacian oracle proves the closed form equal to the operator
-    # laplacian on every monomial of weight <= ssym.MAX_WEIGHT.
+    # laplacian on every monomial the CLI meets.
     if dec.reconstruct() != f or not all(pr_laplacian(h).is_zero for h in dec.components):
         raise LinearSolveError("inconsistent")  # impossible unless buggy
     return dec

@@ -2,12 +2,12 @@
 generators P (weight 2), Q (weight 4) and R (weight 6).
 
 Depth is the degree in P; the depth-0 elements are the modular ones.
-Recognition identifies a truncated q-series as the unique weight-k
-combination of generator monomials, with an overdetermination margin that
-certifies the result at the stated order.  The bracket of a harmonic
-element is modular (the source paper's theorem), so `slots_form` solves
-each harmonic slot in the modular forms of its weight from the Sturm
-prefix of its bracket instead.
+The bracket of a harmonic element is modular (the source paper's
+theorem), so `slots_form` solves each harmonic slot in the modular forms
+of its weight from the Sturm prefix of its bracket, and every bracket
+takes its form from it.  Recognition identifies a truncated q-series as
+the unique weight-k combination of generator monomials, with an
+overdetermination margin that certifies the result at the stated order.
 """
 
 from __future__ import annotations
@@ -121,11 +121,10 @@ def _check_order(k: int, order: int) -> None:
 # columns of its own as the oracle.
 
 
-# A CLI request recognizes at one order, at the even weights <= 32 it admits
-# (17 at most), or, in `tables`, solves each even weight <= 16 at its own
-# Sturm order k // 12 + 1 (9 entries at most).  verify recognizes at the
-# run's order and at 40 and expands at 100, and solves at the Sturm orders:
-# at most 3 * 17 + 9 = 60 entries.
+# A CLI request recognizes or expands at one order, at the even weights <= 32
+# it admits (17 at most), and solves each even slot weight at its own Sturm
+# order k // 12 + 1 (17 more).  verify also recognizes at the run's order
+# and at 40, and expands at 100 and 200, at fewer weights.
 @lru_cache(maxsize=64)
 def _columns(k: int, order: int) -> dict[Triple, tuple[int, ...]]:
     """The integer coefficients of P^a Q^b R^c to `order`, keyed by the
@@ -249,21 +248,20 @@ def w_hat(m: QMForm) -> QMForm:
 def bracket_form(
     f: SSPoly, order: int, weight: int | None = None
 ) -> tuple[QSeries, QMForm]:
-    """Partition average of f and the form it is recognized as.
+    """Partition average of f to `order` and its form.
 
-    Conjugating partitions maps Q_k to (-1)^k Q_k, so an odd-weight
-    component of f brackets to the zero series and is not summed.  Without
-    `weight`, each even-weight component is bracketed once and recognized at
-    its own weight; the series is the sum of their series.  With `weight`,
-    the bracket of the even part of f is recognized at that weight.  An odd
-    weight must give the zero series, and a negative one is refused
-    whatever its parity.
+    The form is, by the source paper's theorem, the sum over the even-weight
+    components f_w of slots_form of the harmonic slots of pr(f_w), and the
+    series is its expansion.  Conjugating partitions maps Q_k to (-1)^k Q_k,
+    so an odd-weight component brackets to zero.  With `weight`, the series
+    is recognized at that weight instead: an odd weight must give the zero
+    series, and a negative one is refused whatever its parity.
     """
     if weight is not None and weight < 0:
         raise ValueError("recognition weight must be non-negative")
-    # Check every weight before bracketing any: input q_bracket rejects is
+    # Check every weight before solving any: input q_bracket rejects is
     # reported as such rather than as a recognition failure, and a weight
-    # too large for the order is refused before its series is summed.  An
+    # too large for the order is refused before its slots are solved.  An
     # odd weight is bounded as the even weight below it would be.  The
     # weights of f are bounded even when another weight is declared, so
     # that a refusal does not depend on which of them are summed.
@@ -271,16 +269,18 @@ def bracket_form(
     components = f.weight_components()
     for w in ([] if weight is None else [weight]) + list(components):
         _check_order(w, order)
-    even = {w: fw for w, fw in components.items() if w % 2 == 0}
-    parts = even if weight is None else {weight: sum(even.values(), SSPoly.zero())}
-    series, form = QSeries.zero(order), QMForm.zero()
-    for w, fw in parts.items():
-        s = q_bracket(fw, order)
-        if w % 2 == 0:
-            form = form + recognize(s, w)
-        elif not s.is_zero:
-            raise RecognitionError(f"odd weight {w} requires a vanishing series")
-        series = series + s
+    even = {w: fw.pr() for w, fw in components.items() if w % 2 == 0}
+    form = QMForm.zero()
+    if any(not fw.is_zero for fw in even.values()):
+        from .harmonic import decompose  # odd components need no slots
+
+        for w, fw in even.items():
+            form = form + slots_form(decompose(fw).components, w, order)
+    series = expand(form, order)
+    if weight is not None and weight % 2 and not series.is_zero:
+        raise RecognitionError(f"odd weight {weight} requires a vanishing series")
+    if weight is not None:
+        form = recognize(series, weight) if weight % 2 == 0 else QMForm.zero()
     return series, form
 
 

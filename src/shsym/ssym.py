@@ -578,15 +578,13 @@ _EVAL_WORK_BITS = int(MAX_EVAL_WORK_DIGITS / 0.30103)
 
 # Request-size limits of the command line, which imports them; a request
 # over one is a usage error.  At the largest sizes they admit, the slowest
-# request is verify --max-weight 16 -N 40, in 30 s on a 2-vCPU host.  A
-# bracket sums one moment knapsack per distinct Q2-free monomial, so
-# qbracket also bounds their count: at -N 40 its slowest admitted input,
-# the 300 dearest of the Q1-free monomials with parts >= 3 and weights 3 to
-# 32, takes 12 s (all 2,744 knapsacks: 45 s).  decompose peels its slots
-# with the closed-form inverse of T, which rests on the sl2 relation, and
-# certifies them with the closed-form laplacian; verify's sl2_relation
-# suite and pr_laplacian oracle check both on every monomial up to
-# MAX_WEIGHT.
+# request is verify --max-weight 16 -N 40, in 30 s on a 2-vCPU host.
+# qbracket decomposes each even-weight component into harmonic slots and
+# bounds the distinct Q2-free monomials of its input: at -N 40 the slowest
+# admitted input measured (300 of them, each times every power of Q2 up to
+# weight 32) takes 1.7 s.  The slots are peeled with the closed-form
+# inverse of T, from the sl2 relation, and certified with the closed-form
+# laplacian; verify proves both on every Q1-free monomial a CLI job meets.
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify

@@ -67,7 +67,7 @@ from .quasimodular import (
     w_hat,
 )
 from .reference import even_rows, rows_up_to
-from .ssym import MAX_WEIGHT, Monomial, SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
+from .ssym import MAX_ORDER, MAX_WEIGHT, Monomial, SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
 
 DEFAULT_SEED = 1729
 
@@ -453,21 +453,33 @@ def suite_delta_n_oracle(rng, max_weight, order):
     return True, f"orders <= 5 on {len(samples)} samples, {len(rows)} table rows rebuilt"
 
 
+def proof_monomials() -> tuple[list[SSPoly], str]:
+    """Every Q1-free monomial a CLI job can meet, in ascending weight, and
+    their description: `basis` and `decompose` admit each weight <=
+    ssym.MAX_WEIGHT, and `qbracket` decomposes its even-weight components up
+    to the largest even weight it admits at ssym.MAX_ORDER."""
+    top = 0
+    while _recognizable(top + 2, MAX_ORDER):
+        top += 2
+    weights = sorted(set(range(MAX_WEIGHT + 1)).union(range(0, top + 1, 2)))
+    monomials = [b for w in weights for b in lambda_star_basis(w)]
+    return monomials, f"{len(monomials)} monomials of weight <= {MAX_WEIGHT} or of even weight <= {top}"
+
+
 def suite_pr_laplacian_oracle(rng, max_weight, order):
     """The closed form against the operator laplacian on Laurent samples
-    and, at any --max-weight, on every Q1-free monomial of weight <=
-    ssym.MAX_WEIGHT: by linearity, a proof on every input the CLI admits,
-    on which `decompose` certifies its slots with the closed form."""
+    and, at any --max-weight, on every monomial of `proof_monomials`: by
+    linearity, a proof on every input the CLI admits, on which `decompose`
+    certifies its slots with the closed form."""
     samples = [SSPoly.zero(), kelvin(SSPoly.one())]
     samples.append(parse_poly("Q1^2*Q2^(-3/2)*Q3 - 2/3*Q1*Q2^(5/2) + Q4"))
     # rational coefficients, Q1 terms, extra Q2 powers in {-3, -5/2, ..., 3}
     samples += [random_laurent(rng, min(max_weight, 8)) for _ in range(40)]
-    top = MAX_WEIGHT
-    monomials = [b for w in range(top + 1) for b in lambda_star_basis(w)]
+    monomials, proof = proof_monomials()
     for f in samples + monomials:
         if pr_laplacian(f) != laplacian(f).pr():
             return False, f"closed form differs from the projected laplacian on {format_poly(f)}"
-    return True, f"{len(samples)} samples, {len(monomials)} monomials of weight <= {top}"
+    return True, f"{len(samples)} samples, {proof}"
 
 
 # -- harmonic decomposition -----------------------------------------------------
@@ -475,17 +487,15 @@ def suite_pr_laplacian_oracle(rng, max_weight, order):
 
 def suite_sl2_relation(rng, max_weight, order):
     """[Y, X] = H on the closed form, with X the product by Q2, Y the
-    projected laplacian and H the weight minus 1/2, on every Q1-free
-    monomial g of weight w <= ssym.MAX_WEIGHT: Y(Q2 g) - Q2 Y(g) = (w - 1/2) g.
+    projected laplacian and H the weight minus 1/2, on every monomial g of
+    `proof_monomials`, of weight w: Y(Q2 g) - Q2 Y(g) = (w - 1/2) g.
     `harmonic._t_inverse` inverts the peel's map in closed form from it."""
     q2 = SSPoly.gen(2)
-    count = 0
-    for w in range(MAX_WEIGHT + 1):
-        for g in lambda_star_basis(w):
-            if pr_laplacian(q2 * g) - q2 * pr_laplacian(g) != g * Fraction(2 * w - 1, 2):
-                return False, f"[Y, X] differs from H on {format_poly(g)}"
-            count += 1
-    return True, f"{count} monomials of weight <= {MAX_WEIGHT}"
+    monomials, proof = proof_monomials()
+    for g in monomials:
+        if pr_laplacian(q2 * g) - q2 * pr_laplacian(g) != g * Fraction(2 * g.weight() - 1, 2):
+            return False, f"[Y, X] differs from H on {format_poly(g)}"
+    return True, proof
 
 
 def suite_direct_sum(rng, max_weight, order):
@@ -694,6 +704,22 @@ def oracle_brackets(polys: list[SSPoly], order: int) -> list[QSeries]:
     ]
 
 
+def oracle_bracket_form(f: SSPoly, order: int) -> tuple[QSeries, QMForm]:
+    """The bracket of f by the knapsack to `order` and the form recognize
+    finds, one weight component at a time: the oracle of bracket_form that
+    does not assume the paper's theorem.  Each odd-weight component must
+    bracket to zero, or RecognitionError is raised."""
+    series, form = QSeries.zero(order), QMForm.zero()
+    for w, fw in f.weight_components().items():
+        s = q_bracket(fw, order)
+        if w % 2 == 0:
+            form = form + recognize(s, w)
+        elif not s.is_zero:
+            raise RecognitionError(f"odd weight {w} does not bracket to zero")
+        series = series + s
+    return series, form
+
+
 def suite_euler_product(rng, max_weight, order):
     n = min(order, 40)
     gf = partition_gf(n)
@@ -795,7 +821,7 @@ def suite_expansion_at_100(rng, max_weight, order):
     cases = [(expr, parse_poly(expr), None) for expr in exprs]
     cases += [(lam, basis_element(lam), sum(lam)) for lam in drawn]
     for label, f, weight in cases:
-        _, form = bracket_form(f, 40)
+        _, form = oracle_bracket_form(f, 40)
         want = q_bracket(f, 100)
         if expand(form, 100) != want:
             return False, f"bracket of {label} to order 100 differs from the form recognized at 40"
@@ -1003,9 +1029,9 @@ def suite_modularity_criterion(rng, max_weight, order):
         f = random_homogeneous(rng, w, min_part=2)
         modular, form, dec = is_modular_bracket(f, order)
         # the theorem's decision against the knapsack and recognize
-        _, want = bracket_form(f, order, w)
+        want = recognize(q_bracket(f, order), w)
         if form != want or modular != (depth(want) == 0):
-            return False, f"form or depth differs from bracket_form on {format_poly(f)}"
+            return False, f"form or depth differs from the knapsack on {format_poly(f)}"
         if modular != all(q_bracket(h, order).is_zero for h in dec.components[1:]):
             return False, f"modularity disagrees with the tail slot brackets on {format_poly(f)}"
     covered = "" if len(weights) == 5 else f", weights <= {weights[-1]}"
@@ -1014,7 +1040,7 @@ def suite_modularity_criterion(rng, max_weight, order):
 
 def suite_theorem_path(rng, max_weight, order):
     """slots_form, from the source paper's theorem and the Sturm bound,
-    against the knapsack to the run's order and recognize (bracket_form):
+    against the knapsack to the run's order and recognize:
     on every basis row of weight <= max_weight, each its own slot, and on
     seeded Q1-free inputs of even weight split by decompose."""
     # an odd weight is admitted as the even weight below it
@@ -1024,16 +1050,42 @@ def suite_theorem_path(rng, max_weight, order):
     rows = [lam for w in weights for lam in enumerate_min_part(w, 3)]
     for lam in rows:
         h, n = basis_element(lam), sum(lam)
-        if slots_form((h,), n, order) != bracket_form(h, order, n)[1]:
+        if slots_form((h,), n, order) != oracle_bracket_form(h, order)[1]:
             return False, f"theorem path differs from the knapsack at basis row {lam}"
     even = [w for w in weights if w % 2 == 0 and w >= 2]
     samples = 12 if even else 0
     for trial in range(samples):
         w = rng.choice(even)
         f = random_homogeneous(rng, w, min_part=2)
-        if slots_form(decompose(f).components, w, order) != bracket_form(f, order, w)[1]:
+        if slots_form(decompose(f).components, w, order) != recognize(q_bracket(f, order), w):
             return False, f"theorem path differs from the knapsack on {format_poly(f)}"
     return True, f"{len(rows)} basis rows and {samples} inputs, weights <= {weights[-1]}, order {order}"
+
+
+def suite_bracket_form_oracle(rng, max_weight, order):
+    """bracket_form, whose form comes from the paper's theorem and whose
+    series is its expansion, against the knapsack and recognize
+    (oracle_bracket_form) at orders 100 and 200, past every enumerating
+    oracle.  Each seeded input sums a monomial of weight 22..26 with two
+    generators above Q2, one of even weight <= 20 and one of odd weight,
+    each with up to three factors Q2, and the first times Q1."""
+
+    def draw(w: int, parts: int) -> tuple[int, ...]:
+        j = rng.randint(0, min(3, (w - 3) // 2))
+        return rng.choice([p for p in enumerate_min_part(w - 2 * j, 3) if len(p) == parts]) + (2,) * j
+
+    inputs = []
+    for trial in range(3):
+        heavy = draw(rng.choice((22, 24, 26)), 2)
+        lams = (heavy, draw(rng.randrange(4, 21, 2), 1), draw(rng.randrange(3, 22, 2), 1), heavy + (1,))
+        coeffs = (Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in lams)
+        inputs.append(SSPoly({Monomial.from_partition(lam): c for lam, c in zip(lams, coeffs)}))
+    for f in inputs:
+        for n in (100, 200):
+            if bracket_form(f, n) != oracle_bracket_form(f, n):
+                return False, f"bracket_form differs from the knapsack at order {n} on {format_poly(f)}"
+    top = max(w for f in inputs for w in f.weight_components())
+    return True, f"{len(inputs)} inputs of weights <= {top}, orders 100 and 200"
 
 
 def suite_golden_tables(rng, max_weight, order):
@@ -1094,6 +1146,7 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("forms.recognize_oracle", suite_recognize_oracle),
     ("forms.modularity_criterion", suite_modularity_criterion),
     ("forms.theorem_path", suite_theorem_path),
+    ("forms.bracket_form_oracle", suite_bracket_form_oracle),
     ("goldens.tables", suite_golden_tables),
 )
 

@@ -25,7 +25,7 @@ from shsym.linalg import matrix_rank
 from shsym.operators import d_op_n, delta_lambda, laplacian
 from shsym.partitions import count_partitions, enumerate_partitions
 from shsym.qseries import q_bracket
-from shsym.quasimodular import QMForm, bracket_form, depth, is_modular_bracket, recognize
+from shsym.quasimodular import QMForm, depth, is_modular_bracket, recognize
 from shsym.reference import even_rows, rows_up_to
 from shsym.ssym import Monomial, SSPoly, parse_poly
 from shsym.verify import random_element, random_homogeneous
@@ -93,7 +93,8 @@ def test_criterion_07_modularity_criterion():
         w = 2 * (trial % 5) + 2
         f = random_homogeneous(rng, w, min_part=2)
         modular, form, dec = is_modular_bracket(f, ORDER)
-        assert form == bracket_form(f, ORDER, w)[1]
+        # the theorem's form against the knapsack and recognize
+        assert form == recognize(q_bracket(f, ORDER), w)
         tail_zero = all(q_bracket(h, ORDER).is_zero for h in dec.components[1:])
         assert modular == (depth(form) == 0) == tail_zero
     print("criterion 7: PASS (20 seeded samples, even weights <= 10)")

@@ -27,7 +27,13 @@ def _traced(tmp_path, *cli_args):
 def test_traced_job_runs_a_bracket(tmp_path):
     out, report = _traced(tmp_path, "qbracket", "Q4", "-N", "12")
     assert out.splitlines()[-1] == "1/1152*P^2 + 1/2880*Q"
-    assert report["calls"]["qseries.q_bracket"] == 1
+    # Q4 = h_0 + Q2^2 h_2 (no harmonic weight 2): each nonzero slot is
+    # bracketed to its Sturm prefix, the form is expanded once to -N, and
+    # nothing is bracketed to -N or recognized
+    assert report["calls"]["harmonic.decompose"] == 1
+    assert report["calls"]["qseries.q_bracket"] == 2
+    assert report["calls"]["quasimodular.expand"] == 1
+    assert "quasimodular.recognize" not in report["calls"]
     # a table brackets its two even rows, () and (4), each to its Sturm
     # prefix through quasimodular's own reference to q_bracket, and solves
     # them without recognize; the oracle-only linalg names are rebound too

@@ -688,7 +688,10 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
     for argv, want in (
         ((), ["shsym"]),  # the bare package loads no module
         (("eval", "Q3*Q2", "(2,1)", "--format", "json"), base),
-        (("qbracket", "Q4", "-N", "12", "--format", "json"), base + forms),
+        # an even component is decomposed into harmonic slots; odd ones
+        # bracket to zero and need no slots
+        (("qbracket", "Q4", "-N", "12", "--format", "json"), base + harmonic + forms),
+        (("qbracket", "Q3+Q1*Q4", "-N", "12"), base + forms),
         (("recognize", "1" + " 0" * 10, "--weight", "0"), base + forms),
         (("basis", "8", "--format", "latex"), base + harmonic),
         # the closed form certifies each returned slot, so no operators
@@ -866,20 +869,25 @@ def test_decompose_json_equals_json_dumps(capsys):
 def test_forms_json_equals_json_dumps(capsys):
     from shsym.harmonic import basis_element
     from shsym.partitions import enumerate_min_part
-    from shsym.qseries import QSeries
-    from shsym.quasimodular import bracket_form, recognize
+    from shsym.qseries import QSeries, q_bracket
+    from shsym.quasimodular import QMForm, recognize
     from shsym.ssym import parse_poly
+
+    # the forms by the knapsack and recognize; an odd weight brackets to zero
+    def form_of(series, weight):
+        return recognize(series, weight) if weight % 2 == 0 else QMForm.zero()
 
     rows = []
     for n in range(7):
         for lam in enumerate_min_part(n, 3):
             h = basis_element(lam)
-            form = bracket_form(h, 30, n)[1]
+            form = form_of(q_bracket(h, 30), n)
             rows.append({"lambda": list(lam), "h": _terms_json(h), "q_bracket": _form_terms_json(form)})
     _assert_prints_json(capsys, rows, "tables", "--format", "json", "--max-weight", "6")
 
-    for expr in ("Q3^2 + 1/2*Q2*Q4", "Q3"):
-        series, form = bracket_form(parse_poly(expr), 14)
+    for expr, weight in (("Q3^2 + 1/2*Q2*Q4", 6), ("Q3", 3)):
+        series = q_bracket(parse_poly(expr), 14)
+        form = form_of(series, weight)
         payload = {
             "series": {"order": series.order, "coefficients": [str(c) for c in series.coeffs]},
             "q_bracket": _form_terms_json(form),

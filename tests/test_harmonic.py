@@ -236,10 +236,12 @@ def test_basis_element_equals_the_kelvin_composition():
 
 
 def test_harmonic_caches_are_bounded_and_cover_the_cli_caps():
-    from shsym.cli import MAX_WEIGHT
     from shsym.harmonic import _pr_laplacian_image
+    from shsym.verify import proof_monomials
 
-    # a CLI job meets only Q1-free monomials of weight <= MAX_WEIGHT: every
-    # one of them fits, so no job computes an image twice
-    monomials = sum(len(lambda_star_basis(w)) for w in range(MAX_WEIGHT + 1))
-    assert monomials <= _pr_laplacian_image.cache_info().maxsize < 4 * monomials
+    # a CLI job meets only the Q1-free monomials on which verify proves the
+    # closed forms, of weight <= MAX_WEIGHT or of an even weight qbracket
+    # decomposes: every one of them fits, so no job computes an image twice
+    monomials = len(proof_monomials()[0])
+    assert monomials == 4889
+    assert monomials <= _pr_laplacian_image.cache_info().maxsize < 2 * monomials

@@ -301,10 +301,12 @@ def test_pr_laplacian_is_the_projected_laplacian():
     assert pr_laplacian(Q1 * Q4 + Q1**2).is_zero  # the laplacian commutes with Q1
     assert pr_laplacian(parse_poly("Q2^(3/2)")).is_zero  # the Kelvin unit is harmonic
     # against the projected operator on Laurent samples with Q1 powers and,
-    # at every --max-weight, on all p(MAX_WEIGHT) Q1-free monomials of weight
-    # <= MAX_WEIGHT: a proof for every input the CLI admits, which a raised
-    # cap must extend
-    proof = f"{count_partitions(cli.MAX_WEIGHT)} monomials of weight <= {cli.MAX_WEIGHT}"
+    # at every --max-weight, on the p(MAX_WEIGHT) = 627 Q1-free monomials of
+    # weight <= MAX_WEIGHT and the 4,262 of even weight 22..32, the even
+    # weights qbracket decomposes at MAX_ORDER: a proof for every input the
+    # CLI admits, which a raised cap must extend
+    assert count_partitions(cli.MAX_WEIGHT) == 627
+    proof = f"{627 + 4262} monomials of weight <= {cli.MAX_WEIGHT} or of even weight <= 32"
     for seed, max_weight in ((1, 18), (2, 18), (1, 0)):
         ok, detail = suite_pr_laplacian_oracle(random.Random(seed), max_weight, 30)
         assert ok and detail.endswith(proof), detail

@@ -113,12 +113,12 @@ def test_polynomials_read_out_the_same_fractions():
     # the terms, Fraction types included, pinned by a digest of their repr
     # from when every coefficient was stored as a Fraction
     from shsym.harmonic import decompose, harmonic_basis
-    from shsym.quasimodular import bracket_form
+    from shsym.quasimodular import recognize
 
     got = [(lam, h.terms()) for lam, h in harmonic_basis(12).elements.items()]
     got += [h.terms() for h in decompose(parse_poly("5/3*Q4*Q12 + 4/5*Q2^2*Q3^2*Q6 + 4/3*Q16 - 1*Q2^8")).components]
-    for e in ("Q4^2", "Q3^2 - 1/2*Q2*Q4", "Q6 + 1/3*Q2^3 - 5/7*Q3^2"):
-        got.append(bracket_form(parse_poly(e), 30)[1].terms())
+    for e, w in (("Q4^2", 8), ("Q3^2 - 1/2*Q2*Q4", 6), ("Q6 + 1/3*Q2^3 - 5/7*Q3^2", 6)):
+        got.append(recognize(q_bracket(parse_poly(e), 30), w).terms())
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
     assert digest == "064bd04a3b7ab7d619cb91c249fa41cfc29a409d401437d2268d8eef40375602"
 

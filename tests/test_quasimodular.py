@@ -342,7 +342,7 @@ def test_slots_form_raises_each_tail_slot_by_d_hat():
     rng = random.Random(25)
     for w in (2, 4, 6, 8, 10, 12, 14, 16):
         f = verify.random_homogeneous(rng, w, min_part=2)
-        assert slots_form(decompose(f).components, w, 40) == bracket_form(f, 40, w)[1], w
+        assert slots_form(decompose(f).components, w, 40) == recognize(q_bracket(f, 40), w), w
 
 
 def test_slots_form_refuses_what_bracket_form_refuses():
@@ -356,6 +356,8 @@ def test_slots_form_refuses_what_bracket_form_refuses():
         h, n = basis_element(lam), sum(lam)
         for order in (-1, 0, 9, 10, 13, 18, 19):
             want = outcome(lambda: bracket_form(h, order, n)[1])
+            if isinstance(want, QMForm):  # admitted: the form by the knapsack and recognize
+                want = recognize(q_bracket(h, order), n) if n % 2 == 0 else QMForm.zero()
             assert outcome(lambda: slots_form((h,), n, order)) == want, (lam, order)
 
 
