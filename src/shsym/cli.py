@@ -32,6 +32,7 @@ from .ssym import (
     MAX_TABLE_WEIGHT,
     MAX_WEIGHT,
     InsufficientOrderError,
+    Monomial,
     ParseError,
     RecognitionError,
     SSPoly,
@@ -182,12 +183,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_qbracket(args) -> int:
-    from .qseries import knapsack_count
     from .quasimodular import bracket_form, format_qmform, format_qmform_latex
 
     _check_limit("order", args.order, MAX_ORDER)
     f = parse_poly(_read_expr(args.expr))
-    _check_limit("number of distinct Q2-free monomials", knapsack_count(f), MAX_BRACKET_MONOMIALS)
+    q2_free = {Monomial(t for t in mono if t[0] != 2) for mono in f.pr().num}
+    _check_limit("number of distinct Q2-free monomials", len(q2_free), MAX_BRACKET_MONOMIALS)
     series, form = bracket_form(f, args.order, args.weight)
     if args.format == "json":
         _print_json({"series": _series_json(series), "q_bracket": _form_json(form)})

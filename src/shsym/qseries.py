@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Union
 
-from .partitions import count_partitions, pentagonal_terms
-from .ssym import Monomial, SSPoly, beta, format_signed_sum
+from .partitions import count_partitions, enumerate_partitions, pentagonal_terms
+from .ssym import SSPoly, beta, eval_qk, format_signed_sum
 
 Scalar = Union[int, Fraction]
 
@@ -174,148 +174,6 @@ def d_series(a: QSeries) -> QSeries:
     return QSeries([n * c for n, c in enumerate(a.num)], den=a.den)
 
 
-# The bracket numerator is summed in integers over Frobenius coordinates.
-# A partition of n has d arms x_1 > ... > x_d and d legs y_1 > ... > y_d,
-# doubled (x = 2a + 1, y = 2b + 1, all odd), with sum x + sum y = 2n.  For
-# a generator Q_k with k != 2, Q_k(lambda) = beta_k + S_k / (2^(k-1) (k-1)!)
-# with S_k = A_k + (-1)^k B_k, A_k = sum x^(k-1), B_k = sum y^(k-1), so
-# D_k Q_k(lambda) is an integer for D_k = lcm(den beta_k, 2^(k-1) (k-1)!).
-# Q2 never touches partitions: Q2(lambda) = |lambda| - 1/24.
-
-
-def _mix_axes(cols: list[int], axes: list) -> list[int]:
-    """Apply one small matrix per axis to a flat moment vector of packed
-    rows, so that the whole map is their tensor product.  `axes` holds
-    (stride, rows): entry i with digit b on that axis becomes the sum of
-    c * entry(i with digit a) over the (a, c) pairs of rows[b]."""
-    for stride, rows in axes:
-        size = len(rows)
-        out = []
-        for i in range(len(cols)):
-            digit = i // stride % size
-            low = i - digit * stride
-            (a, c), *rest = rows[digit]
-            acc = cols[low + a * stride]
-            if c != 1:
-                acc = c * acc
-            for a, c in rest:
-                acc += c * cols[low + a * stride]
-            out.append(acc)
-        cols = out
-    return cols
-
-
-def unpack_signed(x: int, width: int, count: int) -> list[int]:
-    """c_0 ... c_(count-1) of x = sum c_n 2^(width n), read slot by slot
-    with a borrow; each of them must satisfy |c_n| < 2^(width - 1)."""
-    x &= (1 << width * count) - 1
-    out = []
-    for _ in range(count):
-        c = x & ((1 << width) - 1)
-        c -= c >> (width - 1) << width  # a set top bit makes the slot negative
-        out.append(c)
-        x = (x - c) >> width
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _moment_knapsack(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
-    """(D, totals) with totals[n] = D times the sum of the Q2-free, Q1-free
-    monomial over the partitions of n, for every n <= order.
-
-    A 0/1 knapsack over the odd values 1, 3, ..., 2 order - 1 fills, for
-    each mixed-radix moment index i with digits i_j <= e_j, one integer
-    table[i].  Its region d holds, over the sets X of d distinct odd values
-    with sum s, the sum of prod_j A_kj(X)^(i_j) in the `width`-bit slot p
-    with s = d^2 + 2p (sums of d odd values have the parity of d).  A set is
-    kept only while d legs still fit: s <= 2 order - d^2.  Arms and legs
-    draw on the same table; at equal d they are joined by the multinomial
-    expansion of prod_k (base_k + unit_k (A_k + (-1)^k B_k))^(e_k), one axis
-    at a time, and one product per moment index convolves arm and leg sums.
-    """
-    gens = [(k, e2 // 2) for k, e2 in mono]
-    strides = [prod(e + 1 for _, e in gens[:j]) for j in range(len(gens))]
-    size = prod(e + 1 for _, e in gens)
-    top = isqrt(order)
-    denom = 1
-    join = []
-    bound = count_partitions(order)
-    for (k, e), stride in zip(gens, strides):
-        b = beta(k)
-        scale = 2 ** (k - 1) * factorial(k - 1)
-        d_k = lcm(b.denominator, scale)
-        base = b.numerator * (d_k // b.denominator)
-        unit = d_k // scale
-        denom *= d_k**e
-        bound *= (abs(base) + unit * (2 * order) ** (k - 1)) ** e
-        # leg digit j gathers the arm digits a <= e - j, each with its term
-        # of the multinomial expansion (base_k is 0 for odd k)
-        rows = [
-            [
-                (a, c)
-                for a in range(e + 1 - j)
-                if (c := comb(e, a) * comb(e - a, j) * base ** (e - a - j) * unit ** (a + j) * (-1) ** (k * j))
-            ]
-            for j in range(e + 1)
-        ]
-        join.append((stride, rows))
-    # Slot width.  Slot n of the joined sum is totals[n], a sum over the
-    # p(n) partitions of n of prod_k (D_k Q_k)^(e_k), where
-    # |D_k Q_k| <= |base_k| + unit_k (2n)^(k-1) as |A_k +- B_k| <=
-    # (sum x + sum y)^(k-1): below `bound`, with one more bit for the sign.
-    # An arm slot fits too: the (x - 1) / 2 of a set are distinct and sum to
-    # at most order, so at most p(order) sets share a slot, each with
-    # A_k <= (2 order)^(k-1), and unit_k >= 1 (order 0 stores only a 1).
-    width = bound.bit_length() + 1
-    # Region d (order - d^2 + 1 slots) starts at (order + 1) d + d (d - 1) / 2,
-    # past region d - 1, so that moving a set from d to d + 1 as it takes v
-    # is one shift by order + 1 + (v - 1) / 2 slots.
-    start = [(order + 1) * d + d * (d - 1) // 2 for d in range(top + 1)]
-    table = [int(i == 0) for i in range(size)]
-    for v in range(1, 2 * order, 2):
-        # keep the slots whose sets still fit once v is added; every region
-        # moves from the table as it was before v, so each set takes v once
-        fits = 0
-        for d in range(min(top, v // 2 + 1)):
-            keep = order - (d + 1) ** 2 + 1 - (v - 1) // 2 + d
-            if keep > 0:
-                fits |= ((1 << width * keep) - 1) << width * start[d]
-        if not fits:
-            break
-        # adding v to a set adds v^(k-1) to A_k: a binomial shift per axis
-        shift = [
-            (stride, [[(b, 1)] + [(a, comb(b, a) * v ** ((k - 1) * (b - a))) for a in range(b)] for b in range(e + 1)])
-            for (k, e), stride in zip(gens, strides)
-        ]
-        moved = _mix_axes([x & fits for x in table], shift)
-        step = width * (order + 1 + (v - 1) // 2)
-        table = [x + (y << step) for x, y in zip(table, moved)]
-    joined = 0
-    for d in range(top + 1):
-        cap = (1 << width * (order - d * d + 1)) - 1
-        legs = [x >> width * start[d] & cap for x in table]
-        joined += sum(map(mul, _mix_axes(legs, join), legs)) << width * d * d
-    return denom, tuple(unpack_signed(joined, width, order + 1))
-
-
-def _without_q2(mono: Monomial) -> Monomial:
-    return Monomial(t for t in mono if t[0] != 2)
-
-
-def knapsack_count(f: SSPoly) -> int:
-    """How many distinct Q2-free monomials q_bracket(f, order) sums, one
-    moment knapsack each."""
-    return len({_without_q2(mono) for mono in f.pr().num})
-
-
-def _monomial_series(mono: Monomial, order: int) -> tuple[int, list[int]]:
-    """(D, totals): the sum of the monomial over the partitions of each size
-    n <= order is totals[n] / D."""
-    q2_power = mono.exponent2(2) // 2
-    denom, totals = _moment_knapsack(_without_q2(mono), order)
-    return denom * 24**q2_power, [t * (24 * n - 1) ** q2_power for n, t in enumerate(totals)]
-
-
 def check_bracket_input(f: SSPoly, order: int) -> None:
     """Raise ValueError unless q_bracket(f, order) is defined."""
     if order < 0:
@@ -325,21 +183,33 @@ def check_bracket_input(f: SSPoly, order: int) -> None:
 
 
 def q_bracket(f: SSPoly, order: int) -> QSeries:
-    """Partition average of f as a truncated series: the sum of
-    f(lambda) q^|lambda| divided by the partition generating function.
+    """Partition average of f as a truncated series, by its definition: the
+    sum of f(lambda) q^|lambda| over every partition of size <= order,
+    divided by the partition generating function.
 
-    The projection killing Q1 is applied first.
+    The projection killing Q1 is applied first.  Each term is evaluated at
+    each of the sum of p(n), n <= order, partitions: cheap at the Sturm
+    orders k // 12 + 1 at which slots_form brackets, dear past about 24,
+    where quasimodular.bracket_form is the route to a deep series.
     """
     check_bracket_input(f, order)
     f = f.pr()
-    terms = [(c, _monomial_series(mono, order)) for mono, c in f.num.items()]
+    # Q_k(lambda) is beta_k plus an integer over 2^(k-1) (k-1)!, so D_k Q_k(lambda)
+    # is an integer for D_k = lcm(den beta_k, 2^(k-1) (k-1)!)
+    gens = {k for mono in f.num for k, _ in mono}
+    scale = {k: lcm(beta(k).denominator, 2 ** (k - 1) * factorial(k - 1)) for k in gens}
+    terms = [([(k, e2 // 2) for k, e2 in mono], c) for mono, c in f.num.items()]
+    denoms = [prod(scale[k] ** e for k, e in exps) for exps, _ in terms]
     # one integer numerator over a common denominator
-    denom = lcm(*(d for _, (d, _) in terms))
-    num = [0] * (order + 1)
-    for c, (d, totals) in terms:
-        scale = c * (denom // d)
-        for n, t in enumerate(totals):
-            num[n] += scale * t
+    denom = lcm(*denoms)
+    terms = [(exps, c * (denom // d)) for (exps, c), d in zip(terms, denoms)]
+    num = []
+    for n in range(order + 1):
+        total = 0
+        for lam in enumerate_partitions(n):
+            value = {k: (q := eval_qk(k, lam)).numerator * (d // q.denominator) for k, d in scale.items()}
+            total += sum(c * prod(value[k] ** e for k, e in exps) for exps, c in terms)
+        num.append(total)
     # dividing by the generating function multiplies by Euler's product
     euler = list(pentagonal_terms(order))
     return QSeries(

@@ -287,17 +287,19 @@ def bracket_form(
 def slots_form(slots: Sequence[SSPoly], weight: int, order: int) -> QMForm:
     """The form of the partition average of sum_r Q2^r h_r, from harmonic
     slots h_r of weight `weight` - 2r (as `decompose` returns them), by the
-    source paper's theorem rather than the knapsack to `order`.
+    source paper's theorem rather than a sum over the partitions of every
+    size up to `order`.
 
     The bracket of a harmonic h of weight k is modular of weight k, and
     <Q2 f>_q = d_hat(<f>_q), so the average is sum_r d_hat^r(m_r) with m_r
     in M_(weight - 2r).  A form in M_k is fixed by its coefficients
     0..k // 12 (the Sturm bound), on which the Q^b R^c columns have full
-    rank; m_r is solved from q_bracket(h_r, k // 12 + 1), and the spare
-    coefficient must agree, or RecognitionError is raised.  An odd-weight
-    slot brackets to zero by conjugation.  The slots and the weight are
-    admitted as `bracket_form` admits them at `order`, so that a refusal
-    does not depend on the path.
+    rank; m_r is solved from q_bracket(h_r, k // 12 + 1), which sums h_r
+    over the at most 7 partitions of size <= 3 for every k the CLI admits,
+    and the spare coefficient must agree, or RecognitionError is raised.
+    An odd-weight slot brackets to zero by conjugation.  The slots and the
+    weight are admitted as `bracket_form` admits them at `order`, so that a
+    refusal does not depend on the path.
     """
     for h in slots:
         check_bracket_input(h, order)

@@ -354,8 +354,10 @@ def beta(k: int) -> Fraction:
     return _beta_list(upto)[k]
 
 
-# `eval` reads each generator once per partition; the reuse is in the oracles,
-# which evaluate many products on a few partitions.
+# `eval` reads each generator once per partition.  The reuse is in
+# q_bracket, whose Sturm prefixes read the generators of every slot of a
+# bracket or table at the same 7 partitions of size <= 3, and in the
+# oracles, which evaluate many products on a few partitions.
 @lru_cache(maxsize=1024)
 def eval_qk(k: int, lam: Partition) -> Fraction:
     """Exact value of the generator Q_k on a partition."""
@@ -580,14 +582,20 @@ _EVAL_WORK_BITS = int(MAX_EVAL_WORK_DIGITS / 0.30103)
 # over one is a usage error.  At the largest sizes they admit, the slowest
 # request is verify --max-weight 16 -N 40, in 30 s on a 2-vCPU host.
 # qbracket decomposes each even-weight component into harmonic slots and
-# bounds the distinct Q2-free monomials of its input: at -N 40 the slowest
-# admitted input measured (300 of them, each times every power of Q2 up to
-# weight 32) takes 1.7 s.  The slots are peeled with the closed-form
-# inverse of T, from the sl2 relation, and certified with the closed-form
-# laplacian; verify proves both on every Q1-free monomial a CLI job meets.
+# sums each slot over the partitions of its Sturm prefix only, so its cost
+# follows the terms and weights of its input: at -N 40 the slowest admitted
+# input measured (300 distinct Q2-free monomials, each times every power of
+# Q2 up to weight 32) takes 1.7 s.  The slots are peeled with the
+# closed-form inverse of T, from the sl2 relation, and certified with the
+# closed-form laplacian; verify proves both on every Q1-free monomial a CLI
+# job meets.
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
+# The count of distinct Q2-free monomials dates from one moment knapsack per
+# monomial and no longer measures the cost of a bracket; it is kept for its
+# refusal bytes until one cost model replaces the separate limits (ROADMAP
+# item 7).
 MAX_BRACKET_MONOMIALS = 300  # distinct Q2-free monomials of a qbracket input
 
 

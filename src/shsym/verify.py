@@ -12,7 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, isqrt, lcm, prod
 from operator import mul
 from typing import Callable
 
@@ -48,8 +48,9 @@ from .partitions import (
     enumerate_min_part,
     enumerate_partitions,
     frobenius,
+    pentagonal_terms,
 )
-from .qseries import QSeries, _moment_knapsack, _without_q2, d_series, eisenstein, partition_gf, q_bracket
+from .qseries import QSeries, check_bracket_input, d_series, eisenstein, partition_gf
 from .quasimodular import (
     InsufficientOrderError,
     QMForm,
@@ -644,7 +645,7 @@ def _generator_values(k: int, order: int) -> tuple[int, tuple[tuple[int, ...], .
 
 
 def oracle_row_sums(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
-    """(D, totals) for a Q2-free, Q1-free monomial as qseries._moment_knapsack
+    """(D, totals) for a Q2-free, Q1-free monomial as _moment_knapsack
     defines them, by multiplying row-sum generator vectors over every
     partition: the fast oracle of the knapsack, which lists no partition."""
     factors = [(_generator_values(k, order), e2 // 2) for k, e2 in mono]
@@ -658,13 +659,175 @@ def oracle_row_sums(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     return denom, tuple(totals)
 
 
+# The knapsack oracle sums the bracket numerator in integers over Frobenius
+# coordinates and lists no partition.  A partition of n has d arms
+# x_1 > ... > x_d and d legs y_1 > ... > y_d, doubled (x = 2a + 1,
+# y = 2b + 1, all odd), with sum x + sum y = 2n.  For a generator Q_k with
+# k != 2, Q_k(lambda) = beta_k + S_k / (2^(k-1) (k-1)!) with
+# S_k = A_k + (-1)^k B_k, A_k = sum x^(k-1), B_k = sum y^(k-1), so
+# D_k Q_k(lambda) is an integer for D_k = lcm(den beta_k, 2^(k-1) (k-1)!).
+# Q2 never touches partitions: Q2(lambda) = |lambda| - 1/24.
+
+
+def _mix_axes(cols: list[int], axes: list) -> list[int]:
+    """Apply one small matrix per axis to a flat moment vector of packed
+    rows, so that the whole map is their tensor product.  `axes` holds
+    (stride, rows): entry i with digit b on that axis becomes the sum of
+    c * entry(i with digit a) over the (a, c) pairs of rows[b]."""
+    for stride, rows in axes:
+        size = len(rows)
+        out = []
+        for i in range(len(cols)):
+            digit = i // stride % size
+            low = i - digit * stride
+            (a, c), *rest = rows[digit]
+            acc = cols[low + a * stride]
+            if c != 1:
+                acc = c * acc
+            for a, c in rest:
+                acc += c * cols[low + a * stride]
+            out.append(acc)
+        cols = out
+    return cols
+
+
+def unpack_signed(x: int, width: int, count: int) -> list[int]:
+    """c_0 ... c_(count-1) of x = sum c_n 2^(width n), read slot by slot
+    with a borrow; each of them must satisfy |c_n| < 2^(width - 1)."""
+    x &= (1 << width * count) - 1
+    out = []
+    for _ in range(count):
+        c = x & ((1 << width) - 1)
+        c -= c >> (width - 1) << width  # a set top bit makes the slot negative
+        out.append(c)
+        x = (x - c) >> width
+    return out
+
+
+# The suites bracket the same table monomials at the run's order again and
+# again; at --max-weight 16 -N 40 the cache saves 2.4 s of the knapsacks' 3.6.
+@lru_cache(maxsize=1024)
+def _moment_knapsack(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
+    """(D, totals) with totals[n] = D times the sum of the Q2-free, Q1-free
+    monomial over the partitions of n, for every n <= order.
+
+    A 0/1 knapsack over the odd values 1, 3, ..., 2 order - 1 fills, for
+    each mixed-radix moment index i with digits i_j <= e_j, one integer
+    table[i].  Its region d holds, over the sets X of d distinct odd values
+    with sum s, the sum of prod_j A_kj(X)^(i_j) in the `width`-bit slot p
+    with s = d^2 + 2p (sums of d odd values have the parity of d).  A set is
+    kept only while d legs still fit: s <= 2 order - d^2.  Arms and legs
+    draw on the same table; at equal d they are joined by the multinomial
+    expansion of prod_k (base_k + unit_k (A_k + (-1)^k B_k))^(e_k), one axis
+    at a time, and one product per moment index convolves arm and leg sums.
+    """
+    gens = [(k, e2 // 2) for k, e2 in mono]
+    strides = [prod(e + 1 for _, e in gens[:j]) for j in range(len(gens))]
+    size = prod(e + 1 for _, e in gens)
+    top = isqrt(order)
+    denom = 1
+    join = []
+    bound = count_partitions(order)
+    for (k, e), stride in zip(gens, strides):
+        b = beta(k)
+        scale = 2 ** (k - 1) * factorial(k - 1)
+        d_k = lcm(b.denominator, scale)
+        base = b.numerator * (d_k // b.denominator)
+        unit = d_k // scale
+        denom *= d_k**e
+        bound *= (abs(base) + unit * (2 * order) ** (k - 1)) ** e
+        # leg digit j gathers the arm digits a <= e - j, each with its term
+        # of the multinomial expansion (base_k is 0 for odd k)
+        rows = [
+            [
+                (a, c)
+                for a in range(e + 1 - j)
+                if (c := comb(e, a) * comb(e - a, j) * base ** (e - a - j) * unit ** (a + j) * (-1) ** (k * j))
+            ]
+            for j in range(e + 1)
+        ]
+        join.append((stride, rows))
+    # Slot width.  Slot n of the joined sum is totals[n], a sum over the
+    # p(n) partitions of n of prod_k (D_k Q_k)^(e_k), where
+    # |D_k Q_k| <= |base_k| + unit_k (2n)^(k-1) as |A_k +- B_k| <=
+    # (sum x + sum y)^(k-1): below `bound`, with one more bit for the sign.
+    # An arm slot fits too: the (x - 1) / 2 of a set are distinct and sum to
+    # at most order, so at most p(order) sets share a slot, each with
+    # A_k <= (2 order)^(k-1), and unit_k >= 1 (order 0 stores only a 1).
+    width = bound.bit_length() + 1
+    # Region d (order - d^2 + 1 slots) starts at (order + 1) d + d (d - 1) / 2,
+    # past region d - 1, so that moving a set from d to d + 1 as it takes v
+    # is one shift by order + 1 + (v - 1) / 2 slots.
+    start = [(order + 1) * d + d * (d - 1) // 2 for d in range(top + 1)]
+    table = [int(i == 0) for i in range(size)]
+    for v in range(1, 2 * order, 2):
+        # keep the slots whose sets still fit once v is added; every region
+        # moves from the table as it was before v, so each set takes v once
+        fits = 0
+        for d in range(min(top, v // 2 + 1)):
+            keep = order - (d + 1) ** 2 + 1 - (v - 1) // 2 + d
+            if keep > 0:
+                fits |= ((1 << width * keep) - 1) << width * start[d]
+        if not fits:
+            break
+        # adding v to a set adds v^(k-1) to A_k: a binomial shift per axis
+        shift = [
+            (stride, [[(b, 1)] + [(a, comb(b, a) * v ** ((k - 1) * (b - a))) for a in range(b)] for b in range(e + 1)])
+            for (k, e), stride in zip(gens, strides)
+        ]
+        moved = _mix_axes([x & fits for x in table], shift)
+        step = width * (order + 1 + (v - 1) // 2)
+        table = [x + (y << step) for x, y in zip(table, moved)]
+    joined = 0
+    for d in range(top + 1):
+        cap = (1 << width * (order - d * d + 1)) - 1
+        legs = [x >> width * start[d] & cap for x in table]
+        joined += sum(map(mul, _mix_axes(legs, join), legs)) << width * d * d
+    return denom, tuple(unpack_signed(joined, width, order + 1))
+
+
+def _without_q2(mono: Monomial) -> Monomial:
+    return Monomial(t for t in mono if t[0] != 2)
+
+
+def _monomial_series(mono: Monomial, order: int) -> tuple[int, list[int]]:
+    """(D, totals): the sum of the monomial over the partitions of each size
+    n <= order is totals[n] / D."""
+    q2_power = mono.exponent2(2) // 2
+    denom, totals = _moment_knapsack(_without_q2(mono), order)
+    return denom * 24**q2_power, [t * (24 * n - 1) ** q2_power for n, t in enumerate(totals)]
+
+
+def knapsack_bracket(f: SSPoly, order: int) -> QSeries:
+    """<f>_q to `order` by the moment knapsack of each Q2-free monomial: the
+    oracle of q_bracket past the Sturm orders, and the only one that reaches
+    order 200 without assuming the paper's theorem."""
+    check_bracket_input(f, order)
+    f = f.pr()
+    terms = [(c, _monomial_series(mono, order)) for mono, c in f.num.items()]
+    # one integer numerator over a common denominator
+    denom = lcm(*(d for _, (d, _) in terms))
+    num = [0] * (order + 1)
+    for c, (d, totals) in terms:
+        scale = c * (denom // d)
+        for n, t in enumerate(totals):
+            num[n] += scale * t
+    # dividing by the generating function multiplies by Euler's product,
+    # here as a series product rather than q_bracket's signed shifts
+    euler = [0] * (order + 1)
+    for g, sign in pentagonal_terms(order):
+        euler[g] = sign
+    return QSeries(num, den=denom * f.den) * QSeries(euler)
+
+
 def oracle_brackets(polys: list[SSPoly], order: int) -> list[QSeries]:
     """<f>_q for each f by direct summation: the sum of f(lambda) q^|lambda|
     over every partition of size <= order, times the inverse of the
     partition generating function.  The generator values of each partition
     are computed once for all the polynomials, through the diagonal hooks
     (c_set) and the Bernoulli constants of oracle_beta, independent of the
-    row sums and of the knapsack behind q_bracket."""
+    row sums, of the knapsack, and of the eval_qk and beta that q_bracket
+    sums."""
     projected = []
     for f in polys:
         if not f.in_r():
@@ -711,7 +874,7 @@ def oracle_bracket_form(f: SSPoly, order: int) -> tuple[QSeries, QMForm]:
     bracket to zero, or RecognitionError is raised."""
     series, form = QSeries.zero(order), QMForm.zero()
     for w, fw in f.weight_components().items():
-        s = q_bracket(fw, order)
+        s = knapsack_bracket(fw, order)
         if w % 2 == 0:
             form = form + recognize(s, w)
         elif not s.is_zero:
@@ -739,8 +902,8 @@ def suite_bracket_linearity(rng, max_weight, order):
         f = random_element(rng, min(max_weight, 8))
         g = random_element(rng, min(max_weight, 8))
         a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
-        lhs = q_bracket(a * f + b * g, order)
-        rhs = q_bracket(f, order) * a + q_bracket(g, order) * b
+        lhs = knapsack_bracket(a * f + b * g, order)
+        rhs = knapsack_bracket(f, order) * a + knapsack_bracket(g, order) * b
         if lhs != rhs:
             return False, "bracket not linear"
     return True, "6 samples"
@@ -750,7 +913,7 @@ def suite_q1_kills_bracket(rng, max_weight, order):
     top = min(max_weight, 8)
     for w in range(top + 1):
         f = random_homogeneous(rng, w)
-        if not q_bracket(SSPoly.gen(1) * f, order).is_zero:
+        if not knapsack_bracket(SSPoly.gen(1) * f, order).is_zero:
             return False, f"bracket of Q1 * f nonzero for {format_poly(f)}"
     return True, f"one sample at each weight 0..{top}"
 
@@ -760,8 +923,8 @@ def suite_q2_shifts_bracket(rng, max_weight, order):
     top = min(max_weight, 8)
     for w in range(top + 1):
         f = random_homogeneous(rng, w)
-        bf = q_bracket(f, order)
-        lhs = q_bracket(SSPoly.gen(2) * f, order)
+        bf = knapsack_bracket(f, order)
+        lhs = knapsack_bracket(SSPoly.gen(2) * f, order)
         rhs = d_series(bf) - p_over_24 * bf
         if lhs != rhs:
             return False, f"shifted derivation fails for {format_poly(f)}"
@@ -779,7 +942,7 @@ def suite_bracket_oracle(rng, max_weight, order):
     rows = rows_up_to(max_weight)
     hs = [basis_element(lam) for lam, _, _ in rows]
     for (lam, _, _), h, want in zip(rows, hs, oracle_brackets(hs, order)):
-        if q_bracket(h, order) != want:
+        if knapsack_bracket(h, order) != want:
             return False, f"bracket differs from direct summation at {lam}"
     table = f"{len(rows)} table rows"
     if max_weight > _TABLE_WEIGHT:
@@ -822,7 +985,7 @@ def suite_expansion_at_100(rng, max_weight, order):
     cases += [(lam, basis_element(lam), sum(lam)) for lam in drawn]
     for label, f, weight in cases:
         _, form = oracle_bracket_form(f, 40)
-        want = q_bracket(f, 100)
+        want = knapsack_bracket(f, 100)
         if expand(form, 100) != want:
             return False, f"bracket of {label} to order 100 differs from the form recognized at 40"
         if weight is not None and expand(slots_form((f,), weight, 40), 100) != want:
@@ -941,13 +1104,13 @@ def suite_equivariance(rng, max_weight, order):
     for trial in range(20):
         w = weights[trial % len(weights)]
         f = random_homogeneous(rng, w)
-        bf = q_bracket(f, order)
+        bf = knapsack_bracket(f, order)
         m = recognize(bf, f.weight())
-        if q_bracket(q2_hat(f), order) != expand(d_hat(m), order):
+        if knapsack_bracket(q2_hat(f), order) != expand(d_hat(m), order):
             return False, f"raising side fails on {format_poly(f)}"
-        if q_bracket(laplacian(f).pr(), order) != expand(frak_d(m), order):
+        if knapsack_bracket(laplacian(f).pr(), order) != expand(frak_d(m), order):
             return False, f"lowering side fails on {format_poly(f)}"
-        if q_bracket(e_hat(f).pr(), order) != expand(w_hat(m), order):
+        if knapsack_bracket(e_hat(f).pr(), order) != expand(w_hat(m), order):
             return False, f"weight side fails on {format_poly(f)}"
     return True, f"20 samples, weights <= {weights[-1]}"
 
@@ -967,7 +1130,7 @@ def suite_depth_bound(rng, max_weight, order):
             f = f + SSPoly.gen(2) ** r * h
         if f.is_zero:
             continue
-        form = recognize(q_bracket(f, order), k)
+        form = recognize(knapsack_bracket(f, order), k)
         if depth(form) > p:
             return False, f"depth bound violated at weight {k}, p={p}"
     return True, "6 samples" if len(weights) == 3 else f"6 samples, weights <= {weights[-1]}"
@@ -989,7 +1152,7 @@ def suite_recognize_roundtrip(rng, max_weight, order):
 def suite_recognize_oracle(rng, max_weight, order):
     weights = [w for w in range(0, max_weight + 1, 2) if _recognizable(w, order)]
     series = [
-        (lam, q_bracket(basis_element(lam), order), sum(lam))
+        (lam, knapsack_bracket(basis_element(lam), order), sum(lam))
         for lam, _, _ in even_rows(max_weight)
         if sum(lam) in weights
     ]
@@ -1029,10 +1192,10 @@ def suite_modularity_criterion(rng, max_weight, order):
         f = random_homogeneous(rng, w, min_part=2)
         modular, form, dec = is_modular_bracket(f, order)
         # the theorem's decision against the knapsack and recognize
-        want = recognize(q_bracket(f, order), w)
+        want = recognize(knapsack_bracket(f, order), w)
         if form != want or modular != (depth(want) == 0):
             return False, f"form or depth differs from the knapsack on {format_poly(f)}"
-        if modular != all(q_bracket(h, order).is_zero for h in dec.components[1:]):
+        if modular != all(knapsack_bracket(h, order).is_zero for h in dec.components[1:]):
             return False, f"modularity disagrees with the tail slot brackets on {format_poly(f)}"
     covered = "" if len(weights) == 5 else f", weights <= {weights[-1]}"
     return True, f"8 samples{covered} (internal cross-check)"
@@ -1057,7 +1220,7 @@ def suite_theorem_path(rng, max_weight, order):
     for trial in range(samples):
         w = rng.choice(even)
         f = random_homogeneous(rng, w, min_part=2)
-        if slots_form(decompose(f).components, w, order) != recognize(q_bracket(f, order), w):
+        if slots_form(decompose(f).components, w, order) != recognize(knapsack_bracket(f, order), w):
             return False, f"theorem path differs from the knapsack on {format_poly(f)}"
     return True, f"{len(rows)} basis rows and {samples} inputs, weights <= {weights[-1]}, order {order}"
 

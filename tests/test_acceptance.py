@@ -24,11 +24,10 @@ from shsym.harmonic import basis_element, harmonic_basis
 from shsym.linalg import matrix_rank
 from shsym.operators import d_op_n, delta_lambda, laplacian
 from shsym.partitions import count_partitions, enumerate_partitions
-from shsym.qseries import q_bracket
 from shsym.quasimodular import QMForm, depth, is_modular_bracket, recognize
 from shsym.reference import even_rows, rows_up_to
 from shsym.ssym import Monomial, SSPoly, parse_poly
-from shsym.verify import random_element, random_homogeneous
+from shsym.verify import knapsack_bracket, random_element, random_homogeneous
 
 ORDER = 30
 SEED = 1729
@@ -45,7 +44,7 @@ def test_criterion_01_even_table_exact():
         assert h == parse_poly(expr), lam
         assert harmonic_basis(n).elements[lam] == h
         coeff, triple = bracket
-        assert recognize(q_bracket(h, ORDER), n) == QMForm({triple: coeff}), lam
+        assert recognize(knapsack_bracket(h, ORDER), n) == QMForm({triple: coeff}), lam
     print("criterion 1: PASS (12 even rows, polynomials and averages exact)")
 
 
@@ -56,7 +55,7 @@ def test_criterion_02_odd_table_exact():
         assert bracket is None
         h = basis_element(lam)
         assert h == parse_poly(expr), lam
-        assert q_bracket(h, ORDER).is_zero, lam
+        assert knapsack_bracket(h, ORDER).is_zero, lam
     print("criterion 2: PASS (8 odd rows, polynomials exact, averages vanish)")
 
 
@@ -94,8 +93,8 @@ def test_criterion_07_modularity_criterion():
         f = random_homogeneous(rng, w, min_part=2)
         modular, form, dec = is_modular_bracket(f, ORDER)
         # the theorem's form against the knapsack and recognize
-        assert form == recognize(q_bracket(f, ORDER), w)
-        tail_zero = all(q_bracket(h, ORDER).is_zero for h in dec.components[1:])
+        assert form == recognize(knapsack_bracket(f, ORDER), w)
+        tail_zero = all(knapsack_bracket(h, ORDER).is_zero for h in dec.components[1:])
         assert modular == (depth(form) == 0) == tail_zero
     print("criterion 7: PASS (20 seeded samples, even weights <= 10)")
 

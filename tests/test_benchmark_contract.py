@@ -34,6 +34,9 @@ def test_traced_job_runs_a_bracket(tmp_path):
     assert report["calls"]["qseries.q_bracket"] == 2
     assert report["calls"]["quasimodular.expand"] == 1
     assert "quasimodular.recognize" not in report["calls"]
+    # both prefixes are summed to Sturm order 1, over the partitions () and
+    # (1): production visits prefixes only, never the partitions to -N
+    assert report["counters"]["partitions.visited"] == 4
     # a table brackets its two even rows, () and (4), each to its Sturm
     # prefix through quasimodular's own reference to q_bracket, and solves
     # them without recognize; the oracle-only linalg names are rebound too

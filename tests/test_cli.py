@@ -610,15 +610,14 @@ def test_decompose_over_a_long_common_denominator_is_parse_error():
 
 
 def test_bracket_of_too_many_monomials_is_refused_before_summing():
-    # 2,744 distinct monomials at -N 40 took 78 s to sum
+    # 2,744 distinct monomials at -N 40 took 78 s to sum one knapsack each
     from shsym.cli import MAX_BRACKET_MONOMIALS
-    from shsym.qseries import knapsack_count
-    from shsym.ssym import parse_poly
 
-    # a Q1 term is never summed, and Q2 powers share one knapsack
-    assert knapsack_count(parse_poly("Q3 + Q2*Q3 + Q1*Q4 + Q2^2 + 5")) == 2
-    monos = [f"Q3^{i // 20}*Q4^{i % 20}*Q2" for i in range(MAX_BRACKET_MONOMIALS + 1)]
-    proc = _run_cli_within(10, "qbracket", " + ".join(monos + ["Q1*Q5"]), "-N", "40")
+    # the count is of distinct monomials once Q1 terms are dropped and Q2
+    # factored out: each Q3^a*Q4^b comes with two powers of Q2, the Q1 term
+    # is not counted, and Q2^3 and 5 share the unit with Q2 and Q2^2
+    monos = [f"Q3^{i // 20}*Q4^{i % 20}*Q2{p}" for i in range(MAX_BRACKET_MONOMIALS + 1) for p in ("", "^2")]
+    proc = _run_cli_within(10, "qbracket", " + ".join(monos + ["Q1*Q5", "Q2^3", "5"]), "-N", "40")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (
         f"error: number of distinct Q2-free monomials {MAX_BRACKET_MONOMIALS + 1}"
@@ -680,6 +679,7 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert shsym.cli.main(sys.argv[1:]) == 0\n"
         "    loaded = sorted(sys.modules)\n"
+        "assert not hasattr(sys.modules.get('shsym.qseries'), '_moment_knapsack')\n"
         "print(*loaded, sep='\\n')\n"
     )
     base = ["shsym", "shsym.cli", "shsym.partitions", "shsym.ssym"]
@@ -704,6 +704,7 @@ def test_cli_import_leaves_the_verify_suites_unloaded():
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.split()
         assert [m for m in loaded if m.split(".")[0] == "shsym"] == sorted(want), argv
+        assert "shsym.verify" not in loaded, argv
         assert "dataclasses" not in loaded and "inspect" not in loaded, argv
         # JSON is written by the CLI itself
         assert "json" not in loaded, argv
@@ -869,9 +870,10 @@ def test_decompose_json_equals_json_dumps(capsys):
 def test_forms_json_equals_json_dumps(capsys):
     from shsym.harmonic import basis_element
     from shsym.partitions import enumerate_min_part
-    from shsym.qseries import QSeries, q_bracket
+    from shsym.qseries import QSeries
     from shsym.quasimodular import QMForm, recognize
     from shsym.ssym import parse_poly
+    from shsym.verify import knapsack_bracket
 
     # the forms by the knapsack and recognize; an odd weight brackets to zero
     def form_of(series, weight):
@@ -881,12 +883,12 @@ def test_forms_json_equals_json_dumps(capsys):
     for n in range(7):
         for lam in enumerate_min_part(n, 3):
             h = basis_element(lam)
-            form = form_of(q_bracket(h, 30), n)
+            form = form_of(knapsack_bracket(h, 30), n)
             rows.append({"lambda": list(lam), "h": _terms_json(h), "q_bracket": _form_terms_json(form)})
     _assert_prints_json(capsys, rows, "tables", "--format", "json", "--max-weight", "6")
 
     for expr, weight in (("Q3^2 + 1/2*Q2*Q4", 6), ("Q3", 3)):
-        series = q_bracket(parse_poly(expr), 14)
+        series = knapsack_bracket(parse_poly(expr), 14)
         form = form_of(series, weight)
         payload = {
             "series": {"order": series.order, "coefficients": [str(c) for c in series.coeffs]},

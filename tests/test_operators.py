@@ -295,7 +295,9 @@ def test_delta_n_merged_last_lowering_to_order_8():
         assert all(_delta_n_image(1, m) == () for m, _ in f.terms())
 
 
-def test_pr_laplacian_is_the_projected_laplacian():
+def test_pr_laplacian_is_the_projected_laplacian(monkeypatch):
+    from shsym import verify
+
     assert pr_laplacian(Q2**2) == Q2
     assert pr_laplacian(Q3).is_zero
     assert pr_laplacian(Q1 * Q4 + Q1**2).is_zero  # the laplacian commutes with Q1
@@ -307,9 +309,14 @@ def test_pr_laplacian_is_the_projected_laplacian():
     # CLI admits, which a raised cap must extend
     assert count_partitions(cli.MAX_WEIGHT) == 627
     proof = f"{627 + 4262} monomials of weight <= {cli.MAX_WEIGHT} or of even weight <= 32"
-    for seed, max_weight in ((1, 18), (2, 18), (1, 0)):
+    ok, detail = suite_pr_laplacian_oracle(random.Random(1), 18, 30)
+    assert ok and detail.endswith(proof), detail
+    # the proof does not depend on the seed or the max weight, so it runs
+    # once; the Laurent samples of the other draws are checked on their own
+    monkeypatch.setattr(verify, "proof_monomials", lambda: ([], proof))
+    for seed, max_weight in ((2, 18), (1, 0)):
         ok, detail = suite_pr_laplacian_oracle(random.Random(seed), max_weight, 30)
-        assert ok and detail.endswith(proof), detail
+        assert ok and detail == f"43 samples, {proof}", detail
 
 
 def test_pr_laplacian_oracle_catches_one_broken_coefficient(monkeypatch):

@@ -8,19 +8,18 @@ import pytest
 from shsym.harmonic import basis_element
 from shsym.operators import e_hat, laplacian, q2_hat
 from shsym.partitions import enumerate_min_part, enumerate_partitions
-from shsym.qseries import (
-    QSeries,
-    d_series,
-    eisenstein,
-    partition_gf,
-    q_bracket,
-    sigma,
+from shsym.qseries import QSeries, d_series, eisenstein, partition_gf, q_bracket, sigma
+from shsym.reference import rows_up_to
+from shsym.ssym import Monomial, SSPoly, parse_poly
+from shsym.verify import (
+    _moment_knapsack,
+    knapsack_bracket,
+    oracle_brackets,
+    oracle_row_sums,
+    proof_monomials,
+    random_element,
     unpack_signed,
 )
-from shsym.ssym import Monomial, SSPoly, parse_poly
-from shsym.qseries import _moment_knapsack
-from shsym.reference import rows_up_to
-from shsym.verify import oracle_brackets, oracle_row_sums, random_element
 
 Q2 = SSPoly.gen(2)
 
@@ -101,7 +100,7 @@ def test_polynomials_stay_in_lowest_terms():
         results += [x + y, x - y, x - x, -x, x * y, x * c, c * y, x * 6, x / c, frak_d(x)]
         results += [*a.weight_components().values(), *x.weight_components().values(), *_peel(f, n)]
         results += _peel(Q2 * c, 2)  # T^-1 = -2 at weight 0: pr laplacian(Q2) = -1/2
-        results.append(recognize(q_bracket(f, 30), n))
+        results.append(recognize(knapsack_bracket(f, 30), n))
         for g in results:
             assert _in_lowest_terms(g), repr(g)
     half = SSPoly.constant(Fraction(1, 2))
@@ -118,7 +117,7 @@ def test_polynomials_read_out_the_same_fractions():
     got = [(lam, h.terms()) for lam, h in harmonic_basis(12).elements.items()]
     got += [h.terms() for h in decompose(parse_poly("5/3*Q4*Q12 + 4/5*Q2^2*Q3^2*Q6 + 4/3*Q16 - 1*Q2^8")).components]
     for e, w in (("Q4^2", 8), ("Q3^2 - 1/2*Q2*Q4", 6), ("Q6 + 1/3*Q2^3 - 5/7*Q3^2", 6)):
-        got.append(recognize(q_bracket(parse_poly(e), 30), w).terms())
+        got.append(recognize(knapsack_bracket(parse_poly(e), 30), w).terms())
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
     assert digest == "064bd04a3b7ab7d619cb91c249fa41cfc29a409d401437d2268d8eef40375602"
 
@@ -127,23 +126,10 @@ def test_coeffs_read_out_the_same_fractions():
     # the coefficient tuples, Fraction types included, pinned by a digest of
     # their repr from when every coefficient was stored as a Fraction
     exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "1 - 2/3*Q6 + Q2*Q4^2", "Q2")
-    got = [q_bracket(parse_poly(e), 30).coeffs for e in exprs]
+    got = [knapsack_bracket(parse_poly(e), 30).coeffs for e in exprs]
     got += [eisenstein(k, 40).coeffs for k in (2, 4, 6)]
     digest = hashlib.sha256(repr(got).encode()).hexdigest()
     assert digest == "b10dca6d152241930ac0cc0e77a49579b36ae9b7e6396cf5e217a0cd714aa5f3"
-
-
-def test_unpack_signed_reads_slots_that_need_the_sign_bit():
-    # slots of one sign as large as the width allows set the top bit of
-    # each slot, so only the sign convention tells them from their carries
-    for width in (2, 7, 13):
-        big = 2 ** (width - 1) - 1
-        for n in range(1, 20):
-            for cs in ([big] * n, [-big] * n, [big, -big] * n, [-1, 0] * n):
-                x = sum(c << width * i for i, c in enumerate(cs))
-                assert unpack_signed(x, width, len(cs)) == cs
-    # bits above the slots read are ignored
-    assert unpack_signed(3 + (-2 << 8) + (7 << 16), 8, 2) == [3, -2]
 
 
 def test_series_order_shrinks_to_smaller_operand():
@@ -236,10 +222,40 @@ def random_kernel_input(rng):
 
 @pytest.mark.parametrize("order", [0, 1, 12, 24])
 def test_q_bracket_kernel_equals_direct_summation(order):
+    # the knapsack oracle at every order; q_bracket, which evaluates each
+    # partition, only to 12, past which it is dear (1.6 s at 24)
     rng = random.Random(1000 + order)
     fs = [random_kernel_input(rng) for _ in range(4)]
     for f, want in zip(fs, oracle_brackets(fs, order)):
-        assert q_bracket(f, order) == want, format(f)
+        assert knapsack_bracket(f, order) == want, format(f)
+        if order <= 12:
+            assert q_bracket(f, order) == want, format(f)
+
+
+def test_q_bracket_equals_direct_summation_on_every_sturm_prefix():
+    # Every slot a CLI job brackets has even weight k <= 32, so it is summed
+    # to its Sturm order k // 12 + 1 <= 3, and every term of it is one of
+    # proof_monomials.  q_bracket is linear, and a lower order is a prefix
+    # of order 3, so this proves every bracket a CLI job computes.
+    monomials, _ = proof_monomials()
+    assert len(monomials) == 4889
+    for m, want in zip(monomials, oracle_brackets(monomials, 3)):
+        assert q_bracket(m, 3) == want, m
+
+
+def test_q_bracket_rejects_bad_exponents():
+    with pytest.raises(ValueError):
+        q_bracket(parse_poly("Q2^(1/2)"), 10)
+
+
+def test_sl2_images_under_bracket_vanish_consistently():
+    # odd-weight input: every bracket in sight vanishes
+    f = parse_poly("Q3 + Q2*Q1")
+    for g in (f, q2_hat(f).pr(), laplacian(f).pr(), e_hat(f).pr()):
+        assert q_bracket(g.pr(), 15).is_zero
+
+
+# -- the knapsack oracle of shsym.verify ----------------------------------------
 
 
 def random_generator_product(rng):
@@ -269,10 +285,10 @@ def test_knapsack_widest_slots_equal_row_sums(expr):
 
 
 def test_knapsack_equals_row_sums_on_every_table_monomial_at_order_30():
-    # The bracket numerator is linear in the Q2-free monomials it sums, so
-    # agreeing on each one proves the knapsack sums behind every `tables`
-    # row at its default -N 30 (order 30 only; at -N 40 the verify suite
-    # samples).
+    # The knapsack numerator is linear in the Q2-free monomials it sums, so
+    # agreeing on each one proves knapsack_bracket on every `tables` row at
+    # order 30, where forms.theorem_path compares the rows' forms with it
+    # (order 30 only; at -N 40 the verify suite samples).
     from shsym.ssym import MAX_TABLE_WEIGHT
 
     monos = [Monomial.from_partition(lam) for w in range(MAX_TABLE_WEIGHT + 1) for lam in enumerate_min_part(w, 3)]
@@ -283,20 +299,20 @@ def test_knapsack_equals_row_sums_on_every_table_monomial_at_order_30():
     # monomial sums to zero at every size.  With Q2 a factor and Q1 terms
     # dropped, this proves that the bracket of every odd-weight input whose
     # Q2-free monomials have parts >= 3 and weight <= 16 vanishes at order
-    # 30, which bracket_form relies on when it leaves odd components out.
+    # 30, as bracket_form assumes when it leaves odd components out.
     odd = [m for m in monos if m.weight() % 2]
     assert len(odd) == 41
     for m in odd:
         assert not any(_moment_knapsack(m, 30)[1]), m
 
 
-def test_q_bracket_never_lists_partitions(monkeypatch):
+def test_knapsack_bracket_never_lists_partitions(monkeypatch):
     import sys
 
     from shsym import partitions
 
     def refuse(*args):
-        raise AssertionError("q_bracket listed partitions")
+        raise AssertionError("knapsack_bracket listed partitions")
 
     for name in ("enumerate_partitions", "enumerate_min_part"):
         original = getattr(partitions, name)
@@ -307,22 +323,23 @@ def test_q_bracket_never_lists_partitions(monkeypatch):
                         monkeypatch.setattr(mod, attr, refuse)
     _moment_knapsack.cache_clear()
     f = parse_poly("1 + Q2^3 - 2/3*Q6 + Q2*Q4^2 + Q3^2*Q5 + Q1*Q3")
-    assert not q_bracket(f, 36).is_zero
+    assert not knapsack_bracket(f, 36).is_zero
 
 
 def test_q2_bracket_is_minus_p_over_24_at_order_30():
     want = eisenstein(2, 30) * Fraction(-1, 24)
-    assert q_bracket(Q2, 30).coeffs == want.coeffs
+    assert knapsack_bracket(Q2, 30).coeffs == want.coeffs
     assert oracle_brackets([Q2], 30)[0].coeffs == want.coeffs
 
 
-def test_q_bracket_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        q_bracket(parse_poly("Q2^(1/2)"), 10)
-
-
-def test_sl2_images_under_bracket_vanish_consistently():
-    # odd-weight input: every bracket in sight vanishes
-    f = parse_poly("Q3 + Q2*Q1")
-    for g in (f, q2_hat(f).pr(), laplacian(f).pr(), e_hat(f).pr()):
-        assert q_bracket(g.pr(), 15).is_zero
+def test_unpack_signed_reads_slots_that_need_the_sign_bit():
+    # slots of one sign as large as the width allows set the top bit of
+    # each slot, so only the sign convention tells them from their carries
+    for width in (2, 7, 13):
+        big = 2 ** (width - 1) - 1
+        for n in range(1, 20):
+            for cs in ([big] * n, [-big] * n, [big, -big] * n, [-1, 0] * n):
+                x = sum(c << width * i for i, c in enumerate(cs))
+                assert unpack_signed(x, width, len(cs)) == cs
+    # bits above the slots read are ignored
+    assert unpack_signed(3 + (-2 << 8) + (7 << 16), 8, 2) == [3, -2]

@@ -7,7 +7,7 @@ from shsym import linalg, quasimodular, verify
 from shsym.harmonic import basis_element, decompose
 from shsym.linalg import LinearSolveError
 from shsym.partitions import enumerate_min_part
-from shsym.qseries import QSeries, d_series, eisenstein, partition_gf, q_bracket
+from shsym.qseries import QSeries, d_series, eisenstein, partition_gf
 from shsym.quasimodular import (
     InsufficientOrderError,
     QMForm,
@@ -29,7 +29,7 @@ from shsym.quasimodular import (
 )
 from shsym.reference import ROWS
 from shsym.ssym import SSPoly
-from shsym.verify import oracle_recognize, random_qmform
+from shsym.verify import knapsack_bracket, oracle_recognize, random_qmform
 
 P = QMForm.gen("P")
 Q = QMForm.gen("Q")
@@ -74,10 +74,10 @@ def test_expand_is_multiplicative():
 
 def test_recognize_table_rows():
     h4 = basis_element((4,))
-    assert recognize(q_bracket(h4, 30), 4) == QMForm({(0, 1, 0): Fraction(9, 320)})
+    assert recognize(knapsack_bracket(h4, 30), 4) == QMForm({(0, 1, 0): Fraction(9, 320)})
     h33 = basis_element((3, 3))
-    assert recognize(q_bracket(h33, 30), 6) == QMForm({(0, 0, 1): Fraction(115, 384)})
-    assert recognize(q_bracket(SSPoly.gen(2), 30), 2) == QMForm(
+    assert recognize(knapsack_bracket(h33, 30), 6) == QMForm({(0, 0, 1): Fraction(115, 384)})
+    assert recognize(knapsack_bracket(SSPoly.gen(2), 30), 2) == QMForm(
         {(1, 0, 0): Fraction(-1, 24)}
     )
 
@@ -119,7 +119,7 @@ def _admitted(k, order):
 def test_recognize_equals_oracle():
     for lam, _, bracket in ROWS:
         k = sum(lam)
-        s = q_bracket(basis_element(lam), 30)
+        s = knapsack_bracket(basis_element(lam), 30)
         got = _outcome(recognize, s, k)
         assert got == _outcome(oracle_recognize, s, k), lam
         if bracket is not None:
@@ -342,7 +342,7 @@ def test_slots_form_raises_each_tail_slot_by_d_hat():
     rng = random.Random(25)
     for w in (2, 4, 6, 8, 10, 12, 14, 16):
         f = verify.random_homogeneous(rng, w, min_part=2)
-        assert slots_form(decompose(f).components, w, 40) == recognize(q_bracket(f, 40), w), w
+        assert slots_form(decompose(f).components, w, 40) == recognize(knapsack_bracket(f, 40), w), w
 
 
 def test_slots_form_refuses_what_bracket_form_refuses():
@@ -357,7 +357,7 @@ def test_slots_form_refuses_what_bracket_form_refuses():
         for order in (-1, 0, 9, 10, 13, 18, 19):
             want = outcome(lambda: bracket_form(h, order, n)[1])
             if isinstance(want, QMForm):  # admitted: the form by the knapsack and recognize
-                want = recognize(q_bracket(h, order), n) if n % 2 == 0 else QMForm.zero()
+                want = recognize(knapsack_bracket(h, order), n) if n % 2 == 0 else QMForm.zero()
             assert outcome(lambda: slots_form((h,), n, order)) == want, (lam, order)
 
 
@@ -386,5 +386,5 @@ def test_depth_bound_for_shifted_harmonics():
                 f = f + q2**r * basis_element(lam) * rng.randint(-3, 3)
         if f.is_zero:
             continue
-        form = recognize(q_bracket(f, 30), w)
+        form = recognize(knapsack_bracket(f, 30), w)
         assert depth(form) <= p
