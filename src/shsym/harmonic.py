@@ -2,23 +2,22 @@
 
 A polynomial f in the Q1-free ring is harmonic when the projection of its
 laplacian vanishes.  Every weight-n element splits uniquely as
-f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  `_peel`
-splits off one slot: g = T^-1 pr laplacian(f), where
-T(g) = pr laplacian(Q2 g) is inverted in closed form from the sl2 relation
-of Q2 and the projected laplacian, f - Q2 g is the harmonic slot, and g is
-the remainder the next slot is peeled from.  The projected laplacian is a
-closed form in integers over the denominator 8, `_pr_laplacian_image`,
-whose powers build g, and with which `decompose` checks each returned slot
-once.  The operator laplacian is its independent reference:
-`verify.suite_pr_laplacian_oracle` proves the two equal on every Q1-free
-monomial a CLI job can meet, so on every input the CLI admits.  Elsewhere
-a caller checks slots with `is_harmonic`; it and the reproduction
-identity alone load `operators`.
+f = h_0 + Q2 h_1 + ... + Q2^(n') h_(n') with harmonic slots.  Q2 and the
+projected laplacian Y satisfy the sl2 relation of the classical harmonic
+polynomials, so every slot has a closed form in the powers Y^k f: `_slots`
+computes them once and builds slot r as pi_(n-2r)(Y^r f) / kappa_r.  The
+projected laplacian is a closed form in integers over the denominator 8,
+`_pr_laplacian_image`, whose powers build the slots, and with which
+`decompose` checks each returned slot once.  The operator laplacian is its
+independent reference: `verify.suite_pr_laplacian_oracle` proves the two
+equal on every Q1-free monomial a CLI job can meet, so on every input the
+CLI admits.  Elsewhere a caller checks slots with `is_harmonic`; it and
+the reproduction identity alone load `operators`.
 
 The explicit basis of the weight-n harmonic space is indexed by partitions
 of n with all parts >= 3.  Its element h_lambda, the projected Kelvin image
 of delta_lambda applied to the Kelvin unit, is c_n Q_lambda modulo Q2 with
-c_n = n! (3/2)_n, so it is the harmonic slot of c_n Q_lambda: the same peel
+c_n = n! (3/2)_n, so it is slot 0 of c_n Q_lambda: the same routine
 builds it.  `verify` keeps the Kelvin/delta_lambda composition as the
 independent oracle of that identity.
 """
@@ -27,8 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import Iterable, NamedTuple
+from math import comb, factorial, lcm, prod
+from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import Partition, check_partition, count_partitions, enumerate_min_part
 from .ssym import LinearSolveError, Monomial, SSPoly, _linear_numerators
@@ -40,10 +39,12 @@ class Decomposition(NamedTuple):
     components: tuple[SSPoly, ...]
 
     def reconstruct(self) -> SSPoly:
-        # multiplying by Q2^r shifts each exponent of Q2 by r
+        # a slot is Q1-free with non-negative exponents, as `_times_q2` needs
         acc = SSPoly.zero()
         for r, h in enumerate(self.components):
-            acc = acc + SSPoly._make({m.shift({2: 2 * r}): n for m, n in h.num.items()}, h.den)
+            if r:
+                h = SSPoly._make({_times_q2(m, 2 * r): n for m, n in h.num.items()}, h.den)
+            acc = acc + h
         return acc
 
     @property
@@ -124,16 +125,13 @@ def pr_laplacian(f: SSPoly) -> SSPoly:
 
 
 def _t_inverse(m: int) -> tuple[Fraction, ...]:
-    """The inverse of T(g) = pr laplacian(Q2 g) on the weight-m slice, in
-    closed form: the floor(m/2) + 1 rationals a_i with
-    T^-1 = sum_i a_i Q2^i Y^i, Y = pr laplacian.
-
-    On the Q1-free ring, with X the product by Q2 and H the weight minus
-    1/2, [Y, X] = H, as in the sl2 triple of the classical harmonic
-    polynomials.  So the harmonic part of a weight-(m + 2) element f is
-    sum_j c_j X^j Y^j f with c_0 = 1 and c_j = c_(j-1) (-2) / (j (2m + 1 - 2j)),
-    whose factor 2m + 1 - 2j is odd, never zero; f minus it is X T^-1 Y f,
-    and a_i = -c_(i+1).
+    """The floor(m/2) + 1 rationals a_i = -c_(i+1) of the harmonic
+    projection pi_(m+2) = sum_j c_j X^j Y^j, X the product by Q2 and
+    Y = pr laplacian, with c_0 = 1 and c_j = c_(j-1) (-2) / (j (2m + 1 - 2j)),
+    whose factor 2m + 1 - 2j is odd, never zero.  It holds because
+    [Y, X] is the weight minus 1/2 on the Q1-free ring, as for the classical
+    harmonic polynomials.  sum_i a_i X^i Y^i inverts g -> Y(X g) on the
+    weight-m slice, whence the name, which perfbench/traced_job.py rebinds.
     """
     coeffs = []
     den = 1  # c_j = (-2)^j / den
@@ -141,6 +139,12 @@ def _t_inverse(m: int) -> tuple[Fraction, ...]:
         den *= j * (2 * m + 1 - 2 * j)
         coeffs.append(Fraction(-((-2) ** j), den))
     return tuple(coeffs)
+
+
+def _kappa(w: int, r: int) -> Fraction:
+    """kappa_r = r! prod_(i<r) (w - r - 3/2 - i), with Y^r (X^r h) = kappa_r h
+    for every harmonic h of weight w - 2r; no factor is zero."""
+    return Fraction(factorial(r) * prod(2 * (w - r - i) - 3 for i in range(r)), 1 << r)
 
 
 def _times_q2(mono: Monomial, e2: int) -> Monomial:
@@ -153,59 +157,53 @@ def _times_q2(mono: Monomial, e2: int) -> Monomial:
     return tuple.__new__(Monomial, ((2, e2), *mono))
 
 
-def _peel(f: SSPoly, n: int) -> tuple[SSPoly, SSPoly]:
-    """(h, g): a weight-n element split as f = h + Q2 g, with h the
-    harmonic slot, both as elements.
+def _slots(f: SSPoly, w: int) -> Iterator[SSPoly]:
+    """The harmonic slots h_0, h_1, ... of a weight-w element
+    f = sum_r X^r h_r, up to the last one the powers of Y reach.
 
-    g = T^-1 pr laplacian(f) = sum_i a_i Q2^i Y^(i+1) f, with the a_i of
-    `_t_inverse(n - 2)`.  Each power Y^(i+1) f is kept as integer numerators
-    over 8^(i+1) f.den; g is summed from them over one common denominator,
-    and h = f - Q2 g over the same one.
+    Y^r (X^s h) of a harmonic h of weight w - 2s is zero for s < r, kappa_r h
+    for s = r and a multiple of X^(s-r) h for s > r, so slot r is
+    pi_(w-2r)(Y^r f) / kappa_r, pi as in `_t_inverse`.  Each power Y^k f is
+    computed once, as integer numerators over 8^k f.den, and each slot is
+    summed from them over one common denominator.
     """
-    coeffs = _t_inverse(n - 2)
-    top = len(coeffs)
-    scale = lcm(*(a.denominator for a in coeffs)) << 3 * top  # den / f.den
-    g: dict[Monomial, int] = {}
-    power = f.num
-    for i, a in enumerate(coeffs):
+    powers = [f.num]
+    for _ in range(w // 2):
         nxt: dict[Monomial, int] = {}
-        for mono, s in power.items():
+        for mono, s in powers[-1].items():
             for key, c in _pr_laplacian_image(mono):
                 nxt[key] = nxt.get(key, 0) + s * c
-        power = {key: s for key, s in nxt.items() if s}
-        if not power:
+        nxt = {key: s for key, s in nxt.items() if s}
+        if not nxt:
             break
-        weight = a.numerator * scale // (a.denominator << 3 * (i + 1))  # a_i / 8^(i+1)
-        for mono, s in power.items():
-            key = _times_q2(mono, 2 * i) if i else mono
-            g[key] = g.get(key, 0) + weight * s
-    h = {mono: s * scale for mono, s in f.num.items()}
-    for mono, s in g.items():
-        key = _times_q2(mono, 2)
-        h[key] = h.get(key, 0) - s
-    den = f.den * scale
-    return SSPoly._make(h, den), SSPoly._make(g, den)
+        powers.append(nxt)
+    for r in range(len(powers)):
+        kappa = _kappa(w, r)
+        pi = (1, *(-a for a in _t_inverse(w - 2 * r - 2)))
+        weights = [c / (kappa * 8 ** (r + j)) for j, c in enumerate(pi[: len(powers) - r])]
+        scale = lcm(*(c.denominator for c in weights))
+        h: dict[Monomial, int] = {}
+        for j, c in enumerate(weights):
+            num = c.numerator * (scale // c.denominator)
+            for mono, s in powers[r + j].items():
+                key = _times_q2(mono, 2 * j) if j else mono
+                h[key] = h.get(key, 0) + num * s
+        yield SSPoly._make(h, scale * f.den)
 
 
 def decompose(f: SSPoly) -> Decomposition:
-    """Split f into harmonic slots.  Each weight component w is peeled one
-    slot at a time: slot r gets the harmonic part of the weight-(w - 2r)
-    remainder, the peel's g is the next remainder, and the last slot keeps
-    what is left."""
+    """Split f into harmonic slots, each weight component at once by
+    `_slots`."""
     _require_lambda_star(f, "decomposition")
     parts = f.weight_components()
     slots = [SSPoly.zero()] * (max(parts, default=0) // 2 + 1)
-    for w, rest in parts.items():
-        for r in range(w // 2):
-            if rest.is_zero:
-                break
-            h, rest = _peel(rest, w - 2 * r)
+    for w, part in parts.items():
+        for r, h in enumerate(_slots(part, w)):
             slots[r] = slots[r] + h
-        slots[w // 2] = slots[w // 2] + rest
     dec = Decomposition(tuple(slots))
     # A slot holds at most one part per weight component, and the laplacian
     # keeps weights apart, so a slot is harmonic exactly when each part is:
-    # one check per returned slot certifies every peel.  verify's
+    # one check per returned slot certifies every part.  verify's
     # pr_laplacian oracle proves the closed form equal to the operator
     # laplacian on every monomial the CLI meets.
     if dec.reconstruct() != f or not all(pr_laplacian(h).is_zero for h in dec.components):
@@ -217,9 +215,9 @@ def basis_element(lam: Partition) -> SSPoly:
     """The harmonic element attached to a partition: the projected,
     Kelvin-conjugated image of delta_lambda applied to the Kelvin unit.
 
-    It is the harmonic slot of c_n Q_lambda, c_n = n! (3/2)_n, that `_peel`
-    splits off, since the element is c_n Q_lambda modulo Q2 and harmonic
-    elements are fixed by their Q2-free part.  A part 1 or 2 gives zero,
+    It is slot 0 of c_n Q_lambda, c_n = n! (3/2)_n, from `_slots`, since
+    the element is c_n Q_lambda modulo Q2 and harmonic elements are fixed
+    by their Q2-free part.  A part 1 or 2 gives zero,
     since delta_1 vanishes and the projection of delta_2 on the Kelvin unit
     Q2^(3/2) does.
     """
@@ -229,7 +227,7 @@ def basis_element(lam: Partition) -> SSPoly:
     if lam[-1] <= 2:
         return SSPoly.zero()
     n = sum(lam)
-    return _peel(SSPoly({Monomial.from_partition(lam): leading_term_scale(n)}), n)[0]
+    return next(_slots(SSPoly({Monomial.from_partition(lam): leading_term_scale(n)}), n))
 
 
 def harmonic_basis(n: int) -> HarmonicBasis:

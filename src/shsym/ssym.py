@@ -585,10 +585,10 @@ _EVAL_WORK_BITS = int(MAX_EVAL_WORK_DIGITS / 0.30103)
 # sums each slot over the partitions of its Sturm prefix only, so its cost
 # follows the terms and weights of its input: at -N 40 the slowest admitted
 # input measured (300 distinct Q2-free monomials, each times every power of
-# Q2 up to weight 32) takes 1.7 s.  The slots are peeled with the
-# closed-form inverse of T, from the sl2 relation, and certified with the
-# closed-form laplacian; verify proves both on every Q1-free monomial a CLI
-# job meets.
+# Q2 up to weight 32) takes 1.7 s.  The slots are built in closed form
+# from the powers of the projected laplacian, by the sl2 relation, and
+# certified with the closed-form laplacian; verify proves both on every
+# Q1-free monomial a CLI job meets.
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify

@@ -490,7 +490,7 @@ def suite_sl2_relation(rng, max_weight, order):
     """[Y, X] = H on the closed form, with X the product by Q2, Y the
     projected laplacian and H the weight minus 1/2, on every monomial g of
     `proof_monomials`, of weight w: Y(Q2 g) - Q2 Y(g) = (w - 1/2) g.
-    `harmonic._t_inverse` inverts the peel's map in closed form from it."""
+    The closed-form slots of `harmonic._slots` rest on it."""
     q2 = SSPoly.gen(2)
     monomials, proof = proof_monomials()
     for g in monomials:
@@ -553,7 +553,7 @@ def suite_t_solve_oracle(rng, max_weight, order):
 
 def suite_basis_oracle(rng, max_weight, order):
     """Each basis element equals the projected Kelvin image of delta_lambda
-    on the Kelvin unit, which shares nothing with the closed-form peel that
+    on the Kelvin unit, which shares nothing with the closed-form slot that
     builds it; parts 1 and 2 included, where both are zero."""
     seed = kelvin(SSPoly.one())
     top = max(max_weight, 16)

@@ -52,8 +52,13 @@ def test_traced_job_runs_the_harmonic_jobs(tmp_path):
     assert [row["lambda"] for row in rows] == [[8], [5, 3], [4, 4]]
     # one call per partition of 8 with parts >= 3
     assert report["calls"]["harmonic.basis_element"] == 3
+    # each element reads the projection of weight 8: _t_inverse(6) has
+    # floor(6/2) + 1 coefficients
+    assert report["counters"]["harmonic.t_inverse.max_dim"] == 4
     out, report = _traced(tmp_path, "decompose", "Q2^3*Q4 + 3/5*Q3^2*Q2", "--format", "json")
     assert json.loads(out)["depth"] == 5
     assert report["calls"]["harmonic.decompose"] == 1
+    # slot 0 of the weight-10 component reads _t_inverse(8), the largest
+    assert report["counters"]["harmonic.t_inverse.max_dim"] == 5
     # the slots are certified by the closed form, not the operator laplacian
     assert "operators.laplacian" not in report["calls"]

@@ -189,39 +189,48 @@ def test_unusual_identity_on_random_harmonics():
         assert unusual_identity_check(h, n)
 
 
-def test_closed_form_peel_matches_dense_inverse():
-    from shsym.harmonic import _peel
+def test_slot_zero_matches_dense_inverse():
+    from shsym.harmonic import _slots
     from shsym.verify import oracle_t_solve
 
     rng = random.Random(101)
     for n in range(17):
         monos = [b.terms()[0][0] for b in lambda_star_basis(n + 2)]
         f = SSPoly({m: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for m in monos})
-        h, g = _peel(f, n + 2)
-        assert all(type(v) is int for v in g.num.values()) and type(g.den) is int, n
-        assert g == oracle_t_solve(n, laplacian(f).pr()), n
-        assert f == h + Q2 * g, n
-        assert is_harmonic(h), n
+        slots = tuple(_slots(f, n + 2))
+        assert all(type(v) is int and type(h.den) is int for h in slots for v in h.num.values()), n
+        # f - h_0 = Q2 g, with g the dense solve of pr laplacian(Q2 g) = pr laplacian(f)
+        g = oracle_t_solve(n, laplacian(f).pr())
+        assert f - slots[0] == Q2 * g, n
+        assert Decomposition(slots[1:]).reconstruct() == g, n
+        assert is_harmonic(slots[0]), n
 
 
-def test_decompose_raises_on_a_perturbed_peel(monkeypatch):
+def test_decompose_raises_on_a_perturbed_slot_constant(monkeypatch):
     from shsym import harmonic
     from shsym.ssym import LinearSolveError
 
     f = parse_poly("Q4^2 + Q2*Q3^2 - 2*Q2^4")
-    t_inverse = harmonic._t_inverse
+    t_inverse, kappa = harmonic._t_inverse, harmonic._kappa
 
     def perturbed(m):
-        # the coefficient of Y in T^-1 off by one: g is wrong
-        first, *rest = t_inverse(m)
-        return (first + 1, *rest)
+        # c_1 of the projection off by one: slot 0 is not harmonic
+        return tuple(a - (not i) for i, a in enumerate(t_inverse(m)))
 
-    monkeypatch.setattr(harmonic, "_t_inverse", perturbed)
-    h, g = harmonic._peel(f, 8)
-    # the split still adds up, so only the harmonicity check can catch it
-    assert f == h + Q2 * g and not is_harmonic(h)
-    with pytest.raises(LinearSolveError):
-        decompose(f)
+    with monkeypatch.context() as patch:
+        patch.setattr(harmonic, "_t_inverse", perturbed)
+        assert not is_harmonic(next(harmonic._slots(f, 8)))
+        with pytest.raises(LinearSolveError):
+            decompose(f)
+    with monkeypatch.context() as patch:
+        # r! in kappa_r off by one factor, (r + 1)!: every slot is still
+        # harmonic, so only the reconstruction can catch it
+        patch.setattr(harmonic, "_kappa", lambda w, r: kappa(w, r) * (r + 1))
+        slots = tuple(harmonic._slots(f, 8))
+        assert all(is_harmonic(h) for h in slots) and Decomposition(slots).reconstruct() != f
+        with pytest.raises(LinearSolveError):
+            decompose(f)
+    assert decompose(f).reconstruct() == f
 
 
 def test_basis_element_equals_the_kelvin_composition():

@@ -74,7 +74,7 @@ def _in_lowest_terms(f):
 
 
 def test_polynomials_stay_in_lowest_terms():
-    from shsym.harmonic import _peel, pr_laplacian
+    from shsym.harmonic import _slots, pr_laplacian
     from shsym.quasimodular import QMForm, frak_d, recognize
     from shsym.verify import random_homogeneous, random_qmform
 
@@ -98,8 +98,8 @@ def test_polynomials_stay_in_lowest_terms():
         c = scalar()
         results = [a + b, a - b, a - a, -a, a * b, a * c, c * b, a * 6, a / c, a.pr(), pr_laplacian(a)]
         results += [x + y, x - y, x - x, -x, x * y, x * c, c * y, x * 6, x / c, frak_d(x)]
-        results += [*a.weight_components().values(), *x.weight_components().values(), *_peel(f, n)]
-        results += _peel(Q2 * c, 2)  # T^-1 = -2 at weight 0: pr laplacian(Q2) = -1/2
+        results += [*a.weight_components().values(), *x.weight_components().values(), *_slots(f, n)]
+        results += _slots(Q2 * c, 2)  # slots 0 and c: pr laplacian(Q2) = -1/2
         results.append(recognize(knapsack_bracket(f, 30), n))
         for g in results:
             assert _in_lowest_terms(g), repr(g)
