@@ -26,13 +26,11 @@ from typing import TYPE_CHECKING
 
 from .partitions import enumerate_min_part, format_partition, parse_partition
 from .ssym import (
-    MAX_BRACKET_MONOMIALS,
     MAX_CONSTANT_DIGITS,
     MAX_ORDER,
     MAX_TABLE_WEIGHT,
     MAX_WEIGHT,
     InsufficientOrderError,
-    Monomial,
     ParseError,
     RecognitionError,
     SSPoly,
@@ -187,8 +185,6 @@ def cmd_qbracket(args) -> int:
 
     _check_limit("order", args.order, MAX_ORDER)
     f = parse_poly(_read_expr(args.expr))
-    q2_free = {Monomial(t for t in mono if t[0] != 2) for mono in f.pr().num}
-    _check_limit("number of distinct Q2-free monomials", len(q2_free), MAX_BRACKET_MONOMIALS)
     series, form = bracket_form(f, args.order, args.weight)
     if args.format == "json":
         _print_json({"series": _series_json(series), "q_bracket": _form_json(form)})
@@ -364,14 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("qbracket", help="partition average of an expression")
-    p.add_argument(
-        "expr",
-        nargs="?",
-        help=(
-            f"expression of at most {MAX_BRACKET_MONOMIALS} distinct monomials once Q1 terms"
-            " are dropped and Q2 factored out (stdin if omitted)"
-        ),
-    )
+    p.add_argument("expr", nargs="?", help="expression (stdin if omitted)")
     p.add_argument("--weight", type=int, help="recognition weight (inferred if omitted)")
     add_common(p)
     p.set_defaults(func=cmd_qbracket)

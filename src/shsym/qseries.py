@@ -10,7 +10,6 @@ order, and equality is likewise defined up to the common truncation order.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Union
@@ -159,7 +158,6 @@ def sigma(k: int, n: int) -> int:
 _EISENSTEIN_FACTOR = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
 
 
-@lru_cache(maxsize=128)  # the three weights at every order <= 40
 def eisenstein(k: int, order: int) -> QSeries:
     """Weight-k series for k in {2, 4, 6}, in the classical normalization
     with constant term 1."""

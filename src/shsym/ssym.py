@@ -580,23 +580,20 @@ _EVAL_WORK_BITS = int(MAX_EVAL_WORK_DIGITS / 0.30103)
 
 # Request-size limits of the command line, which imports them; a request
 # over one is a usage error.  At the largest sizes they admit, the slowest
-# request is verify --max-weight 16 -N 40, in 30 s on a 2-vCPU host.
-# qbracket decomposes each even-weight component into harmonic slots and
-# sums each slot over the partitions of its Sturm prefix only, so its cost
-# follows the terms and weights of its input: at -N 40 the slowest admitted
-# input measured (300 distinct Q2-free monomials, each times every power of
-# Q2 up to weight 32) takes 1.7 s.  The slots are built in closed form
-# from the powers of the projected laplacian, by the sl2 relation, and
-# certified with the closed-form laplacian; verify proves both on every
-# Q1-free monomial a CLI job meets.
+# request is verify --max-weight 16 -N 40, in about 27 s on a 2-vCPU host.
+# qbracket has no size limit of its own: it decomposes each even-weight
+# component into harmonic slots and sums each slot over the partitions of
+# its Sturm prefix only, so its cost follows the terms and weights of its
+# input, which the parse limits above and the order bound of the weights
+# (33 at -N 40) already hold.  The slowest admitted input measured, every
+# Q1-free monomial of even weight <= 32 (4,624 terms), takes 1.5 s at
+# -N 40.  The slots are built in closed form from the powers of the
+# projected laplacian, by the sl2 relation, and certified with the
+# closed-form laplacian; verify proves both on every Q1-free monomial a CLI
+# job meets.
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
-# The count of distinct Q2-free monomials dates from one moment knapsack per
-# monomial and no longer measures the cost of a bracket; it is kept for its
-# refusal bytes until one cost model replaces the separate limits (ROADMAP
-# item 7).
-MAX_BRACKET_MONOMIALS = 300  # distinct Q2-free monomials of a qbracket input
 
 
 class _Parser:

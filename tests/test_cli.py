@@ -454,7 +454,6 @@ def test_limits_admit_the_benchmark_sizes():
     from shsym.ssym import MAX_EXPONENT
 
     assert cli.MAX_ORDER >= 36  # one limit for every -N, verify's included
-    assert cli.MAX_BRACKET_MONOMIALS >= 2  # a qbracket-deep input has two
     assert cli.MAX_WEIGHT >= 18 and cli.MAX_TABLE_WEIGHT >= 10
     assert MAX_EXPONENT >= 9  # a weight-18 decompose input may hold Q2^9
 
@@ -480,6 +479,22 @@ def test_every_cache_is_bounded():
     assert set(caches) == set(rows)
     for name, f in caches.items():
         assert f.cache_parameters()["maxsize"] == int(rows[name].replace(",", "")), name
+
+
+def test_every_limit_row_holds_its_value():
+    import re
+
+    from shsym import ssym
+
+    # the rows of the README limits table: each names an ssym constant with
+    # its value, so a limit removed or changed cannot leave a stale row
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        table = fh.read().split("| limit (`shsym.ssym`, read by `shsym.cli`) | value |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([\d,]+) \|", table, re.M)
+    assert rows
+    for name, value in rows:
+        assert getattr(ssym, name, None) == int(value.replace(",", "")), name
 
 
 def _assert_one_line_usage_error(capsys, *argv, prefix="error: "):
@@ -609,20 +624,50 @@ def test_decompose_over_a_long_common_denominator_is_parse_error():
         assert proc.stderr.count("\n") == 1, w
 
 
-def test_bracket_of_too_many_monomials_is_refused_before_summing():
-    # 2,744 distinct monomials at -N 40 took 78 s to sum one knapsack each
-    from shsym.cli import MAX_BRACKET_MONOMIALS
+def _bracket_input(lams, q2_power, extra):
+    """Each monomial Q_lam, alone and times Q2^q2_power, then the extra terms."""
+    monos = ("*".join(f"Q{p}" for p in lam) for lam in lams)
+    return " + ".join([t for m in monos for t in (m, f"{m}*Q2^{q2_power}")] + list(extra))
 
-    # the count is of distinct monomials once Q1 terms are dropped and Q2
-    # factored out: each Q3^a*Q4^b comes with two powers of Q2, the Q1 term
-    # is not counted, and Q2^3 and 5 share the unit with Q2 and Q2^2
-    monos = [f"Q3^{i // 20}*Q4^{i % 20}*Q2{p}" for i in range(MAX_BRACKET_MONOMIALS + 1) for p in ("", "^2")]
-    proc = _run_cli_within(10, "qbracket", " + ".join(monos + ["Q1*Q5", "Q2^3", "5"]), "-N", "40")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == (
-        f"error: number of distinct Q2-free monomials {MAX_BRACKET_MONOMIALS + 1}"
-        f" is above the limit of {MAX_BRACKET_MONOMIALS}\n"
-    )
+
+def _many_monomials():
+    """374 distinct Q2-free monomials, of weights 3 to 22, and the terms that
+    add none once Q1 terms are dropped and Q2 factored out."""
+    from shsym.partitions import enumerate_min_part
+
+    return [lam for w in range(3, 23) for lam in enumerate_min_part(w, 3)], ("Q1*Q5", "Q2^3", "5")
+
+
+def test_bracket_of_many_monomials_is_admitted_as_the_sum_of_its_halves():
+    # each harmonic slot is summed on its Sturm prefix only, so the cost of a
+    # bracket follows the terms and weights of its input, not its count of
+    # distinct monomials: weights <= 26 are admitted at -N 40 whatever that
+    # count, and the bracket is linear, so it is the sum of the brackets of
+    # two halves of at most 300 monomials each
+    from shsym.qseries import QSeries
+    from shsym.quasimodular import QMForm, bracket_form, format_qmform
+    from shsym.ssym import parse_poly
+
+    lams, extra = _many_monomials()
+    assert len(lams) > 300
+    proc = _run_cli_within(10, "qbracket", "-N", "40", stdin=_bracket_input(lams, 2, extra))
+    assert proc.returncode == 0 and proc.stderr == ""
+    series, form = QSeries.zero(40), QMForm.zero()
+    half = len(lams) // 2
+    for part, terms in ((lams[:half], extra), (lams[half:], ())):
+        assert len(part) <= 300
+        s, m = bracket_form(parse_poly(_bracket_input(part, 2, terms)), 40)
+        series, form = series + s, form + m
+    assert proc.stdout == f"series: {series}\n{format_qmform(form)}\n"
+
+
+def test_bracket_of_many_monomials_past_the_order_is_refused():
+    # the same shape times Q2^6 reaches weight 34, which -N 40 cannot recognize
+    lams, extra = _many_monomials()
+    proc = _run_cli_within(10, "qbracket", "-N", "40", stdin=_bracket_input(lams, 6, extra))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("recognition error: insufficient order: weight 34 ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_generator_index_over_limit_is_parse_error():
