@@ -10,12 +10,13 @@ order, and equality is likewise defined up to the common truncation order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial, reduce
 from math import factorial, gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Union
 
 from .partitions import count_partitions, enumerate_partitions, pentagonal_terms
-from .ssym import SSPoly, beta, eval_qk, format_signed_sum
+from .ssym import SSPoly, beta, format_signed_sum
 
 Scalar = Union[int, Fraction]
 
@@ -180,33 +181,64 @@ def check_bracket_input(f: SSPoly, order: int) -> None:
         raise ValueError("q-bracket requires non-negative integer exponents")
 
 
+# Production sums Sturm prefixes, orders <= 3, where an entry is at most 7
+# integers and rebuilding one costs microseconds.  A deep entry holds about
+# 215k integers at order 40 (8-12 MB); `verify --max-weight 16 -N 40` keeps
+# 11 of them, which 32 entries hold among its shallow ones.
+@lru_cache(maxsize=32)
+def _generator_values(k: int, order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D_k, values) with values[n] = D_k Q_k(lambda) over the partitions of
+    n in enumeration order, for every n <= order, from the row sums
+    S_k(lambda) = sum_i (2 lambda_i - 2i + 1)^(k-1) - (1 - 2i)^(k-1), i from 1,
+    with Q_k(lambda) = beta_k + S_k(lambda) / (2^(k-1) (k-1)!), so that
+    D_k = lcm(den beta_k, 2^(k-1) (k-1)!) makes each value an integer."""
+    b = beta(k)
+    scale = 2 ** (k - 1) * factorial(k - 1)
+    denom = lcm(b.denominator, scale)
+    base = b.numerator * (denom // b.denominator)
+    unit = denom // scale
+    # rows[i][p]: the row-sum term of part p in row i + 1
+    rows = [
+        [(2 * (p - i) - 1) ** (k - 1) - (-2 * i - 1) ** (k - 1) for p in range(order + 1)]
+        for i in range(order)
+    ]
+    row_term = list.__getitem__
+    values = tuple(
+        tuple(base + unit * sum(map(row_term, rows, lam)) for lam in enumerate_partitions(n))
+        for n in range(order + 1)
+    )
+    return denom, values
+
+
 def q_bracket(f: SSPoly, order: int) -> QSeries:
     """Partition average of f as a truncated series, by its definition: the
     sum of f(lambda) q^|lambda| over every partition of size <= order,
     divided by the partition generating function.
 
-    The projection killing Q1 is applied first.  Each term is evaluated at
-    each of the sum of p(n), n <= order, partitions: cheap at the Sturm
-    orders k // 12 + 1 at which slots_form brackets, dear past about 24,
-    where quasimodular.bracket_form is the route to a deep series.
+    The projection killing Q1 is applied first.  The sum goes column by
+    column: each generator's integer values over the partitions of a size,
+    each power of it once, and one product of columns per monomial.
     """
     check_bracket_input(f, order)
     f = f.pr()
-    # Q_k(lambda) is beta_k plus an integer over 2^(k-1) (k-1)!, so D_k Q_k(lambda)
-    # is an integer for D_k = lcm(den beta_k, 2^(k-1) (k-1)!)
-    gens = {k for mono in f.num for k, _ in mono}
-    scale = {k: lcm(beta(k).denominator, 2 ** (k - 1) * factorial(k - 1)) for k in gens}
     terms = [([(k, e2 // 2) for k, e2 in mono], c) for mono, c in f.num.items()]
-    denoms = [prod(scale[k] ** e for k, e in exps) for exps, _ in terms]
+    columns = {k: _generator_values(k, order) for exps, _ in terms for k, _ in exps}
+    denoms = [prod(columns[k][0] ** e for k, e in exps) for exps, _ in terms]
     # one integer numerator over a common denominator
     denom = lcm(*denoms)
     terms = [(exps, c * (denom // d)) for (exps, c), d in zip(terms, denoms)]
     num = []
     for n in range(order + 1):
+        powers = {}  # (k, e): the column of (D_k Q_k)^e over the partitions of n
         total = 0
-        for lam in enumerate_partitions(n):
-            value = {k: (q := eval_qk(k, lam)).numerator * (d // q.denominator) for k, d in scale.items()}
-            total += sum(c * prod(value[k] ** e for k, e in exps) for exps, c in terms)
+        for exps, c in terms:
+            cols = []
+            for k, e in exps:
+                if (k, e) not in powers:
+                    values = columns[k][1][n]
+                    powers[k, e] = values if e == 1 else [v**e for v in values]
+                cols.append(powers[k, e])
+            total += c * (sum(reduce(partial(map, mul), cols)) if cols else count_partitions(n))
         num.append(total)
     # dividing by the generating function multiplies by Euler's product
     euler = list(pentagonal_terms(order))

@@ -354,10 +354,10 @@ def beta(k: int) -> Fraction:
     return _beta_list(upto)[k]
 
 
-# `eval` reads each generator once per partition.  The reuse is in
-# q_bracket, whose Sturm prefixes read the generators of every slot of a
-# bracket or table at the same 7 partitions of size <= 3, and in the
-# oracles, which evaluate many products on a few partitions.
+# `eval` reads each generator once per partition, and q_bracket sums the
+# row-sum columns of qseries instead, so only the oracles reuse an entry
+# (520 hits to 3,017 misses in `shsym verify`).  The cache stays because
+# perfbench/traced_job.py times this function through its `__wrapped__`.
 @lru_cache(maxsize=1024)
 def eval_qk(k: int, lam: Partition) -> Fraction:
     """Exact value of the generator Q_k on a partition."""

@@ -50,7 +50,7 @@ from .partitions import (
     frobenius,
     pentagonal_terms,
 )
-from .qseries import QSeries, check_bracket_input, d_series, eisenstein, partition_gf
+from .qseries import QSeries, check_bracket_input, d_series, eisenstein, partition_gf, q_bracket
 from .quasimodular import (
     InsufficientOrderError,
     QMForm,
@@ -620,45 +620,6 @@ def suite_depth(rng, max_weight, order):
 # -- series and brackets ----------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _generator_values(k: int, order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D_k, values) with values[n] = D_k Q_k(lambda) over the partitions of
-    n in enumeration order, for every n <= order, from the row sums
-    S_k(lambda) = sum_i (2 lambda_i - 2i + 1)^(k-1) - (1 - 2i)^(k-1), i from 1,
-    with Q_k(lambda) = beta_k + S_k(lambda) / (2^(k-1) (k-1)!)."""
-    b = beta(k)
-    scale = 2 ** (k - 1) * factorial(k - 1)
-    denom = lcm(b.denominator, scale)
-    base = b.numerator * (denom // b.denominator)
-    unit = denom // scale
-    # rows[i][p]: the row-sum term of part p in row i + 1
-    rows = [
-        [(2 * (p - i) - 1) ** (k - 1) - (-2 * i - 1) ** (k - 1) for p in range(order + 1)]
-        for i in range(order)
-    ]
-    row_term = list.__getitem__
-    values = tuple(
-        tuple(base + unit * sum(map(row_term, rows, lam)) for lam in enumerate_partitions(n))
-        for n in range(order + 1)
-    )
-    return denom, values
-
-
-def oracle_row_sums(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
-    """(D, totals) for a Q2-free, Q1-free monomial as _moment_knapsack
-    defines them, by multiplying row-sum generator vectors over every
-    partition: the fast oracle of the knapsack, which lists no partition."""
-    factors = [(_generator_values(k, order), e2 // 2) for k, e2 in mono]
-    denom = prod(d**e for (d, _), e in factors)
-    totals = []
-    for n in range(order + 1):
-        column = [1] * count_partitions(n)
-        for (_, values), e in factors:
-            column = list(map(mul, column, [v**e for v in values[n]]))
-        totals.append(sum(column))
-    return denom, tuple(totals)
-
-
 # The knapsack oracle sums the bracket numerator in integers over Frobenius
 # coordinates and lists no partition.  A partition of n has d arms
 # x_1 > ... > x_d and d legs y_1 > ... > y_d, doubled (x = 2a + 1,
@@ -820,53 +781,6 @@ def knapsack_bracket(f: SSPoly, order: int) -> QSeries:
     return QSeries(num, den=denom * f.den) * QSeries(euler)
 
 
-def oracle_brackets(polys: list[SSPoly], order: int) -> list[QSeries]:
-    """<f>_q for each f by direct summation: the sum of f(lambda) q^|lambda|
-    over every partition of size <= order, times the inverse of the
-    partition generating function.  The generator values of each partition
-    are computed once for all the polynomials, through the diagonal hooks
-    (c_set) and the Bernoulli constants of oracle_beta, independent of the
-    row sums, of the knapsack, and of the eval_qk and beta that q_bracket
-    sums."""
-    projected = []
-    for f in polys:
-        if not f.in_r():
-            raise ValueError("evaluation requires non-negative integer exponents")
-        projected.append(f.pr())
-    monos = sorted({m for f in projected for m, _ in f.terms()}, key=Monomial.sort_key)
-    gens = sorted({k for m in monos for k, _ in m})
-    # D_k Q_k(lambda) = base_k + unit_k sum over c in c_set of sgn(c) c^(k-1)
-    scaled = {}
-    for k in gens:
-        b = oracle_beta(k)
-        scale = 2 ** (k - 1) * factorial(k - 1)
-        d_k = lcm(b.denominator, scale)
-        scaled[k] = (d_k, b.numerator * (d_k // b.denominator), d_k // scale)
-    exps = [[(k, e2 // 2) for k, e2 in m] for m in monos]
-    sums = [[0] * (order + 1) for _ in monos]
-    for n in range(order + 1):
-        for lam in enumerate_partitions(n):
-            cs = c_set(lam)
-            value = {}
-            for k in gens:
-                _, base, unit = scaled[k]
-                value[k] = base + unit * sum(c ** (k - 1) if c > 0 else -(c ** (k - 1)) for c in cs)
-            for row, mono_exps in zip(sums, exps):
-                row[n] += prod(value[k] ** e for k, e in mono_exps)
-    mono_sums = {}
-    for m, row, mono_exps in zip(monos, sums, exps):
-        denom = prod(scaled[k][0] ** e for k, e in mono_exps)
-        mono_sums[m] = [Fraction(t, denom) for t in row]
-    inverse = partition_gf(order).inverse()
-    return [
-        QSeries(
-            [sum((c * mono_sums[m][n] for m, c in f.terms()), Fraction(0)) for n in range(order + 1)]
-        )
-        * inverse
-        for f in projected
-    ]
-
-
 def oracle_bracket_form(f: SSPoly, order: int) -> tuple[QSeries, QMForm]:
     """The bracket of f by the knapsack to `order` and the form recognize
     finds, one weight component at a time: the oracle of bracket_form that
@@ -936,13 +850,12 @@ _TABLE_WEIGHT = 10
 
 
 def suite_bracket_oracle(rng, max_weight, order):
-    # Direct summation is the dearest oracle (12-16 s on the table rows at
-    # order 40, 2 vCPUs), so it stays on the table; the knapsack suite
-    # goes higher.
+    # The definition lists every partition (3 s on the table rows at order
+    # 40, 2 vCPUs), so it stays on the table; the knapsack suite goes higher.
     rows = rows_up_to(max_weight)
-    hs = [basis_element(lam) for lam, _, _ in rows]
-    for (lam, _, _), h, want in zip(rows, hs, oracle_brackets(hs, order)):
-        if knapsack_bracket(h, order) != want:
+    for lam, _, _ in rows:
+        h = basis_element(lam)
+        if knapsack_bracket(h, order) != q_bracket(h, order):
             return False, f"bracket differs from direct summation at {lam}"
     table = f"{len(rows)} table rows"
     if max_weight > _TABLE_WEIGHT:
@@ -952,7 +865,8 @@ def suite_bracket_oracle(rng, max_weight, order):
 
 def suite_knapsack_oracle(rng, max_weight, order):
     """Each distinct Q2-free monomial of the table rows, and of one random
-    basis element at each weight above the table, against the row sums."""
+    basis element at each weight above the table, against the row sums of
+    its definition."""
     rows = rows_up_to(max_weight)
     drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(_TABLE_WEIGHT + 1, max_weight + 1)]
     seen = set()
@@ -962,7 +876,8 @@ def suite_knapsack_oracle(rng, max_weight, order):
             if q2_free in seen:
                 continue
             seen.add(q2_free)
-            if _moment_knapsack(q2_free, order) != oracle_row_sums(q2_free, order):
+            m = SSPoly({q2_free: 1})
+            if knapsack_bracket(m, order) != q_bracket(m, order):
                 return False, f"knapsack differs from the row sums at {lam}, monomial {q2_free}"
     detail = f"{len(rows)} table rows"
     if drawn:

@@ -14,8 +14,6 @@ from shsym.ssym import Monomial, SSPoly, parse_poly
 from shsym.verify import (
     _moment_knapsack,
     knapsack_bracket,
-    oracle_brackets,
-    oracle_row_sums,
     proof_monomials,
     random_element,
     unpack_signed,
@@ -199,13 +197,6 @@ def test_q_bracket_examples():
     assert q_bracket(basis_element((3,)), 25).is_zero
 
 
-def test_q_bracket_against_direct_definition():
-    rng = random.Random(97)
-    fs = [random_element(rng, 6) for _ in range(5)]
-    for f, want in zip(fs, oracle_brackets(fs, 12)):
-        assert q_bracket(f, 12) == want
-
-
 def random_kernel_input(rng):
     """Random monomials of weight <= 12 plus a Q2-power term, a Q1 term and
     a constant, with small nonzero coefficients."""
@@ -220,16 +211,15 @@ def random_kernel_input(rng):
     return SSPoly(terms)
 
 
-@pytest.mark.parametrize("order", [0, 1, 12, 24])
+@pytest.mark.parametrize("order", [0, 1, 12, 24, 36])
 def test_q_bracket_kernel_equals_direct_summation(order):
-    # the knapsack oracle at every order; q_bracket, which evaluates each
-    # partition, only to 12, past which it is dear (1.6 s at 24)
+    # the knapsack, which lists no partition, against the definition
     rng = random.Random(1000 + order)
     fs = [random_kernel_input(rng) for _ in range(4)]
-    for f, want in zip(fs, oracle_brackets(fs, order)):
-        assert knapsack_bracket(f, order) == want, format(f)
-        if order <= 12:
-            assert q_bracket(f, order) == want, format(f)
+    rng = random.Random(97)
+    fs += [random_element(rng, 6) for _ in range(5)]
+    for f in fs:
+        assert q_bracket(f, order) == knapsack_bracket(f, order), format(f)
 
 
 def test_q_bracket_equals_direct_summation_on_every_sturm_prefix():
@@ -239,8 +229,8 @@ def test_q_bracket_equals_direct_summation_on_every_sturm_prefix():
     # of order 3, so this proves every bracket a CLI job computes.
     monomials, _ = proof_monomials()
     assert len(monomials) == 4889
-    for m, want in zip(monomials, oracle_brackets(monomials, 3)):
-        assert q_bracket(m, 3) == want, m
+    for m in monomials:
+        assert q_bracket(m, 3) == knapsack_bracket(m, 3), m
 
 
 def test_q_bracket_rejects_bad_exponents():
@@ -274,14 +264,15 @@ def test_knapsack_equals_row_sums(order):
     }
     monos |= {random_generator_product(rng) for _ in range(4)}
     for m in sorted(monos, key=Monomial.sort_key):
-        assert _moment_knapsack(m, order) == oracle_row_sums(m, order), m
+        f = SSPoly({m: 1})
+        assert knapsack_bracket(f, order) == q_bracket(f, order), m
 
 
 @pytest.mark.parametrize("expr", ["Q3^10", "Q32", "Q16^2", "Q8*Q7*Q6*Q5*Q4*Q3", "Q4^4*Q3^5"])
 def test_knapsack_widest_slots_equal_row_sums(expr):
     # the monomials whose packed slots are widest at order 30
-    [(m, _)] = parse_poly(expr).terms()
-    assert _moment_knapsack(m, 30) == oracle_row_sums(m, 30)
+    f = parse_poly(expr)
+    assert knapsack_bracket(f, 30) == q_bracket(f, 30)
 
 
 def test_knapsack_equals_row_sums_on_every_table_monomial_at_order_30():
@@ -294,7 +285,8 @@ def test_knapsack_equals_row_sums_on_every_table_monomial_at_order_30():
     monos = [Monomial.from_partition(lam) for w in range(MAX_TABLE_WEIGHT + 1) for lam in enumerate_min_part(w, 3)]
     assert len(monos) == 96
     for m in monos:
-        assert _moment_knapsack(m, 30) == oracle_row_sums(m, 30), m
+        f = SSPoly({m: 1})
+        assert knapsack_bracket(f, 30) == q_bracket(f, 30), m
     # Conjugating partitions maps Q_k to (-1)^k Q_k, so an odd-weight
     # monomial sums to zero at every size.  With Q2 a factor and Q1 terms
     # dropped, this proves that the bracket of every odd-weight input whose
@@ -329,7 +321,7 @@ def test_knapsack_bracket_never_lists_partitions(monkeypatch):
 def test_q2_bracket_is_minus_p_over_24_at_order_30():
     want = eisenstein(2, 30) * Fraction(-1, 24)
     assert knapsack_bracket(Q2, 30).coeffs == want.coeffs
-    assert oracle_brackets([Q2], 30)[0].coeffs == want.coeffs
+    assert q_bracket(Q2, 30).coeffs == want.coeffs
 
 
 def test_unpack_signed_reads_slots_that_need_the_sign_bit():
