@@ -10,7 +10,7 @@ from shsym.operators import e_hat, laplacian, q2_hat
 from shsym.partitions import enumerate_min_part, enumerate_partitions
 from shsym.qseries import QSeries, d_series, eisenstein, partition_gf, q_bracket, sigma
 from shsym.reference import rows_up_to
-from shsym.ssym import Monomial, SSPoly, parse_poly
+from shsym.ssym import Monomial, SSPoly, eval_at, parse_poly
 from shsym.verify import (
     _moment_knapsack,
     knapsack_bracket,
@@ -197,6 +197,15 @@ def test_q_bracket_examples():
     assert q_bracket(basis_element((3,)), 25).is_zero
 
 
+def test_q_bracket_against_direct_definition():
+    # f(lambda) evaluated one partition at a time, not by generator columns
+    rng = random.Random(97)
+    order = 12
+    for f in [random_element(rng, 6) for _ in range(5)]:
+        total = QSeries([sum(eval_at(f, lam) for lam in enumerate_partitions(n)) for n in range(order + 1)])
+        assert q_bracket(f, order) == total * partition_gf(order).inverse(), format(f)
+
+
 def random_kernel_input(rng):
     """Random monomials of weight <= 12 plus a Q2-power term, a Q1 term and
     a constant, with small nonzero coefficients."""
@@ -216,8 +225,6 @@ def test_q_bracket_kernel_equals_direct_summation(order):
     # the knapsack, which lists no partition, against the definition
     rng = random.Random(1000 + order)
     fs = [random_kernel_input(rng) for _ in range(4)]
-    rng = random.Random(97)
-    fs += [random_element(rng, 6) for _ in range(5)]
     for f in fs:
         assert q_bracket(f, order) == knapsack_bracket(f, order), format(f)
 
