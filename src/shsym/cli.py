@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from .partitions import enumerate_min_part, format_partition, parse_partition
 from .ssym import (
+    MAX_BRACKET_WEIGHT,
     MAX_CONSTANT_DIGITS,
     MAX_ORDER,
     MAX_TABLE_WEIGHT,
@@ -281,6 +282,7 @@ def cmd_tables(args) -> int:
     from .harmonic import basis_element
     from .quasimodular import format_qmform, format_qmform_latex, slots_form
 
+    # -N is refused past its limit as elsewhere, but no form depends on it
     _check_limit("order", args.order, MAX_ORDER)
     _check_limit("max weight", args.max_weight, MAX_TABLE_WEIGHT)
     _check_min_part(args.min_part)
@@ -289,7 +291,7 @@ def cmd_tables(args) -> int:
         for lam in enumerate_min_part(n, args.min_part):
             # a basis element is harmonic: it is its own one slot
             h = basis_element(lam)
-            rows.append((lam, h, slots_form((h,), n, args.order)))
+            rows.append((lam, h, slots_form((h,), n)))
     if args.format == "json":
         _print_json(
             [{"lambda": list(lam), "h": h, "q_bracket": _form_json(form)} for lam, h, form in rows]
@@ -329,15 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order=True, fmt=True):
+    def add_common(p, order="series truncation order", fmt=True):
         if order:
-            p.add_argument(
-                "-N",
-                "--order",
-                type=int,
-                default=30,
-                help=f"series truncation order (at most {MAX_ORDER})",
-            )
+            p.add_argument("-N", "--order", type=int, default=30, help=f"{order} (at most {MAX_ORDER})")
         if fmt:
             p.add_argument(
                 "--format",
@@ -360,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("qbracket", help="partition average of an expression")
-    p.add_argument("expr", nargs="?", help="expression (stdin if omitted)")
+    p.add_argument(
+        "expr", nargs="?", help=f"expression of weights at most {MAX_BRACKET_WEIGHT} (stdin if omitted)"
+    )
     p.add_argument("--weight", type=int, help="recognition weight (inferred if omitted)")
     add_common(p)
     p.set_defaults(func=cmd_qbracket)
@@ -394,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-weight", type=int, default=10, help=f"largest weight (at most {MAX_TABLE_WEIGHT})"
     )
     p.add_argument("--min-part", type=int, default=3, help="smallest allowed part")
-    add_common(p)
+    add_common(p, order="checked and ignored: the table does not depend on the order")
     p.set_defaults(func=cmd_tables)
 
     return parser

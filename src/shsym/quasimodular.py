@@ -5,7 +5,8 @@ Depth is the degree in P; the depth-0 elements are the modular ones.
 The bracket of a harmonic element is modular (the source paper's
 theorem), so `slots_form` solves each harmonic slot in the modular forms
 of its weight from the Sturm prefix of its bracket, and every bracket
-takes its form from it.  Recognition identifies a truncated q-series as
+takes its form from it, whatever its order, up to the weight cap
+ssym.MAX_BRACKET_WEIGHT.  Recognition identifies a truncated q-series as
 the unique weight-k combination of generator monomials, with an
 overdetermination margin that certifies the result at the stated order.
 """
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .qseries import QSeries, check_bracket_input, eisenstein, q_bracket
-from .ssym import InsufficientOrderError, LinearSolveError, RecognitionError, SSPoly, SparseTerms
+from .ssym import MAX_BRACKET_WEIGHT, InsufficientOrderError, LinearSolveError, RecognitionError, SSPoly, SparseTerms
 from .ssym import _latex_power, format_signed_sum
 
 if TYPE_CHECKING:
@@ -90,22 +91,15 @@ def check_recognizable(k: int, order: int) -> None:
     """Raise unless a series to `order` can be recognized at weight k:
     ValueError for a negative or odd weight, InsufficientOrderError when
     order + 1 is below the number of weight-k triples plus the margin.
+
+    The triples are the partitions of k / 2 into parts <= 3, counted in
+    closed form, so that a weight too large for the order is refused before
+    its O(k^2) triples are listed or its series is summed.
     """
     if k < 0:
         raise ValueError("recognition weight must be non-negative")
     if k % 2:
         raise ValueError("recognition weight must be even; odd-weight series must vanish")
-    _check_order(k, order)
-
-
-def _check_order(k: int, order: int) -> None:
-    """Raise InsufficientOrderError when order + 1 is below the number of
-    triples of weight 2 (k // 2) plus the margin.
-
-    The triples are the partitions of k // 2 into parts <= 3, counted in
-    closed form, so that a weight too large for the order is refused before
-    its O(k^2) triples are listed or its series is summed.
-    """
     needed = ((k // 2 + 3) ** 2 + 6) // 12 + RECOGNITION_MARGIN
     if order + 1 < needed:
         raise InsufficientOrderError(
@@ -245,6 +239,13 @@ def w_hat(m: QMForm) -> QMForm:
 # -- the modularity decision ---------------------------------------------------
 
 
+def _check_weight_cap(w: int) -> None:
+    """Raise ValueError when a bracket weight is above ssym.MAX_BRACKET_WEIGHT,
+    the weights whose slots verify proves."""
+    if w > MAX_BRACKET_WEIGHT:
+        raise ValueError(f"weight {w} is above the limit of {MAX_BRACKET_WEIGHT}")
+
+
 def bracket_form(
     f: SSPoly, order: int, weight: int | None = None
 ) -> tuple[QSeries, QMForm]:
@@ -260,22 +261,25 @@ def bracket_form(
     if weight is not None and weight < 0:
         raise ValueError("recognition weight must be non-negative")
     # Check every weight before solving any: input q_bracket rejects is
-    # reported as such rather than as a recognition failure, and a weight
-    # too large for the order is refused before its slots are solved.  An
-    # odd weight is bounded as the even weight below it would be.  The
-    # weights of f are bounded even when another weight is declared, so
-    # that a refusal does not depend on which of them are summed.
+    # reported as such rather than as a recognition failure, and a declared
+    # even weight is refused by the recognition margin before the slots are
+    # solved.  The weights of f, and a declared odd weight, are bounded by
+    # the cap alone, so that a refusal does not depend on the order or on
+    # which components are summed.
     check_bracket_input(f, order)
+    if weight is not None and weight % 2 == 0:
+        check_recognizable(weight, order)
     components = f.weight_components()
-    for w in ([] if weight is None else [weight]) + list(components):
-        _check_order(w, order)
+    declared_odd = [weight] if weight is not None and weight % 2 else []
+    for w in declared_odd + list(components):
+        _check_weight_cap(w)
     even = {w: fw.pr() for w, fw in components.items() if w % 2 == 0}
     form = QMForm.zero()
     if any(not fw.is_zero for fw in even.values()):
         from .harmonic import decompose  # odd components need no slots
 
         for w, fw in even.items():
-            form = form + slots_form(decompose(fw).components, w, order)
+            form = form + slots_form(decompose(fw).components, w)
     series = expand(form, order)
     if weight is not None and weight % 2 and not series.is_zero:
         raise RecognitionError(f"odd weight {weight} requires a vanishing series")
@@ -284,26 +288,26 @@ def bracket_form(
     return series, form
 
 
-def slots_form(slots: Sequence[SSPoly], weight: int, order: int) -> QMForm:
+def slots_form(slots: Sequence[SSPoly], weight: int) -> QMForm:
     """The form of the partition average of sum_r Q2^r h_r, from harmonic
     slots h_r of weight `weight` - 2r (as `decompose` returns them), by the
     source paper's theorem rather than a sum over the partitions of every
-    size up to `order`.
+    size up to an order; the form does not depend on one.
 
     The bracket of a harmonic h of weight k is modular of weight k, and
     <Q2 f>_q = d_hat(<f>_q), so the average is sum_r d_hat^r(m_r) with m_r
     in M_(weight - 2r).  A form in M_k is fixed by its coefficients
     0..k // 12 (the Sturm bound), on which the Q^b R^c columns have full
     rank; m_r is solved from q_bracket(h_r, k // 12 + 1), which sums h_r
-    over the at most 7 partitions of size <= 3 for every k the CLI admits,
+    over the at most 7 partitions of size <= 3 for every k up to the cap,
     and the spare coefficient must agree, or RecognitionError is raised.
-    An odd-weight slot brackets to zero by conjugation.  The slots and the
-    weight are admitted as `bracket_form` admits them at `order`, so that a
-    refusal does not depend on the path.
+    An odd-weight slot brackets to zero by conjugation.  Slots with other
+    than non-negative integer exponents, and a weight above the cap, are
+    refused as `bracket_form` refuses them.
     """
     for h in slots:
-        check_bracket_input(h, order)
-    _check_order(weight, order)
+        check_bracket_input(h, 0)  # its exponents: no order is summed here
+    _check_weight_cap(weight)
     form = QMForm.zero()
     # Horner's rule: sum_r d_hat^r(m_r) = m_0 + d_hat(m_1 + d_hat(m_2 + ...))
     for r in range(len(slots) - 1, -1, -1):
@@ -317,9 +321,7 @@ def slots_form(slots: Sequence[SSPoly], weight: int, order: int) -> QMForm:
     return form
 
 
-def is_modular_bracket(
-    f: SSPoly, order: int
-) -> tuple[bool, QMForm, Decomposition]:
+def is_modular_bracket(f: SSPoly) -> tuple[bool, QMForm, Decomposition]:
     """Decide whether the partition average of a weight-homogeneous Q1-free
     element is modular (depth 0 once recognized), with its form and its
     harmonic decomposition f = sum_r Q2^r h_r.
@@ -332,14 +334,13 @@ def is_modular_bracket(
         raise ValueError("input must be Q1-free with integer exponents")
     if not f.is_homogeneous():
         raise ValueError("input must be weight-homogeneous")
+    # refused as bracket_form would, before the decomposition is solved
+    _check_weight_cap(f.weight())
     # imported here: recognition alone does not need the harmonic layer
     from .harmonic import decompose
 
-    # refused as bracket_form would, before the decomposition is solved
-    check_bracket_input(f, order)
-    _check_order(f.weight(), order)
     dec = decompose(f)
-    form = slots_form(dec.components, f.weight(), order)
+    form = slots_form(dec.components, f.weight())
     return depth(form) == 0, form, dec
 
 

@@ -580,20 +580,19 @@ _EVAL_WORK_BITS = int(MAX_EVAL_WORK_DIGITS / 0.30103)
 
 # Request-size limits of the command line, which imports them; a request
 # over one is a usage error.  At the largest sizes they admit, the slowest
-# request is verify --max-weight 16 -N 40, in about 27 s on a 2-vCPU host.
-# qbracket has no size limit of its own: it decomposes each even-weight
-# component into harmonic slots and sums each slot over the partitions of
-# its Sturm prefix only, so its cost follows the terms and weights of its
-# input, which the parse limits above and the order bound of the weights
-# (33 at -N 40) already hold.  The slowest admitted input measured, every
-# Q1-free monomial of even weight <= 32 (4,624 terms), takes 1.5 s at
-# -N 40.  The slots are built in closed form from the powers of the
-# projected laplacian, by the sl2 relation, and certified with the
-# closed-form laplacian; verify proves both on every Q1-free monomial a CLI
-# job meets.
+# request is verify --max-weight 16 -N 40, in about 14 s and 210 MB of peak
+# RSS on a 2-vCPU host.
 MAX_ORDER = 40  # -N of qbracket, recognize, tables and verify
 MAX_WEIGHT = 20  # n of basis, the weight of a decompose input
 MAX_TABLE_WEIGHT = 16  # --max-weight of tables and verify
+# The largest weight of a qbracket component or declared odd weight, and of
+# an is_modular_bracket input.  It bounds the proofs, not the order: a slot
+# of weight k takes its form from its Sturm prefix of order k // 12 + 1 <= 3
+# (the source paper's theorem) whatever -N is, verify.proof_monomials covers
+# every Q1-free monomial of even weight up to the cap, and 33 is the largest
+# weight the recognition margin admitted at -N 40.  Input A of the README,
+# every Q1-free monomial of even weight <= 32, takes 1.5 s at -N 40.
+MAX_BRACKET_WEIGHT = 33
 
 
 class _Parser:

@@ -68,7 +68,7 @@ from .quasimodular import (
     w_hat,
 )
 from .reference import even_rows, rows_up_to
-from .ssym import MAX_ORDER, MAX_WEIGHT, Monomial, SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
+from .ssym import MAX_BRACKET_WEIGHT, MAX_WEIGHT, Monomial, SSPoly, beta, eval_at, eval_qk, format_poly, parse_poly
 
 DEFAULT_SEED = 1729
 
@@ -458,10 +458,8 @@ def proof_monomials() -> tuple[list[SSPoly], str]:
     """Every Q1-free monomial a CLI job can meet, in ascending weight, and
     their description: `basis` and `decompose` admit each weight <=
     ssym.MAX_WEIGHT, and `qbracket` decomposes its even-weight components up
-    to the largest even weight it admits at ssym.MAX_ORDER."""
-    top = 0
-    while _recognizable(top + 2, MAX_ORDER):
-        top += 2
+    to ssym.MAX_BRACKET_WEIGHT."""
+    top = MAX_BRACKET_WEIGHT // 2 * 2
     weights = sorted(set(range(MAX_WEIGHT + 1)).union(range(0, top + 1, 2)))
     monomials = [b for w in weights for b in lambda_star_basis(w)]
     return monomials, f"{len(monomials)} monomials of weight <= {MAX_WEIGHT} or of even weight <= {top}"
@@ -666,7 +664,7 @@ def unpack_signed(x: int, width: int, count: int) -> list[int]:
 
 
 # The suites bracket the same table monomials at the run's order again and
-# again; at --max-weight 16 -N 40 the cache saves 2.4 s of the knapsacks' 3.6.
+# again; it saves about 3 s of verify --max-weight 16 -N 40 (README).
 @lru_cache(maxsize=1024)
 def _moment_knapsack(mono: Monomial, order: int) -> tuple[int, tuple[int, ...]]:
     """(D, totals) with totals[n] = D times the sum of the Q2-free, Q1-free
@@ -903,7 +901,7 @@ def suite_expansion_at_100(rng, max_weight, order):
         want = knapsack_bracket(f, 100)
         if expand(form, 100) != want:
             return False, f"bracket of {label} to order 100 differs from the form recognized at 40"
-        if weight is not None and expand(slots_form((f,), weight, 40), 100) != want:
+        if weight is not None and expand(slots_form((f,), weight), 100) != want:
             return False, f"bracket of {label} to order 100 differs from the form of its Sturm prefix"
     detail = f"{len(exprs)} brackets"
     if drawn:
@@ -1105,7 +1103,7 @@ def suite_modularity_criterion(rng, max_weight, order):
     for trial in range(8):
         w = rng.choice(weights)
         f = random_homogeneous(rng, w, min_part=2)
-        modular, form, dec = is_modular_bracket(f, order)
+        modular, form, dec = is_modular_bracket(f)
         # the theorem's decision against the knapsack and recognize
         want = recognize(knapsack_bracket(f, order), w)
         if form != want or modular != (depth(want) == 0):
@@ -1121,21 +1119,22 @@ def suite_theorem_path(rng, max_weight, order):
     against the knapsack to the run's order and recognize:
     on every basis row of weight <= max_weight, each its own slot, and on
     seeded Q1-free inputs of even weight split by decompose."""
-    # an odd weight is admitted as the even weight below it
+    # an odd weight is drawn with the even weight below it, which recognize
+    # must admit at this order
     weights = [w for w in range(max_weight + 1) if _recognizable(w // 2 * 2, order)]
     if not weights:
         return True, f"nothing to draw: order {order} admits no weight <= {max_weight}"
     rows = [lam for w in weights for lam in enumerate_min_part(w, 3)]
     for lam in rows:
         h, n = basis_element(lam), sum(lam)
-        if slots_form((h,), n, order) != oracle_bracket_form(h, order)[1]:
+        if slots_form((h,), n) != oracle_bracket_form(h, order)[1]:
             return False, f"theorem path differs from the knapsack at basis row {lam}"
     even = [w for w in weights if w % 2 == 0 and w >= 2]
     samples = 12 if even else 0
     for trial in range(samples):
         w = rng.choice(even)
         f = random_homogeneous(rng, w, min_part=2)
-        if slots_form(decompose(f).components, w, order) != recognize(knapsack_bracket(f, order), w):
+        if slots_form(decompose(f).components, w) != recognize(knapsack_bracket(f, order), w):
             return False, f"theorem path differs from the knapsack on {format_poly(f)}"
     return True, f"{len(rows)} basis rows and {samples} inputs, weights <= {weights[-1]}, order {order}"
 
@@ -1167,7 +1166,8 @@ def suite_bracket_form_oracle(rng, max_weight, order):
 
 
 def suite_golden_tables(rng, max_weight, order):
-    # an odd weight is admitted as the even weight below it
+    # an odd weight is drawn with the even weight below it, which recognize
+    # must admit at this order
     rows = [row for row in rows_up_to(max_weight) if _recognizable(sum(row[0]) // 2 * 2, order)]
     if not rows:
         return True, f"nothing to draw: order {order} admits no table row"

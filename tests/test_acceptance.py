@@ -91,7 +91,7 @@ def test_criterion_07_modularity_criterion():
     for trial in range(20):
         w = 2 * (trial % 5) + 2
         f = random_homogeneous(rng, w, min_part=2)
-        modular, form, dec = is_modular_bracket(f, ORDER)
+        modular, form, dec = is_modular_bracket(f)
         # the theorem's form against the knapsack and recognize
         assert form == recognize(knapsack_bracket(f, ORDER), w)
         tail_zero = all(knapsack_bracket(h, ORDER).is_zero for h in dec.components[1:])

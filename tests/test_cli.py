@@ -103,9 +103,12 @@ def test_qbracket_json(capsys):
 
 
 def test_qbracket_insufficient_order(capsys):
-    code, _, err = run(capsys, "qbracket", "Q2", "-N", "5")
+    # the margin bounds a declared weight only: the form alone needs no order
+    code, _, err = run(capsys, "qbracket", "Q2", "--weight", "2", "-N", "5")
     assert code == 1
     assert "insufficient order" in err
+    code, out, _ = run(capsys, "qbracket", "Q2", "-N", "5")
+    assert code == 0 and out.splitlines()[1] == "-1/24*P"
 
 
 def test_parse_error_exit_code(capsys):
@@ -492,7 +495,7 @@ def test_every_limit_row_holds_its_value():
     with open(readme) as fh:
         table = fh.read().split("| limit (`shsym.ssym`, read by `shsym.cli`) | value |", 1)[1].split("\n\n", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| ([\d,]+) \|", table, re.M)
-    assert rows
+    assert {name for name, _ in rows} >= {"MAX_ORDER", "MAX_WEIGHT", "MAX_TABLE_WEIGHT", "MAX_BRACKET_WEIGHT"}
     for name, value in rows:
         assert getattr(ssym, name, None) == int(value.replace(",", "")), name
 
@@ -552,6 +555,22 @@ def test_max_weight_over_limit_is_usage_error(capsys):
     _assert_one_line_usage_error(capsys, "verify", "--max-weight", too_high)
     for command in ("tables", "verify"):
         _assert_one_line_usage_error(capsys, command, "--max-weight", "-1")
+
+
+def test_bracket_weight_over_limit_is_usage_error(capsys):
+    from shsym.ssym import MAX_BRACKET_WEIGHT
+
+    top = MAX_BRACKET_WEIGHT
+    # a component or a declared odd weight over the cap, at any order
+    for argv, weight in (
+        ((f"Q{top + 1}", "-N", "40"), top + 1),
+        ((f"Q3 + Q{top + 1}", "-N", "0"), top + 1),
+        (("Q3", "--weight", str(top + 2)), top + 2),
+    ):
+        code, out, err = run(capsys, "qbracket", *argv)
+        assert (code, out, err) == (2, "", f"error: weight {weight} is above the limit of {top}\n"), argv
+    code, out, _ = run(capsys, "qbracket", f"Q{top}", "-N", "0")
+    assert code == 0 and out == "series: 0 + O(q^1)\n0\n"
 
 
 def test_huge_recognition_weight_is_refused_at_once(capsys):
@@ -662,12 +681,11 @@ def test_bracket_of_many_monomials_is_admitted_as_the_sum_of_its_halves():
 
 
 def test_bracket_of_many_monomials_past_the_order_is_refused():
-    # the same shape times Q2^6 reaches weight 34, which -N 40 cannot recognize
+    # the same shape times Q2^6 reaches weight 34, above the bracket weight cap
     lams, extra = _many_monomials()
     proc = _run_cli_within(10, "qbracket", "-N", "40", stdin=_bracket_input(lams, 6, extra))
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("recognition error: insufficient order: weight 34 ")
-    assert proc.stderr.count("\n") == 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: weight 34 is above the limit of 33\n"
 
 
 def test_generator_index_over_limit_is_parse_error():
@@ -773,44 +791,41 @@ def test_runaway_expansion_is_parse_error():
 
 
 def test_unrecognizable_weight_is_refused_before_summing():
-    # weight 2700 needs 152,561 coefficients; summing its series first took 21 s
+    # weight 2700 is far above the cap; summing its series first took 21 s
     proc = _run_cli_within(10, "qbracket", "Q10^100*Q9^100*Q8^100", "-N", "40")
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("recognition error: insufficient order: weight 2700")
-    assert proc.stderr.count("\n") == 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: weight 2700 is above the limit of 33\n"
 
 
 def test_declared_weight_does_not_lift_the_bound_on_the_real_weights():
     # the sum costs what f's own weights cost, whatever weight is declared:
-    # the moment vector of this product alone would hold 101^3 entries
-    for argv in (
-        ("qbracket", "Q10^100*Q9^100*Q8^100", "-N", "40", "--weight", "2"),
-        ("qbracket", "Q2 + Q10^100*Q9^100*Q8^100", "-N", "40", "--weight", "2"),
-        ("qbracket", "Q5^4*Q6^4*Q7^4*Q8^4", "-N", "40", "--weight", "104"),
+    # each is bounded by the cap, and a declared even weight by the margin
+    for argv, code, err in (
+        (("Q10^100*Q9^100*Q8^100", "--weight", "2"), 2, "error: weight 2700 is above the limit of 33\n"),
+        (("Q2 + Q10^100*Q9^100*Q8^100", "--weight", "2"), 2, "error: weight 2700 is above the limit of 33\n"),
+        (("Q5^4*Q6^4*Q7^4*Q8^4", "--weight", "104"), 1, "recognition error: insufficient order: weight 104"),
     ):
-        proc = _run_cli_within(10, *argv)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("recognition error: insufficient order: weight")
-        assert proc.stderr.count("\n") == 1
+        proc = _run_cli_within(10, "qbracket", "-N", "40", *argv)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
 
 
 def test_odd_part_too_heavy_for_the_order_is_refused_before_summing():
     # summing the weight-2593 series first took 15 s, only to print zero
     proc = _run_cli_within(10, "qbracket", "Q10^100*Q9^100*Q7^99", "-N", "40")
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("recognition error: insufficient order: weight 2593")
-    assert proc.stderr.count("\n") == 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: weight 2593 is above the limit of 33\n"
 
 
 def test_odd_part_is_bounded_as_the_even_weight_below_it(capsys):
-    # at N=40 the largest admitted odd weight is 33, as the largest even one is 32
-    code, out, _ = run(capsys, "qbracket", "Q3^11", "-N", "40")
-    assert code == 0 and out.strip().splitlines()[-1] == "0"
-    for argv in (("qbracket", "Q3^10*Q5", "-N", "40"), ("qbracket", "Q3", "-N", "9")):
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("recognition error: insufficient order: weight") and err.count("\n") == 1
-    code, out, _ = run(capsys, "qbracket", "Q3", "-N", "10")
+    # at every order the largest admitted odd weight is 33, as the largest
+    # even one is 32
+    for order in ("0", "9", "40"):
+        code, out, _ = run(capsys, "qbracket", "Q3^11", "-N", order)
+        assert code == 0 and out.strip().splitlines()[-1] == "0"
+        code, out, err = run(capsys, "qbracket", "Q3^10*Q5", "-N", order)
+        assert (code, out, err) == (2, "", "error: weight 35 is above the limit of 33\n")
+    code, out, _ = run(capsys, "qbracket", "Q3", "-N", "9")
     assert code == 0 and out.strip().splitlines()[-1] == "0"
 
 

@@ -305,7 +305,7 @@ def test_pr_laplacian_is_the_projected_laplacian(monkeypatch):
     # against the projected operator on Laurent samples with Q1 powers and,
     # at every --max-weight, on the p(MAX_WEIGHT) = 627 Q1-free monomials of
     # weight <= MAX_WEIGHT and the 4,262 of even weight 22..32, the even
-    # weights qbracket decomposes at MAX_ORDER: a proof for every input the
+    # weights qbracket decomposes up to MAX_BRACKET_WEIGHT: a proof for every input the
     # CLI admits, which a raised cap must extend
     assert count_partitions(cli.MAX_WEIGHT) == 627
     proof = f"{627 + 4262} monomials of weight <= {cli.MAX_WEIGHT} or of even weight <= 32"

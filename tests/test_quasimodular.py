@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from shsym.quasimodular import (
     w_hat,
 )
 from shsym.reference import ROWS
-from shsym.ssym import SSPoly
+from shsym.ssym import SSPoly, parse_poly
 from shsym.verify import knapsack_bracket, oracle_recognize, random_qmform
 
 P = QMForm.gen("P")
@@ -271,15 +272,15 @@ def test_format_qmform_golden(terms, text, latex):
 
 def test_is_modular_bracket_examples():
     h4 = basis_element((4,))
-    ok, form, dec = is_modular_bracket(h4, 30)
+    ok, form, dec = is_modular_bracket(h4)
     assert ok and form == QMForm({(0, 1, 0): Fraction(9, 320)})
     assert dec.components[0] == h4
 
-    ok, form, dec = is_modular_bracket(SSPoly.gen(2), 30)
+    ok, form, dec = is_modular_bracket(SSPoly.gen(2))
     assert not ok and format_qmform(form) == "-1/24*P"
     assert [str(h) for h in dec.components] == ["0", "1"]
 
-    ok, form, dec = is_modular_bracket(SSPoly.gen(3), 30)
+    ok, form, dec = is_modular_bracket(SSPoly.gen(3))
     assert ok and form.is_zero
     assert dec.components[0] == SSPoly.gen(3)
 
@@ -296,7 +297,7 @@ def test_is_modular_bracket_in_a_process_that_loaded_only_recognition():
         "import sys\n"
         "import shsym.quasimodular as qm\n"
         "assert 'shsym.harmonic' not in sys.modules\n"
-        "ok, form, dec = qm.is_modular_bracket(qm.SSPoly.gen(2), 30)\n"
+        "ok, form, dec = qm.is_modular_bracket(qm.SSPoly.gen(2))\n"
         "print(ok, qm.format_qmform(form), [str(h) for h in dec.components])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shsym.__file__)))
@@ -305,16 +306,21 @@ def test_is_modular_bracket_in_a_process_that_loaded_only_recognition():
     assert proc.stdout == "False -1/24*P ['0', '1']\n"
 
 
-def test_is_modular_bracket_rejects_bad_input():
+def test_is_modular_bracket_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError):
-        is_modular_bracket(SSPoly.gen(1), 30)
+        is_modular_bracket(SSPoly.gen(1))
     with pytest.raises(ValueError):
-        is_modular_bracket(SSPoly.gen(2) + SSPoly.gen(3), 30)
+        is_modular_bracket(SSPoly.gen(2) + SSPoly.gen(3))
     # refused as bracket_form refuses, before the decomposition is solved
-    with pytest.raises(ValueError, match="^order must be non-negative$"):
-        is_modular_bracket(SSPoly.gen(4), -1)
-    with pytest.raises(InsufficientOrderError, match="^insufficient order: weight 4 needs at least 12 coefficients, got 6$"):
-        is_modular_bracket(SSPoly.gen(4), 5)
+    from shsym import harmonic
+
+    def unreachable(f):
+        raise AssertionError("decomposed")
+
+    monkeypatch.setattr(harmonic, "decompose", unreachable)
+    for refuse in (is_modular_bracket, lambda f: bracket_form(f, 40)):
+        with pytest.raises(ValueError, match="^weight 34 is above the limit of 33$"):
+            refuse(SSPoly.gen(34))
 
 
 def test_slots_form_refuses_every_shifted_basis_element_as_one_slot():
@@ -327,7 +333,7 @@ def test_slots_form_refuses_every_shifted_basis_element_as_one_slot():
         for lam in enumerate_min_part(n, 3):
             for r in (1, 2):
                 with pytest.raises(RecognitionError, match=f"^not modular of weight {n + 2 * r} at this order$"):
-                    slots_form((q2**r * basis_element(lam),), n + 2 * r, 40)
+                    slots_form((q2**r * basis_element(lam),), n + 2 * r)
                 refused += 1
     assert refused == 66
 
@@ -336,29 +342,37 @@ def test_slots_form_raises_each_tail_slot_by_d_hat():
     h4 = basis_element((4,))
     zero = SSPoly.zero()
     # <Q2 h_(4)>_q = d_hat(9/320 Q) = 21/2560 P Q - 3/320 R
-    assert slots_form((zero, h4), 6, 30) == QMForm({(1, 1, 0): Fraction(21, 2560), (0, 0, 1): Fraction(-3, 320)})
-    assert slots_form((zero, SSPoly.one()), 2, 30) == P * Fraction(-1, 24)
-    assert slots_form((zero, zero, h4), 8, 30) == d_hat(d_hat(Q * Fraction(9, 320)))
+    assert slots_form((zero, h4), 6) == QMForm({(1, 1, 0): Fraction(21, 2560), (0, 0, 1): Fraction(-3, 320)})
+    assert slots_form((zero, SSPoly.one()), 2) == P * Fraction(-1, 24)
+    assert slots_form((zero, zero, h4), 8) == d_hat(d_hat(Q * Fraction(9, 320)))
     rng = random.Random(25)
     for w in (2, 4, 6, 8, 10, 12, 14, 16):
         f = verify.random_homogeneous(rng, w, min_part=2)
-        assert slots_form(decompose(f).components, w, 40) == recognize(knapsack_bracket(f, 40), w), w
+        assert slots_form(decompose(f).components, w) == recognize(knapsack_bracket(f, 40), w), w
 
 
 def test_slots_form_refuses_what_bracket_form_refuses():
-    def outcome(call):
-        try:
-            return call()
-        except (ValueError, InsufficientOrderError) as exc:
-            return type(exc), str(exc)
+    # no order is left to refuse: a weight over the cap and exponents that
+    # are not non-negative integers, whatever the slot's weight
+    for f, n in ((SSPoly.gen(34), 34), (SSPoly.gen(17) ** 2, 34), (parse_poly("Q2^(1/2)"), 1), (parse_poly("Q2^(-1)"), -2)):
+        with pytest.raises(ValueError) as want:
+            bracket_form(f, 40)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            slots_form((f,), n)
 
-    for lam in ((), (3,), (4,), (7,), (8,), (13, 3), (16,)):
-        h, n = basis_element(lam), sum(lam)
-        for order in (-1, 0, 9, 10, 13, 18, 19):
-            want = outcome(lambda: bracket_form(h, order, n)[1])
-            if isinstance(want, QMForm):  # admitted: the form by the knapsack and recognize
-                want = recognize(knapsack_bracket(h, order), n) if n % 2 == 0 else QMForm.zero()
-            assert outcome(lambda: slots_form((h,), n, order)) == want, (lam, order)
+
+def test_bracket_form_does_not_depend_on_the_order():
+    # every basis row of weight <= 16 at every order -N admits: the form is
+    # the one at order 40 and the series its expansion
+    from shsym.ssym import MAX_ORDER
+
+    rows = [lam for n in range(17) for lam in enumerate_min_part(n, 3)]
+    assert len(rows) == 96
+    for lam in rows:
+        h = basis_element(lam)
+        form = bracket_form(h, MAX_ORDER)[1]
+        for order in range(MAX_ORDER + 1):
+            assert bracket_form(h, order) == (expand(form, order), form), (lam, order)
 
 
 def test_bracket_form_refuses_a_negative_weight_of_either_parity():
@@ -372,7 +386,7 @@ def test_modular_plus_kernel_shift_stays_modular():
     # adding a bracket-kernel element must not change modularity
     h = basis_element((4,))
     k = SSPoly.gen(2) * basis_element((3,))  # odd slot, zero bracket
-    ok, _, _ = is_modular_bracket(h + k * 0, 30)
+    ok, _, _ = is_modular_bracket(h + k * 0)
     assert ok
 
 
