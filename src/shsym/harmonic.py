@@ -125,19 +125,19 @@ def pr_laplacian(f: SSPoly) -> SSPoly:
 
 
 def _t_inverse(m: int) -> tuple[Fraction, ...]:
-    """The floor(m/2) + 1 rationals a_i = -c_(i+1) of the harmonic
+    """The floor(m/2) + 1 coefficients c_1, c_2, ... of the harmonic
     projection pi_(m+2) = sum_j c_j X^j Y^j, X the product by Q2 and
     Y = pr laplacian, with c_0 = 1 and c_j = c_(j-1) (-2) / (j (2m + 1 - 2j)),
     whose factor 2m + 1 - 2j is odd, never zero.  It holds because
     [Y, X] is the weight minus 1/2 on the Q1-free ring, as for the classical
-    harmonic polynomials.  sum_i a_i X^i Y^i inverts g -> Y(X g) on the
+    harmonic polynomials.  -sum_i c_(i+1) X^i Y^i inverts g -> Y(X g) on the
     weight-m slice, whence the name, which perfbench/traced_job.py rebinds.
     """
     coeffs = []
     den = 1  # c_j = (-2)^j / den
     for j in range(1, m // 2 + 2):
         den *= j * (2 * m + 1 - 2 * j)
-        coeffs.append(Fraction(-((-2) ** j), den))
+        coeffs.append(Fraction((-2) ** j, den))
     return tuple(coeffs)
 
 
@@ -179,7 +179,7 @@ def _slots(f: SSPoly, w: int) -> Iterator[SSPoly]:
         powers.append(nxt)
     for r in range(len(powers)):
         kappa = _kappa(w, r)
-        pi = (1, *(-a for a in _t_inverse(w - 2 * r - 2)))
+        pi = (1, *_t_inverse(w - 2 * r - 2))
         weights = [c / (kappa * 8 ** (r + j)) for j, c in enumerate(pi[: len(powers) - r])]
         scale = lcm(*(c.denominator for c in weights))
         h: dict[Monomial, int] = {}

@@ -126,16 +126,6 @@ def count_partitions(n: int) -> int:
     return _P_TABLE[n]
 
 
-def _conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for part in lam:
-        for j in range(part):
-            cols[j] += 1
-    return tuple(cols)
-
-
 def frobenius(lam: Iterable[int]) -> FrobeniusCoords:
     """Frobenius coordinates: arm/leg lengths a_i, b_i of the diagonal cells.
 
@@ -144,14 +134,16 @@ def frobenius(lam: Iterable[int]) -> FrobeniusCoords:
     below.
     """
     lam = check_partition(lam)
-    conj = _conjugate(lam)
     arms = []
     legs = []
+    rows = len(lam)  # the parts > i, counted down as i grows: lam is read once
     for i, part in enumerate(lam):
         if part <= i:
             break
+        while lam[rows - 1] <= i:
+            rows -= 1
         arms.append(part - i - 1)
-        legs.append(conj[i] - i - 1)
+        legs.append(rows - i - 1)
     return FrobeniusCoords(tuple(arms), tuple(legs))
 
 

@@ -821,15 +821,6 @@ def suite_bracket_linearity(rng, max_weight, order):
     return True, "6 samples"
 
 
-def suite_q1_kills_bracket(rng, max_weight, order):
-    top = min(max_weight, 8)
-    for w in range(top + 1):
-        f = random_homogeneous(rng, w)
-        if not knapsack_bracket(SSPoly.gen(1) * f, order).is_zero:
-            return False, f"bracket of Q1 * f nonzero for {format_poly(f)}"
-    return True, f"one sample at each weight 0..{top}"
-
-
 def suite_q2_shifts_bracket(rng, max_weight, order):
     p_over_24 = eisenstein(2, order) * Fraction(1, 24)
     top = min(max_weight, 8)
@@ -847,25 +838,17 @@ def suite_q2_shifts_bracket(rng, max_weight, order):
 _TABLE_WEIGHT = 10
 
 
-def suite_bracket_oracle(rng, max_weight, order):
-    # The definition lists every partition (3 s on the table rows at order
-    # 40, 2 vCPUs), so it stays on the table; the knapsack suite goes higher.
+def suite_knapsack_oracle(rng, max_weight, order):
+    """knapsack_bracket against q_bracket, the bracket's definition: on each
+    table row, and on each distinct Q2-free monomial of the table rows and
+    of one random basis element at each weight above the table.  The
+    definition lists every partition (3 s on the table rows at order 40,
+    2 vCPUs), so whole rows stay on the table; the monomials go higher."""
     rows = rows_up_to(max_weight)
     for lam, _, _ in rows:
         h = basis_element(lam)
         if knapsack_bracket(h, order) != q_bracket(h, order):
             return False, f"bracket differs from direct summation at {lam}"
-    table = f"{len(rows)} table rows"
-    if max_weight > _TABLE_WEIGHT:
-        table += f" (weights <= {_TABLE_WEIGHT} only)"
-    return True, f"{table}, order {order}"
-
-
-def suite_knapsack_oracle(rng, max_weight, order):
-    """Each distinct Q2-free monomial of the table rows, and of one random
-    basis element at each weight above the table, against the row sums of
-    its definition."""
-    rows = rows_up_to(max_weight)
     drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(_TABLE_WEIGHT + 1, max_weight + 1)]
     seen = set()
     for lam in [lam for lam, _, _ in rows] + drawn:
@@ -881,32 +864,6 @@ def suite_knapsack_oracle(rng, max_weight, order):
     if drawn:
         detail += f" and one basis element at each weight {_TABLE_WEIGHT + 1}..{max_weight}, {len(seen)} monomials"
     return True, f"{detail}, order {order}"
-
-
-def suite_expansion_at_100(rng, max_weight, order):
-    """Brackets recognized at order 40 and compared with the expansion of
-    their form at order 100: four fixed expressions and one random basis
-    element at each weight 3..max_weight.  expand builds E2, E4 and E6 from
-    divisor sums and shares nothing with the knapsack, so this reaches the
-    slot widths of the knapsack at an order no enumerating oracle can
-    afford.  A basis element's form from its Sturm prefix (slots_form) is
-    compared at order 100 too."""
-    exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "Q12^2", "Q6*Q4^2*Q2")
-    drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(3, max_weight + 1)]
-    # (label, f, and the weight of f when it is a basis element, so harmonic)
-    cases = [(expr, parse_poly(expr), None) for expr in exprs]
-    cases += [(lam, basis_element(lam), sum(lam)) for lam in drawn]
-    for label, f, weight in cases:
-        _, form = oracle_bracket_form(f, 40)
-        want = knapsack_bracket(f, 100)
-        if expand(form, 100) != want:
-            return False, f"bracket of {label} to order 100 differs from the form recognized at 40"
-        if weight is not None and expand(slots_form((f,), weight), 100) != want:
-            return False, f"bracket of {label} to order 100 differs from the form of its Sturm prefix"
-    detail = f"{len(exprs)} brackets"
-    if drawn:
-        detail += f" and one basis element at each weight 3..{max_weight}"
-    return True, f"{detail} recognized at order 40, compared at 100"
 
 
 def oracle_mul(a, b) -> list:
@@ -1008,17 +965,19 @@ def _recognizable(k: int, order: int) -> bool:
 
 
 def suite_equivariance(rng, max_weight, order):
+    """The bracket intertwines the two sl2 triples: with m the form of <f>_q
+    from the paper's theorem (bracket_form), whose series is expand(m),
+    <f>, <X f>, <Y f> and <H f> to the run's order are the expansions of m,
+    d_hat m, frak_d m and w_hat m, each against the knapsack."""
     if max_weight < 2:
         return True, f"nothing to draw: max weight {max_weight} is below 2"
-    top = min(max_weight, 8)
-    weights = [w for w in (2, 4, 6, 8) if w <= top and _recognizable(w, order)]
-    if not weights:
-        return True, f"nothing to draw: order {order} admits no weight <= {top}"
+    weights = [w for w in (2, 4, 6, 8) if w <= max_weight]
     for trial in range(20):
         w = weights[trial % len(weights)]
         f = random_homogeneous(rng, w)
-        bf = knapsack_bracket(f, order)
-        m = recognize(bf, f.weight())
+        series, m = bracket_form(f, order)
+        if knapsack_bracket(f, order) != series:
+            return False, f"theorem form differs from the knapsack on {format_poly(f)}"
         if knapsack_bracket(q2_hat(f), order) != expand(d_hat(m), order):
             return False, f"raising side fails on {format_poly(f)}"
         if knapsack_bracket(laplacian(f).pr(), order) != expand(frak_d(m), order):
@@ -1094,20 +1053,21 @@ def suite_recognize_oracle(rng, max_weight, order):
 
 
 def suite_modularity_criterion(rng, max_weight, order):
+    """is_modular_bracket's form against the knapsack to the run's order, and
+    its decision against the vanishing of the tail slot brackets."""
     if max_weight < 2:
         return True, f"nothing to draw: max weight {max_weight} is below 2"
-    top = min(max_weight, 10)
-    weights = [w for w in range(2, top + 1, 2) if _recognizable(w, order)]
-    if not weights:
-        return True, f"nothing to draw: order {order} admits no weight <= {top}"
+    weights = list(range(2, min(max_weight, 10) + 1, 2))
     for trial in range(8):
         w = rng.choice(weights)
         f = random_homogeneous(rng, w, min_part=2)
         modular, form, dec = is_modular_bracket(f)
-        # the theorem's decision against the knapsack and recognize
-        want = recognize(knapsack_bracket(f, order), w)
-        if form != want or modular != (depth(want) == 0):
+        if expand(form, order) != knapsack_bracket(f, order) or modular != (depth(form) == 0):
             return False, f"form or depth differs from the knapsack on {format_poly(f)}"
+        # The tail slots have weight <= 8, where M_k is spanned by the
+        # E4^a E6^b, so a nonzero modular form has a nonzero constant term:
+        # a tail slot's bracket vanishes at every order exactly when its
+        # form does, order 0 included.
         if modular != all(knapsack_bracket(h, order).is_zero for h in dec.components[1:]):
             return False, f"modularity disagrees with the tail slot brackets on {format_poly(f)}"
     covered = "" if len(weights) == 5 else f", weights <= {weights[-1]}"
@@ -1116,36 +1076,33 @@ def suite_modularity_criterion(rng, max_weight, order):
 
 def suite_theorem_path(rng, max_weight, order):
     """slots_form, from the source paper's theorem and the Sturm bound,
-    against the knapsack to the run's order and recognize:
-    on every basis row of weight <= max_weight, each its own slot, and on
-    seeded Q1-free inputs of even weight split by decompose."""
-    # an odd weight is drawn with the even weight below it, which recognize
-    # must admit at this order
-    weights = [w for w in range(max_weight + 1) if _recognizable(w // 2 * 2, order)]
-    if not weights:
-        return True, f"nothing to draw: order {order} admits no weight <= {max_weight}"
-    rows = [lam for w in weights for lam in enumerate_min_part(w, 3)]
+    expanded to the run's order against the knapsack: on every basis row
+    of weight <= max_weight, each its own slot, and on seeded Q1-free
+    inputs of even weight split by decompose."""
+    rows = [lam for w in range(max_weight + 1) for lam in enumerate_min_part(w, 3)]
     for lam in rows:
         h, n = basis_element(lam), sum(lam)
-        if slots_form((h,), n) != oracle_bracket_form(h, order)[1]:
+        if expand(slots_form((h,), n), order) != knapsack_bracket(h, order):
             return False, f"theorem path differs from the knapsack at basis row {lam}"
-    even = [w for w in weights if w % 2 == 0 and w >= 2]
+    even = list(range(2, max_weight + 1, 2))
     samples = 12 if even else 0
     for trial in range(samples):
         w = rng.choice(even)
         f = random_homogeneous(rng, w, min_part=2)
-        if slots_form(decompose(f).components, w) != recognize(knapsack_bracket(f, order), w):
+        if expand(slots_form(decompose(f).components, w), order) != knapsack_bracket(f, order):
             return False, f"theorem path differs from the knapsack on {format_poly(f)}"
-    return True, f"{len(rows)} basis rows and {samples} inputs, weights <= {weights[-1]}, order {order}"
+    return True, f"{len(rows)} basis rows and {samples} inputs, weights <= {max_weight}, order {order}"
 
 
 def suite_bracket_form_oracle(rng, max_weight, order):
     """bracket_form, whose form comes from the paper's theorem and whose
     series is its expansion, against the knapsack and recognize
-    (oracle_bracket_form) at orders 100 and 200, past every enumerating
-    oracle.  Each seeded input sums a monomial of weight 22..26 with two
-    generators above Q2, one of even weight <= 20 and one of odd weight,
-    each with up to three factors Q2, and the first times Q1."""
+    (oracle_bracket_form) past every enumerating oracle, where the
+    knapsack's slots are at their widest.  Each seeded input, at orders 100
+    and 200, sums a monomial of weight 22..26 with two generators above Q2,
+    one of even weight <= 20 and one of odd weight, each with up to three
+    factors Q2, and the first times Q1.  Four fixed expressions and one
+    random basis element at each weight 3..max_weight go to order 100."""
 
     def draw(w: int, parts: int) -> tuple[int, ...]:
         j = rng.randint(0, min(3, (w - 3) // 2))
@@ -1157,30 +1114,36 @@ def suite_bracket_form_oracle(rng, max_weight, order):
         lams = (heavy, draw(rng.randrange(4, 21, 2), 1), draw(rng.randrange(3, 22, 2), 1), heavy + (1,))
         coeffs = (Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in lams)
         inputs.append(SSPoly({Monomial.from_partition(lam): c for lam, c in zip(lams, coeffs)}))
-    for f in inputs:
-        for n in (100, 200):
+    exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "Q12^2", "Q6*Q4^2*Q2")
+    drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(3, max_weight + 1)]
+    # (label, f, orders)
+    cases = [(format_poly(f), f, (100, 200)) for f in inputs]
+    cases += [(expr, parse_poly(expr), (100,)) for expr in exprs]
+    cases += [(lam, basis_element(lam), (100,)) for lam in drawn]
+    for label, f, orders in cases:
+        for n in orders:
             if bracket_form(f, n) != oracle_bracket_form(f, n):
-                return False, f"bracket_form differs from the knapsack at order {n} on {format_poly(f)}"
+                return False, f"bracket_form differs from the knapsack at order {n} on {label}"
     top = max(w for f in inputs for w in f.weight_components())
-    return True, f"{len(inputs)} inputs of weights <= {top}, orders 100 and 200"
+    detail = f"{len(inputs)} inputs of weights <= {top} at orders 100 and 200, {len(exprs)} brackets"
+    if drawn:
+        detail += f" and one basis element at each weight 3..{max_weight}"
+    return True, f"{detail} at order 100"
 
 
 def suite_golden_tables(rng, max_weight, order):
-    # an odd weight is drawn with the even weight below it, which recognize
-    # must admit at this order
-    rows = [row for row in rows_up_to(max_weight) if _recognizable(sum(row[0]) // 2 * 2, order)]
-    if not rows:
-        return True, f"nothing to draw: order {order} admits no table row"
+    """The printed table rows against the tables path: each basis element
+    against its polynomial, and slots_form with the element as its one
+    slot against its bracket.  The form does not depend on the order;
+    forms.theorem_path compares it with the knapsack."""
+    rows = rows_up_to(max_weight)
     for lam, expr, bracket in rows:
-        n = sum(lam)
         h = basis_element(lam)
         if h != parse_poly(expr):
             return False, f"table polynomial mismatch at {lam}"
         coeff, triple = bracket or (0, (0, 0, 0))
-        if bracket_form(h, order, n)[1] != QMForm({triple: coeff}):
+        if slots_form((h,), sum(lam)) != QMForm({triple: coeff}):
             return False, f"bracket mismatch at {lam}"
-    if len(rows) < len(rows_up_to(max_weight)):
-        return True, f"{len(rows)} table rows, weights <= {sum(rows[-1][0])}"
     return True, f"{len(rows)} table rows"
 
 
@@ -1211,11 +1174,8 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("harmonic.depth", suite_depth),
     ("series.euler_product", suite_euler_product),
     ("series.bracket_linearity", suite_bracket_linearity),
-    ("series.q1_kills_bracket", suite_q1_kills_bracket),
     ("series.q2_shifts_bracket", suite_q2_shifts_bracket),
-    ("series.bracket_oracle", suite_bracket_oracle),
     ("series.knapsack_oracle", suite_knapsack_oracle),
-    ("series.expansion_at_100", suite_expansion_at_100),
     ("series.product_oracle", suite_product_oracle),
     ("forms.sl2_triple", suite_qm_sl2),
     ("forms.equivariance", suite_equivariance),

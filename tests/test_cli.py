@@ -500,6 +500,17 @@ def test_every_limit_row_holds_its_value():
         assert getattr(ssym, name, None) == int(value.replace(",", "")), name
 
 
+def test_readme_counts_every_verify_suite():
+    import re
+
+    from shsym import verify
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        counts = re.findall(r"`shsym\.verify\.SUITES`, (\d+) of them", fh.read())
+    assert counts == [str(len(verify.SUITES))]
+
+
 def _assert_one_line_usage_error(capsys, *argv, prefix="error: "):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -696,6 +707,14 @@ def test_generator_index_over_limit_is_parse_error():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(f"parse error: generator index larger than {MAX_GENERATOR}")
     assert proc.stderr.count("\n") == 1
+
+
+def test_eval_at_a_ten_digit_part_costs_what_its_parts_cost():
+    # the Frobenius coordinates follow the number of parts, not the largest
+    # part: Q3 of (n) is n (n - 1) / 2
+    proc = _run_cli_within(10, "eval", "Q3", "(1000000000)")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "499999999500000000\n"
 
 
 def test_eval_value_too_long_to_print_is_usage_error(capsys):

@@ -98,3 +98,19 @@ def test_readme_library_snippet_shows_its_values():
         assert text == comment.rsplit(": ", 1)[-1], stmt.lineno
         shown += 1
     assert shown == 4
+
+
+def test_every_source_file_parses_at_the_declared_python_floor():
+    # pyproject.toml declares the oldest Python the package supports; a file
+    # that only a newer grammar accepts fails here on any interpreter
+    import ast
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (root / "pyproject.toml").read_text(), re.M)
+    assert floor
+    files = sorted(path for top in ("src", "tests", "perfbench") for path in (root / top).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))

@@ -1,6 +1,5 @@
 from shsym.partitions import (
     c_set,
-    _conjugate,
     check_partition,
     count_partitions,
     enumerate_min_part,
@@ -164,12 +163,6 @@ def test_c_set_structure():
             assert len(neg) == len(pos) == len(cs) // 2
             assert all(c % 2 for c in cs)  # doubled half-integers are odd
             assert list(cs) == sorted(cs)
-
-
-def test_conjugate_is_involution():
-    for n in range(12):
-        for lam in enumerate_partitions(n):
-            assert _conjugate(_conjugate(lam)) == lam
 
 
 def test_check_partition_rejects_bad_input():

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from shsym import verify
-from shsym.cli import build_parser
+from shsym.cli import build_parser, main
 
 DEFAULTS = build_parser().parse_args(["verify"])
 
@@ -63,9 +63,12 @@ def test_weighted_draws_pass_when_nothing_is_drawable(max_weight):
         assert ok and detail == f"nothing to draw: max weight {max_weight} is below 2"
 
 
-# At the defaults (max weight 10) these suites recognize at weights up to 10,
-# which order 15 admits (weight 12 needs order 16); they check only the
-# weights check_recognizable admits, so none at order 0.
+# At the defaults (max weight 10) the three recognizing suites recognize at
+# weights up to 10, which order 15 admits (weight 12 needs order 16); they
+# check only the weights check_recognizable admits, so none at order 0.  The
+# other four take their forms from the paper's theorem, recognize nothing,
+# and check every input at every order.
+RECOGNIZING = {"forms.depth_bound", "forms.recognize_roundtrip", "forms.recognize_oracle"}
 AT_ORDER_15 = {
     "forms.equivariance": "20 samples, weights <= 8",
     "forms.depth_bound": "6 samples",
@@ -83,10 +86,25 @@ def test_recognizing_suites_check_only_the_admitted_weights(name, order):
     suite = dict(verify.SUITES)[name]
     ok, detail = suite(random.Random(verify.DEFAULT_SEED), DEFAULTS.max_weight, order)
     assert ok, detail
-    if order == 0:
+    if order == 0 and name in RECOGNIZING:
         assert detail.startswith("nothing to draw: order 0 admits no "), detail
     else:
-        assert detail == AT_ORDER_15[name]
+        assert detail == AT_ORDER_15[name].replace("order 15", f"order {order}")
+
+
+def test_verify_at_order_5_recognizes_only_in_the_recognition_suites(capsys):
+    # order 5 admits no recognition at any weight; the suites whose forms
+    # come from the paper's theorem still check every input
+    code = main(["verify", "-N", "5"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    lines = dict(line.removeprefix("[PASS] ").split(": ", 1) for line in out.splitlines())
+    idle = {name for name, detail in lines.items() if detail.startswith("nothing to draw")}
+    assert idle == RECOGNIZING
+    assert lines["forms.theorem_path"] == "20 basis rows and 12 inputs, weights <= 10, order 5"
+    assert lines["forms.equivariance"] == "20 samples, weights <= 8"
+    assert lines["forms.modularity_criterion"] == "8 samples (internal cross-check)"
+    assert lines["goldens.tables"] == "20 table rows"
 
 
 @pytest.mark.parametrize(
