@@ -838,17 +838,25 @@ def suite_q2_shifts_bracket(rng, max_weight, order):
 _TABLE_WEIGHT = 10
 
 
-def suite_knapsack_oracle(rng, max_weight, order):
-    """knapsack_bracket against q_bracket, the bracket's definition: on each
-    table row, and on each distinct Q2-free monomial of the table rows and
-    of one random basis element at each weight above the table.  The
-    definition lists every partition (3 s on the table rows at order 40,
-    2 vCPUs), so whole rows stay on the table; the monomials go higher."""
+def suite_bracket_oracle(rng, max_weight, order):
+    # The definition lists every partition (3 s on the table rows at order
+    # 40, 2 vCPUs), so it stays on the table; the knapsack suite goes higher.
     rows = rows_up_to(max_weight)
     for lam, _, _ in rows:
         h = basis_element(lam)
         if knapsack_bracket(h, order) != q_bracket(h, order):
             return False, f"bracket differs from direct summation at {lam}"
+    table = f"{len(rows)} table rows"
+    if max_weight > _TABLE_WEIGHT:
+        table += f" (weights <= {_TABLE_WEIGHT} only)"
+    return True, f"{table}, order {order}"
+
+
+def suite_knapsack_oracle(rng, max_weight, order):
+    """Each distinct Q2-free monomial of the table rows, and of one random
+    basis element at each weight above the table, against the row sums of
+    its definition."""
+    rows = rows_up_to(max_weight)
     drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(_TABLE_WEIGHT + 1, max_weight + 1)]
     seen = set()
     for lam in [lam for lam, _, _ in rows] + drawn:
@@ -864,6 +872,27 @@ def suite_knapsack_oracle(rng, max_weight, order):
     if drawn:
         detail += f" and one basis element at each weight {_TABLE_WEIGHT + 1}..{max_weight}, {len(seen)} monomials"
     return True, f"{detail}, order {order}"
+
+
+def suite_expansion_at_100(rng, max_weight, order):
+    """The series of bracket_form, the expansion of the theorem form, against
+    the knapsack at order 100, past every enumerating oracle: four fixed
+    expressions and one random basis element at each weight
+    3..max_weight.  expand builds E2, E4 and E6 from divisor sums and
+    shares nothing with the knapsack, so this reaches the knapsack's widest
+    slots.  Nothing is recognized; forms.bracket_form_oracle compares the
+    forms."""
+    exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "Q12^2", "Q6*Q4^2*Q2")
+    drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(3, max_weight + 1)]
+    cases = [(expr, parse_poly(expr)) for expr in exprs]
+    cases += [(lam, basis_element(lam)) for lam in drawn]
+    for label, f in cases:
+        if bracket_form(f, 100)[0] != knapsack_bracket(f, 100):
+            return False, f"bracket of {label} to order 100 differs from the expansion of its form"
+    detail = f"{len(exprs)} brackets"
+    if drawn:
+        detail += f" and one basis element at each weight 3..{max_weight}"
+    return True, f"{detail}, order 100"
 
 
 def oracle_mul(a, b) -> list:
@@ -1097,12 +1126,10 @@ def suite_theorem_path(rng, max_weight, order):
 def suite_bracket_form_oracle(rng, max_weight, order):
     """bracket_form, whose form comes from the paper's theorem and whose
     series is its expansion, against the knapsack and recognize
-    (oracle_bracket_form) past every enumerating oracle, where the
-    knapsack's slots are at their widest.  Each seeded input, at orders 100
-    and 200, sums a monomial of weight 22..26 with two generators above Q2,
-    one of even weight <= 20 and one of odd weight, each with up to three
-    factors Q2, and the first times Q1.  Four fixed expressions and one
-    random basis element at each weight 3..max_weight go to order 100."""
+    (oracle_bracket_form) at orders 100 and 200, past every enumerating
+    oracle.  Each seeded input sums a monomial of weight 22..26 with two
+    generators above Q2, one of even weight <= 20 and one of odd weight,
+    each with up to three factors Q2, and the first times Q1."""
 
     def draw(w: int, parts: int) -> tuple[int, ...]:
         j = rng.randint(0, min(3, (w - 3) // 2))
@@ -1114,21 +1141,12 @@ def suite_bracket_form_oracle(rng, max_weight, order):
         lams = (heavy, draw(rng.randrange(4, 21, 2), 1), draw(rng.randrange(3, 22, 2), 1), heavy + (1,))
         coeffs = (Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in lams)
         inputs.append(SSPoly({Monomial.from_partition(lam): c for lam, c in zip(lams, coeffs)}))
-    exprs = ("Q3^2*Q5*Q7", "Q4^3 + Q2*Q3^2", "Q12^2", "Q6*Q4^2*Q2")
-    drawn = [rng.choice(enumerate_min_part(w, 3)) for w in range(3, max_weight + 1)]
-    # (label, f, orders)
-    cases = [(format_poly(f), f, (100, 200)) for f in inputs]
-    cases += [(expr, parse_poly(expr), (100,)) for expr in exprs]
-    cases += [(lam, basis_element(lam), (100,)) for lam in drawn]
-    for label, f, orders in cases:
-        for n in orders:
+    for f in inputs:
+        for n in (100, 200):
             if bracket_form(f, n) != oracle_bracket_form(f, n):
-                return False, f"bracket_form differs from the knapsack at order {n} on {label}"
+                return False, f"bracket_form differs from the knapsack at order {n} on {format_poly(f)}"
     top = max(w for f in inputs for w in f.weight_components())
-    detail = f"{len(inputs)} inputs of weights <= {top} at orders 100 and 200, {len(exprs)} brackets"
-    if drawn:
-        detail += f" and one basis element at each weight 3..{max_weight}"
-    return True, f"{detail} at order 100"
+    return True, f"{len(inputs)} inputs of weights <= {top}, orders 100 and 200"
 
 
 def suite_golden_tables(rng, max_weight, order):
@@ -1175,7 +1193,9 @@ SUITES: tuple[tuple[str, Suite], ...] = (
     ("series.euler_product", suite_euler_product),
     ("series.bracket_linearity", suite_bracket_linearity),
     ("series.q2_shifts_bracket", suite_q2_shifts_bracket),
+    ("series.bracket_oracle", suite_bracket_oracle),
     ("series.knapsack_oracle", suite_knapsack_oracle),
+    ("series.expansion_at_100", suite_expansion_at_100),
     ("series.product_oracle", suite_product_oracle),
     ("forms.sl2_triple", suite_qm_sl2),
     ("forms.equivariance", suite_equivariance),
